@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Kernel-layer timings at fixed seeds and sizes, written to a BENCH_*.json file.
+
+    python scripts/bench.py [--src DIR] [--label NAME] [--out FILE]
+
+Times pencil_eval, a type IV map call, transfer_residual and
+contraction_membership at level 2, and JSON parse and emit at level 128.
+Each case reports the median and the minimum of REPEAT calls made after one
+untimed warm-up call. The package is imported from --src (default: the
+src directory of this checkout), so one script can time two checkouts; each
+invocation adds or replaces the run named --label in --out and keeps the
+others, so a parent commit and a change sit side by side in one file. BLAS
+runs on one thread (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
+
+This is a measurement, not a test: nothing asserts on a timing, and the
+tier-1 suite does not run it.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REPEAT = 15
+
+
+def gaussian(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2**0.5
+
+
+def cases(cx, np):
+    """Map case name -> zero-argument callable; inputs are drawn here, once."""
+    from convexotonic import jsonio
+
+    out = {}
+    for g, d, n in ((2, 2, 256), (6, 3, 64), (4, 16, 32)):
+        rng = np.random.default_rng([g, d, n])
+        coeffs = cx.MatrixTuple(gaussian(rng, g, d, d))
+        point = cx.MatrixTuple(gaussian(rng, g, n, n))
+        out[f"pencil_eval.g{g}.d{d}.n{n}"] = lambda c=coeffs, p=point: cx.pencil_eval(c, p)
+
+    xi = cx.structure_constants(cx.type_iv_tuple()).xi
+    q = cx.ConvexotonicMap(xi, cx.MapSign.PLUS)
+    for n in (32, 128, 256):
+        rng = np.random.default_rng(n)
+        x = gaussian(rng, 2, n, n)
+        # ||pencil_xi(X)|| = 1/2 keeps the point well inside the map's domain
+        norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
+        X = cx.MatrixTuple(0.5 * x / norm)
+        out[f"map_call.type_iv.n{n}"] = lambda X=X: q(X)
+
+    rng = np.random.default_rng(3)
+    J = cx.algebra_closure(cx.MatrixTuple(np.triu(gaussian(rng, 2, 3, 3)))).extended
+    x = gaussian(rng, J.g, 2, 2)
+    # ||pencil_J(X)|| <= sum ||J_j|| ||X_j|| = 1/4
+    bound = sum(np.linalg.norm(J[j]) * np.linalg.norm(x[j]) for j in range(J.g))
+    X = cx.MatrixTuple(x / (4 * bound))
+    out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda: cx.transfer_residual(J, X, cx.MapSign.PLUS)
+    out[f"contraction_membership.ut3.g{J.g}.n2"] = lambda: cx.contraction_membership(J, X)
+
+    rng = np.random.default_rng(128)
+    t = cx.MatrixTuple(gaussian(rng, 2, 128, 128))
+    doc = json.loads(jsonio.dumps(jsonio.tuple_to_obj(t)))
+    out["json.emit.g2.n128"] = lambda: jsonio.tuple_to_obj(t)
+    out["json.parse.g2.n128"] = lambda: jsonio.obj_to_tuple(doc)
+    return out
+
+
+def git(src: Path, *args) -> str:
+    try:
+        done = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+    except OSError:
+        return ""
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def machine(np) -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.25 prints instead of returning
+        blas = "unknown"
+    return {
+        "nproc": os.cpu_count(),
+        "blas": blas,
+        "numpy": np.__version__,
+        "python": sys.version.split()[0],
+        "CONVEXOTONIC_NUM_THREADS": os.environ.get("CONVEXOTONIC_NUM_THREADS"),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to time")
+    parser.add_argument("--label", default="working-tree", help="name of this run in --out")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_2.json")
+    args = parser.parse_args()
+
+    os.environ.setdefault("CONVEXOTONIC_NUM_THREADS", "1")
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    # the package first: it maps the thread cap onto BLAS before numpy loads
+    import convexotonic as cx
+    import numpy as np
+
+    results = {}
+    for name, call in cases(cx, np).items():
+        call()
+        times = []
+        for _ in range(REPEAT):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        results[name] = {"median_s": statistics.median(times), "min_s": min(times)}
+        print(f"{name:<40} median {results[name]['median_s'] * 1e3:9.3f} ms"
+              f"  min {results[name]['min_s'] * 1e3:9.3f} ms", file=sys.stderr)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    doc["runs"][args.label] = {
+        "git_sha": git(src, "rev-parse", "HEAD") or "unknown",
+        "git_dirty": bool(git(src, "status", "--porcelain", "--untracked-files=no", ".")),
+        "repeat": REPEAT,
+        "machine": machine(np),
+        "cases": results,
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

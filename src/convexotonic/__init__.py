@@ -64,7 +64,6 @@ from .linalg import (
     is_nilpotent,
     joint_kernel,
     kernel_basis,
-    kron,
     min_eig_hermitian,
     numerical_rank,
     operator_norm,
@@ -75,7 +74,6 @@ from .maps import (
     MapSign,
     Realization,
     jacobian_at_zero,
-    map_domain_check,
     transfer_residual,
 )
 from .verify import (

@@ -22,6 +22,7 @@ from .linalg import (
     operator_norm,
     pencil_eval,
 )
+from .maps import certified_inverse
 from .sampling import random_direction
 
 
@@ -96,8 +97,8 @@ def contraction_membership(F: MatrixTuple, X: MatrixTuple, tol: float = DEFAULT_
     """Spectrahedron membership via the contraction (I + T)^{-1} T, T = pencil(X).
 
     Agrees in location with spec_membership whenever I + T is well conditioned;
-    a numerically singular I + T signals an exterior point and is raised as
-    SingularPencil.
+    an I + T whose 1-norm condition number reaches 1/tol signals an exterior
+    point and is raised as SingularPencil.
     """
     if not F.is_square:
         raise NotSquare("contraction membership needs a square tuple")
@@ -105,12 +106,8 @@ def contraction_membership(F: MatrixTuple, X: MatrixTuple, tol: float = DEFAULT_
         raise TupleLengthMismatch(f"tuple lengths differ: {F.g} vs {X.g}")
     t = pencil_eval(F, X)
     m = np.eye(t.shape[0], dtype=complex) + t
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond >= 1.0 / tol:
-        raise SingularPencil(
-            f"I + pencil(X) is numerically singular (cond {cond:.3e}); point is exterior"
-        )
-    return _classify(1.0 - operator_norm(np.linalg.solve(m, t)), tol)
+    inv = certified_inverse(m, "exterior point: I + pencil(X)", 1.0 / tol, SingularPencil)
+    return _classify(1.0 - operator_norm(inv @ t), tol)
 
 
 def boundary_scale(domain, X: MatrixTuple) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ class JsonFormatError(Exception):
     """Raised when a payload does not match the documented schema."""
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _pairs(a) -> list:
+    """Nested lists of [re, im] floats, shaped like the complex array a."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _entry(value, where: str) -> complex:
@@ -38,7 +39,29 @@ def _entry(value, where: str) -> complex:
     return complex(re, im)
 
 
+def _well_formed(rows: int, cols: int, payload) -> np.ndarray | None:
+    """The matrix of a payload of row lists of finite int/float [re, im] pairs, else None."""
+    if type(payload) is not list or set(map(type, payload)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(payload))
+    if not set(map(type, pairs)) <= {list, tuple}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(payload, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if parts.shape != (rows, cols, 2) or not np.isfinite(parts).all():
+        return None
+    return parts.view(complex)[..., 0]
+
+
 def _entries(rows: int, cols: int, payload, where: str) -> np.ndarray:
+    out = _well_formed(rows, cols, payload)
+    if out is not None:
+        return out
+    # walk the payload entry by entry to name the first defect
     if not isinstance(payload, list) or len(payload) != rows:
         raise JsonFormatError(f"{where}: expected {rows} rows")
     out = np.empty((rows, cols), dtype=complex)
@@ -62,7 +85,7 @@ def matrix_to_obj(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[_pair(v) for v in row] for row in m],
+        "entries": _pairs(m),
     }
 
 
@@ -79,7 +102,7 @@ def tuple_to_obj(t: MatrixTuple) -> dict:
         "g": t.g,
         "rows": t.rows,
         "cols": t.cols,
-        "matrices": [[[_pair(v) for v in row] for row in m] for m in t],
+        "matrices": _pairs(t.data),
     }
 
 
@@ -102,8 +125,8 @@ def certificate_to_obj(cert: GenericityCertificate) -> dict:
     def points(items):
         return [
             {
-                "point": [_pair(v) for v in kp.point],
-                "kernel_vector": [_pair(v) for v in kp.kernel_vector],
+                "point": _pairs(kp.point),
+                "kernel_vector": _pairs(kp.kernel_vector),
             }
             for kp in items
         ]

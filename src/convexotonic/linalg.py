@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: Kronecker products, linear pencils, norms,
-eigenvalues, numerical rank and kernels.
+"""Dense complex matrix kernels: linear pencils, norms, eigenvalues,
+numerical rank and kernels.
 
 All randomized behaviour lives elsewhere; every function here is a pure
 function of its arguments.
@@ -88,9 +88,6 @@ class MatrixTuple:
     def __iter__(self):
         return iter(self.data)
 
-    def __rmul__(self, scalar) -> "MatrixTuple":
-        return MatrixTuple(complex(scalar) * self.data)
-
     def adjoint(self) -> "MatrixTuple":
         """Componentwise conjugate transpose."""
         return MatrixTuple(self.data.conj().transpose(0, 2, 1))
@@ -113,28 +110,20 @@ class MatrixTuple:
         return float(np.max(np.abs(self.data)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
-
-
 def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
     """Evaluate the linear pencil sum_j coeffs[j] (x) point[j].
 
-    For d x e coefficients and n x n points the result is dn x en.
+    For d x e coefficients and n x m points the result is dn x em, computed
+    as one matrix product over j followed by a transpose into block order.
     """
     if coeffs.g != point.g:
         raise TupleLengthMismatch(
             f"tuple lengths differ: {coeffs.g} coefficients vs {point.g} point slots"
         )
-    n = point.rows
-    if point.rows == 1 and point.cols == 1:
-        # level-1 shortcut: a plain linear combination
-        return np.einsum("j,jab->ab", point.data[:, 0, 0], coeffs.data)
-    out = np.zeros((coeffs.rows * n, coeffs.cols * point.cols), dtype=complex)
-    for j in range(coeffs.g):
-        out += np.kron(coeffs.data[j], point.data[j])
-    return out
+    g, d, e = coeffs.data.shape
+    _, n, m = point.data.shape
+    prod = coeffs.data.reshape(g, d * e).T @ point.data.reshape(g, n * m)
+    return prod.reshape(d, e, n, m).transpose(0, 2, 1, 3).reshape(d * n, e * m)
 
 
 def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:

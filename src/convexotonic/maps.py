@@ -7,16 +7,31 @@ levelwise on square matrix tuples and respects direct sums and similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .algebras import convexotonic_residual, structure_constants
+from .algebras import StructureConstants, convexotonic_residual, structure_constants
 from .errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
 
 COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
+
+
+def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=DomainBreach):
+    """Inverse of m, refused with `error` unless the 1-norm condition number
+    ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below limit.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    if not np.isfinite(cond) or cond >= limit:
+        raise error(f"{what} is numerically singular (cond {cond:.3e})")
+    return inv
 
 
 class MapSign(str, Enum):
@@ -38,16 +53,23 @@ class ConvexotonicMap:
     xi: MatrixTuple
     sign: MapSign = MapSign.MINUS
     construction_tol: float = DEFAULT_TOL
+    residual: float | None = field(default=None, compare=False)  # of xi; computed if None
 
     def __post_init__(self):
         if not (self.xi.g == self.xi.rows == self.xi.cols):
             raise ShapeMismatch("map tuples must be g matrices of size g x g")
-        resid = convexotonic_residual(self.xi)
-        if resid > self.construction_tol:
-            raise ValueError(f"tuple is not convexotonic (residual {resid:.3e})")
+        if self.residual is None:
+            object.__setattr__(self, "residual", convexotonic_residual(self.xi))
+        if self.residual > self.construction_tol:
+            raise ValueError(f"tuple is not convexotonic (residual {self.residual:.3e})")
+
+    @classmethod
+    def from_constants(cls, sc: StructureConstants, sign=MapSign.MINUS) -> "ConvexotonicMap":
+        """The map of extracted constants, reusing their certified residual."""
+        return cls(sc.xi, sign, residual=sc.convexotonic_residual)
 
     def inverse(self) -> "ConvexotonicMap":
-        return ConvexotonicMap(self.xi, self.sign.flipped(), self.construction_tol)
+        return replace(self, sign=self.sign.flipped())
 
     def pencil(self, X: MatrixTuple) -> np.ndarray:
         """The defining pencil I -/+ pencil_xi(X) at the point."""
@@ -58,26 +80,24 @@ class ConvexotonicMap:
         lam = pencil_eval(self.xi, X)
         return np.eye(lam.shape[0], dtype=complex) + self.sign.factor * lam
 
-    def domain_check(self, X: MatrixTuple, cond_limit: float = COND_LIMIT) -> bool:
-        """True iff the defining pencil is well conditioned at X."""
-        cond = np.linalg.cond(self.pencil(X))
-        return bool(np.isfinite(cond) and cond < cond_limit)
+    def domain_check(self, X: MatrixTuple) -> bool:
+        """True iff the map is defined at X, i.e. calling it raises no DomainBreach."""
+        try:
+            certified_inverse(self.pencil(X), "defining pencil")
+        except DomainBreach:
+            return False
+        return True
 
     def __call__(self, X: MatrixTuple) -> MatrixTuple:
         """Evaluate levelwise: component i is sum_j X[j] @ inv(M) block (j, i).
 
-        One factorization of the pencil M serves all blocks; no explicit
-        inverse is formed.
+        That is the single product of the row block [X[0] ... X[g-1]] with
+        inv(M), cut into its g column blocks.
         """
-        m = self.pencil(X)
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond >= COND_LIMIT:
-            raise DomainBreach(
-                f"defining pencil is numerically singular (cond {cond:.3e})"
-            )
-        g, n = self.xi.g, X.rows
-        blocks = np.linalg.solve(m, np.eye(g * n, dtype=complex)).reshape(g, n, g, n)
-        return MatrixTuple(np.einsum("jpq,jqis->ips", X.data, blocks))
+        inv = certified_inverse(self.pencil(X), "defining pencil")
+        g, n = X.g, X.rows
+        row = X.data.transpose(1, 0, 2).reshape(n, g * n) @ inv
+        return MatrixTuple(row.reshape(n, g, n).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -97,17 +117,10 @@ class Realization:
         object.__setattr__(self, "c", c)
 
     def __call__(self, X: MatrixTuple) -> np.ndarray:
-        n = X.rows
+        d, n = self.S.rows, X.rows
         lam = pencil_eval(self.S, X)
-        m = np.eye(lam.shape[0], dtype=complex) - lam
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond >= COND_LIMIT:
-            raise DomainBreach(
-                f"realization pencil is numerically singular (cond {cond:.3e})"
-            )
-        rhs = np.kron(self.b.reshape(-1, 1), np.eye(n, dtype=complex))
-        left = np.kron(self.c.conj().reshape(1, -1), np.eye(n, dtype=complex))
-        return left @ np.linalg.solve(m, rhs)
+        inv = certified_inverse(np.eye(d * n, dtype=complex) - lam, "realization pencil")
+        return np.einsum("a,apbq,b->pq", self.c.conj(), inv.reshape(d, n, d, n), self.b)
 
 
 def transfer_residual(
@@ -119,20 +132,11 @@ def transfer_residual(
     (xi, sign), returns || pencil_J(y) - (I -/+ pencil_J(X))^{-1} pencil_J(X) ||,
     the pencil sign matching the map sign.
     """
-    xi = structure_constants(J, tol).xi
-    image = ConvexotonicMap(xi, sign)(X)
+    image = ConvexotonicMap.from_constants(structure_constants(J, tol), sign)(X)
     lam = pencil_eval(J, X)
     m = np.eye(lam.shape[0], dtype=complex) + sign.factor * lam
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise DomainBreach(
-            f"transfer pencil is numerically singular (cond {cond:.3e})"
-        )
-    return operator_norm(pencil_eval(J, image) - np.linalg.solve(m, lam))
-
-
-def map_domain_check(cmap: ConvexotonicMap, X: MatrixTuple) -> bool:
-    return cmap.domain_check(X)
+    inv = certified_inverse(m, "transfer pencil")
+    return operator_norm(pencil_eval(J, image) - inv @ lam)
 
 
 def jacobian_at_zero(cmap: ConvexotonicMap, steps=(1e-4, 1e-5)) -> np.ndarray:

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebras import (
-    algebra_closure,
-    convexotonic_residual,
-    pencil_structure_constants,
-    structure_constants,
-)
+from .algebras import algebra_closure, pencil_structure_constants, structure_constants
 from .domains import (
     Spectraball,
     Spectrahedron,
@@ -31,7 +26,7 @@ from .domains import (
 from .errors import DomainBreach, SpanViolation, TupleLengthMismatch
 from .genericity import necessary_conditions, sv_probe
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
-from .maps import ConvexotonicMap, MapSign
+from .maps import ConvexotonicMap, MapSign, certified_inverse
 from .sampling import random_direction, random_unimodular
 
 UNITARY_TOL = 1e-8
@@ -119,14 +114,10 @@ def type_iv_tuple() -> MatrixTuple:
 # ---------------------------------------------------------------------------
 # closed forms used as independent oracles by the catalog
 
-def _inv(m: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
-
-
 def mobius_conjugate(alpha: complex, X: MatrixTuple) -> MatrixTuple:
     """(x1 (1-a x1)^-1, (1-a x1)^-1 x2 (1-a x1)^-1)."""
     x1, x2 = X[0], X[1]
-    res = _inv(np.eye(x1.shape[0], dtype=complex) - alpha * x1)
+    res = certified_inverse(np.eye(x1.shape[0], dtype=complex) - alpha * x1)
     return MatrixTuple.from_matrices([x1 @ res, res @ x2 @ res])
 
 
@@ -190,35 +181,33 @@ def verify_theorem(
     conj = max(operator_norm(b[j] - m.conj().T @ z @ e[j] @ m) for j in range(e.g))
     report.add("conjugation-identity", conj < tol, conj)
 
-    xi = None
+    sc = None
     try:
         sc = pencil_structure_constants(e, z, tol)
-        xi = sc.xi
         report.add("twisted-product-constants", True, sc.residual)
     except SpanViolation as err:
         report.add(
             "twisted-product-constants", False, err.residual or 0.0, detail=str(err)
         )
 
-    xi_b = None
+    sc_b = None
     try:
         sc_b = structure_constants(b, tol)
-        xi_b = sc_b.xi
         report.add("target-spans-algebra", True, sc_b.residual)
     except SpanViolation as err:
         report.add("target-spans-algebra", False, err.residual or 0.0, detail=str(err))
 
-    if xi is not None and xi_b is not None:
-        gap = _tuple_distance(xi, xi_b)
+    if sc is not None and sc_b is not None:
+        gap = _tuple_distance(sc.xi, sc_b.xi)
         report.add("constants-match", gap < tol, gap)
     else:
         report.add("constants-match", False, detail="not evaluated: constants missing")
 
-    if xi is not None:
-        defect = convexotonic_residual(xi)
+    if sc is not None:
+        defect = sc.convexotonic_residual
         report.add("convexotonic", defect <= tol, defect)
 
-        p_map = ConvexotonicMap(xi, MapSign.MINUS)
+        p_map = ConvexotonicMap.from_constants(sc, MapSign.MINUS)
         target = Spectrahedron(b)
         rng = np.random.default_rng(seed)
         points = _interior_ball_points(Spectraball(e), rng, (1, 2, 3), samples)
@@ -311,8 +300,7 @@ def verify_properness(
     counted.
     """
     report = VerificationReport("properness")
-    sc = structure_constants(J, tol)
-    q_map = ConvexotonicMap(sc.xi, MapSign.PLUS)
+    q_map = ConvexotonicMap.from_constants(structure_constants(J, tol), MapSign.PLUS)
     p_map = q_map.inverse()
     spec = Spectrahedron(J)
     rng = np.random.default_rng(seed)
@@ -382,7 +370,7 @@ def verify_corollary(
     closure = algebra_closure(A, tol)
     j = closure.extended
     sc = structure_constants(j, tol)
-    q_map = ConvexotonicMap(sc.xi, MapSign.PLUS)
+    q_map = ConvexotonicMap.from_constants(sc, MapSign.PLUS)
     report.add(
         "closure",
         True,
@@ -571,7 +559,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     report.add("type-ii/structure-constants", gap < 1e-12, max(gap, sc_r2.residual))
 
     def type_ii_oracle(x):
-        res = _inv(np.eye(x.rows, dtype=complex) + x[0])
+        res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([res @ x[0], res @ x[1]])
 
     pts = _catalog_points(rng, 2, (1, 2, 3), samples)
@@ -605,7 +593,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     report.add("type-iii/structure-constants", gap < 1e-12, max(gap, sc_r3.residual))
 
     def type_iii_oracle(x):
-        res = _inv(np.eye(x.rows, dtype=complex) + x[0])
+        res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, x[1] @ res])
 
     pts = _catalog_points(rng, 2, (1, 2, 3), samples)
@@ -616,7 +604,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     sc_e = structure_constants(e_tuple)
 
     def type_iv_oracle(x):
-        res = _inv(np.eye(x.rows, dtype=complex) + x[0])
+        res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, res @ x[1] @ res])
 
     pts = _catalog_points(rng, 2, (1, 2, 3), samples)
@@ -669,7 +657,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         report.add(f"composed-quadratic/constants-map-alpha-{label}", ok, worst, samples=50)
 
     def composed_closed(alpha, x):
-        res = _inv(np.eye(x.rows, dtype=complex) - alpha * x[0])
+        res = certified_inverse(np.eye(x.rows, dtype=complex) - alpha * x[0])
         return MatrixTuple.from_matrices(
             [x[0] @ res, res @ (x[1] + x[0] @ x[0]) @ res]
         )

@@ -5,7 +5,8 @@ import pytest
 
 from convexotonic import MatrixTuple, type_i_tuple, type_iv_tuple
 from convexotonic.cli import run
-from convexotonic.jsonio import matrix_to_obj, obj_to_tuple, tuple_to_obj
+from convexotonic import jsonio
+from convexotonic.jsonio import JsonFormatError, matrix_to_obj, obj_to_tuple, tuple_to_obj
 
 
 def write_tuple(path, t):
@@ -281,6 +282,31 @@ def test_round_trip_bit_exact():
     t = MatrixTuple((rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))))
     through = obj_to_tuple(json.loads(json.dumps(tuple_to_obj(t))))
     assert np.array_equal(through.data, t.data)
+
+
+def per_entry_pairs(m):
+    """Reference emitter: one [re, im] pair per entry, built in Python."""
+    return [[[float(complex(v).real), float(complex(v).imag)] for v in row] for row in m]
+
+
+def test_emit_matches_per_entry_emitter():
+    rng = np.random.default_rng(37)
+    data = rng.standard_normal((2, 128, 128)) + 1j * rng.standard_normal((2, 128, 128))
+    data[0, 0, 0] = complex(-0.0, 0.0)
+    data[1, 5, 7] = complex(1.5, -0.0)
+    t = MatrixTuple(data)
+    old = {"g": 2, "rows": 128, "cols": 128, "matrices": [per_entry_pairs(m) for m in t]}
+    assert jsonio.dumps(tuple_to_obj(t)) == jsonio.dumps(old)
+    old = {"rows": 128, "cols": 128, "entries": per_entry_pairs(t[0])}
+    assert jsonio.dumps(matrix_to_obj(t[0])) == jsonio.dumps(old)
+    assert "-0.0" in jsonio.dumps(tuple_to_obj(t))
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.5", None])
+def test_non_number_entries_rejected(bad):
+    payload = {"g": 1, "rows": 1, "cols": 2, "matrices": [[[[0.5, 0], [bad, 1.0]]]]}
+    with pytest.raises(JsonFormatError, match=r"\[0\]\[1\]: complex entries must be"):
+        obj_to_tuple(payload)
 
 
 def test_stdout_byte_determinism(files, capsys):

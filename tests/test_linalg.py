@@ -14,7 +14,6 @@ from convexotonic import (
     is_nilpotent,
     joint_kernel,
     kernel_basis,
-    kron,
     min_eig_hermitian,
     numerical_rank,
     operator_norm,
@@ -62,14 +61,14 @@ def test_direct_sum_shapes(e_tuple):
     assert_allclose(both[1][2:, 2:], E12)
 
 
-# --- kron ------------------------------------------------------------------
+# --- np.kron ---------------------------------------------------------------
 
 def test_kron_identity():
-    assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_unit_matrices():
-    out = kron(E12, E12)
+    out = np.kron(E12, E12)
     expected = np.zeros((4, 4))
     expected[0, 3] = 1.0
     assert_allclose(out, expected)
@@ -78,7 +77,7 @@ def test_kron_unit_matrices():
 def test_kron_associative():
     rng = np.random.default_rng(7)
     a, b, c = (rand_matrix(rng, 2) for _ in range(3))
-    assert np.linalg.norm(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-13
+    assert np.linalg.norm(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,8 +85,8 @@ def test_kron_associative():
 def test_kron_bilinear(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (rand_matrix(rng, 2) for _ in range(3))
-    lhs = kron(a + b, c)
-    rhs = kron(a, c) + kron(b, c)
+    lhs = np.kron(a + b, c)
+    rhs = np.kron(a, c) + np.kron(b, c)
     assert np.linalg.norm(lhs - rhs) < 1e-13
 
 
@@ -113,8 +112,30 @@ def test_pencil_length_mismatch(e_tuple):
 def test_pencil_matches_kron_sum(e_tuple):
     rng = np.random.default_rng(3)
     x = random_tuple(rng, 2, 3)
-    expected = kron(e_tuple[0], x[0]) + kron(e_tuple[1], x[1])
+    expected = np.kron(e_tuple[0], x[0]) + np.kron(e_tuple[1], x[1])
     assert_allclose(pencil_eval(e_tuple, x), expected)
+
+
+def kron_loop_pencil(coeffs, point):
+    """Reference pencil: the sum of Kronecker products, one slot at a time."""
+    out = np.zeros((coeffs.rows * point.rows, coeffs.cols * point.cols), dtype=complex)
+    for j in range(coeffs.g):
+        out += np.kron(coeffs[j], point[j])
+    return out
+
+
+@pytest.mark.parametrize(
+    "g, d, e, n, m",
+    [(2, 2, 2, 1, 1), (3, 2, 4, 1, 1), (2, 3, 1, 2, 5), (4, 1, 3, 3, 2), (6, 3, 3, 8, 8)],
+)
+def test_pencil_matches_kron_loop_rectangular(g, d, e, n, m):
+    rng = np.random.default_rng(17)
+    coeffs = MatrixTuple(complex_gaussian(rng, g, d, e))
+    point = MatrixTuple(complex_gaussian(rng, g, n, m))
+    expected = kron_loop_pencil(coeffs, point)
+    out = pencil_eval(coeffs, point)
+    assert out.shape == (d * n, e * m)
+    assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import convexotonic.algebras
+import convexotonic.maps
 from convexotonic import (
     ConvexotonicMap,
     DomainBreach,
@@ -13,14 +15,15 @@ from convexotonic import (
     MatrixTuple,
     Realization,
     Spectrahedron,
+    StructureConstants,
     boundary_scale,
     jacobian_at_zero,
-    map_domain_check,
     pencil_eval,
     structure_constants,
     transfer_residual,
+    type_iv_tuple,
 )
-from conftest import corpus_algebras
+from conftest import corpus_algebras, random_triangular_algebra
 from convexotonic.sampling import complex_gaussian, random_direction, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -85,6 +88,36 @@ def test_map_rejects_non_convexotonic():
     bad = MatrixTuple.from_matrices([E12, E12.T])
     with pytest.raises(ValueError):
         ConvexotonicMap(bad, MapSign.PLUS)
+    with pytest.raises(ValueError):
+        ConvexotonicMap.from_constants(StructureConstants(bad, 0.0, 1.0), MapSign.PLUS)
+
+
+def solve_einsum_map(cmap, X):
+    """Reference evaluation: 2-norm condition check, solve against the
+    identity, then the blockwise contraction."""
+    m = cmap.pencil(X)
+    cond = np.linalg.cond(m)
+    if not np.isfinite(cond) or cond >= 1e12:
+        raise DomainBreach(f"cond {cond:.3e}")
+    g, n = cmap.xi.g, X.rows
+    blocks = np.linalg.solve(m, np.eye(g * n, dtype=complex)).reshape(g, n, g, n)
+    return MatrixTuple(np.einsum("jpq,jqis->ips", X.data, blocks))
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 128])
+@pytest.mark.parametrize("which", ["type-iv", "ut3"])
+def test_map_matches_solve_einsum_reference(which, n, e_tuple):
+    rng = np.random.default_rng(n)
+    J = e_tuple if which == "type-iv" else random_triangular_algebra(rng, 3, 2)
+    xi = structure_constants(J).xi
+    direction = random_direction(rng, J.g, n)
+    # ||pencil_xi(X)|| = 1/2 keeps both signs well inside the domain
+    X = MatrixTuple(0.5 * direction.data / np.linalg.norm(pencil_eval(xi, direction), 2))
+    for sign in (MapSign.PLUS, MapSign.MINUS):
+        cmap = ConvexotonicMap(xi, sign)
+        expected = solve_einsum_map(cmap, X)
+        gap = np.linalg.norm(cmap(X).data - expected.data)
+        assert gap <= 1e-13 * np.linalg.norm(expected.data)
 
 
 def test_domain_breach(e_tuple):
@@ -167,6 +200,20 @@ def test_transfer_scalar_unit_jordan(e_tuple):
     assert transfer_residual(e_tuple, scalar(t, 0), MapSign.PLUS) < 1e-13
 
 
+def test_transfer_computes_one_residual(monkeypatch, f_tuple):
+    calls = []
+    original = convexotonic.algebras.convexotonic_residual
+
+    def counted(xi):
+        calls.append(xi.g)
+        return original(xi)
+
+    monkeypatch.setattr(convexotonic.algebras, "convexotonic_residual", counted)
+    monkeypatch.setattr(convexotonic.maps, "convexotonic_residual", counted)
+    transfer_residual(f_tuple, scalar(0.1, 0.2), MapSign.PLUS)
+    assert calls == [2]
+
+
 def test_transfer_across_corpus():
     rng = np.random.default_rng(99)
     for J in corpus_algebras():
@@ -180,14 +227,28 @@ def test_transfer_across_corpus():
 
 def test_domain_check_cases(e_tuple, f_tuple):
     q = ConvexotonicMap(e_tuple, MapSign.PLUS)
-    assert map_domain_check(q, scalar(0.5, 0.1))
+    assert q.domain_check(scalar(0.5, 0.1))
     unipotent = ConvexotonicMap(
         structure_constants(f_tuple).xi, MapSign.PLUS
     )
     rng = np.random.default_rng(4)
-    assert map_domain_check(unipotent, MatrixTuple(3 * complex_gaussian(rng, 2, 2, 2)))
+    assert unipotent.domain_check(MatrixTuple(3 * complex_gaussian(rng, 2, 2, 2)))
     p = ConvexotonicMap(e_tuple, MapSign.MINUS)
-    assert not map_domain_check(p, scalar(1.0, 0.0))
+    assert not p.domain_check(scalar(1.0, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.9, 1.1))
+@example(1.0)  # the exactly singular pencil
+def test_domain_check_agrees_with_call(t):
+    p = ConvexotonicMap(type_iv_tuple(), MapSign.MINUS)
+    x = scalar(t, 0.0)
+    try:
+        p(x)
+        defined = True
+    except DomainBreach:
+        defined = False
+    assert p.domain_check(x) is defined
 
 
 # --- free-function laws ----------------------------------------------------------
