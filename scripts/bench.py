@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Kernel-layer timings at fixed seeds and sizes, written to a BENCH_*.json file.
 
-    python scripts/bench.py [--src DIR] [--label NAME] [--out FILE]
+    python scripts/bench.py [--src DIR] [--label NAME] [--out FILE] [--skip REGEX]
 
 Times pencil_eval, a type IV map call, transfer_residual and
-contraction_membership at level 2, and JSON parse and emit at level 128.
-Each case reports the median and the minimum of REPEAT calls made after one
-untimed warm-up call. The package is imported from --src (default: the
+contraction_membership at level 2, JSON parse and emit at level 128,
+algebra_closure of random pairs, is_nilpotent on strictly upper-triangular
+triples, and convexotonic_residual at g=49. Each case reports the median and
+the minimum of REPEAT calls made after one untimed warm-up call, or of fewer
+(at least MIN_REPEAT) once a case has run for BUDGET_S seconds; cases whose
+names match --skip are left out (the exponential nilpotency test of older
+commits cannot finish d=16). The package is imported from --src (default: the
 src directory of this checkout), so one script can time two checkouts; each
 invocation adds or replaces the run named --label in --out and keeps the
 others, so a parent commit and a change sit side by side in one file. BLAS
@@ -19,6 +23,7 @@ tier-1 suite does not run it.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -27,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 15
+MIN_REPEAT = 3
+BUDGET_S = 30.0
 
 
 def gaussian(rng, *shape):
@@ -68,6 +75,20 @@ def cases(cx, np):
     doc = json.loads(jsonio.dumps(jsonio.tuple_to_obj(t)))
     out["json.emit.g2.n128"] = lambda: jsonio.tuple_to_obj(t)
     out["json.parse.g2.n128"] = lambda: jsonio.obj_to_tuple(doc)
+
+    for kind, d in (("full", 6), ("full", 8), ("ut", 6)):
+        data = gaussian(np.random.default_rng([d, 2]), 2, d, d)
+        A = cx.MatrixTuple(np.triu(data) if kind == "ut" else data)
+        out[f"algebra_closure.{kind}.d{d}"] = lambda A=A: cx.algebra_closure(A)
+
+    for d in (10, 12, 16):
+        B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
+        out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
+
+    # an orthonormal basis of M_7 spans an algebra whatever the closure code does
+    basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]
+    xi = cx.structure_constants(cx.MatrixTuple(basis.T.reshape(49, 7, 7))).xi
+    out["convexotonic_residual.m7.g49"] = lambda: cx.convexotonic_residual(xi)
     return out
 
 
@@ -101,6 +122,7 @@ def main():
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to time")
     parser.add_argument("--label", default="working-tree", help="name of this run in --out")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_2.json")
+    parser.add_argument("--skip", help="leave out the cases whose names match this regex")
     args = parser.parse_args()
 
     os.environ.setdefault("CONVEXOTONIC_NUM_THREADS", "1")
@@ -112,13 +134,17 @@ def main():
 
     results = {}
     for name, call in cases(cx, np).items():
+        if args.skip and re.search(args.skip, name):
+            continue
         call()
         times = []
-        for _ in range(REPEAT):
+        while len(times) < REPEAT and (len(times) < MIN_REPEAT or sum(times) < BUDGET_S):
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
-        results[name] = {"median_s": statistics.median(times), "min_s": min(times)}
+        results[name] = {
+            "median_s": statistics.median(times), "min_s": min(times), "repeat": len(times)
+        }
         print(f"{name:<40} median {results[name]['median_s'] * 1e3:9.3f} ms"
               f"  min {results[name]['min_s'] * 1e3:9.3f} ms", file=sys.stderr)
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
-from .linalg import DEFAULT_TOL, MatrixTuple, numerical_rank, operator_norm
+from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, numerical_rank, operator_norm
 
 SPAN_FLOOR = 1e-12  # absolute floor: products may vanish exactly
-ORTHO_COND_LIMIT = 1e6
 
 
 def is_linearly_independent(T: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
@@ -41,15 +40,17 @@ class StructureConstants:
 class AlgebraClosure:
     """A tuple extended to an independent spanning set of its algebra.
 
-    The first g slots are the original tuple; `orthonormalized[i]` records
-    whether appended element i was replaced by an orthonormalized
-    representative for conditioning (raw products are kept when the flattened
-    basis stays well conditioned).
+    The first g slots are the original tuple; every appended element is a
+    unit-norm remainder, orthogonal to all slots before it.
     """
 
     extended: MatrixTuple
     appended_count: int
-    orthonormalized: tuple[bool, ...]
+
+    @property
+    def orthonormalized(self) -> tuple[bool, ...]:
+        """One flag per appended element; all true, since every one is a remainder."""
+        return (True,) * self.appended_count
 
 
 class _SpanSolver:
@@ -75,14 +76,23 @@ def _check_square_independent(J: MatrixTuple, tol: float, what: str) -> None:
 
 
 def convexotonic_residual(xi: MatrixTuple) -> float:
-    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||."""
+    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||.
+
+    SVDs run only on blocks whose Frobenius norm (a bound on the 2-norm)
+    exceeds the running maximum, which leaves the maximum unchanged."""
     if not (xi.g == xi.rows == xi.cols):
         raise ShapeMismatch("expected a g-tuple of g x g matrices")
+    g = xi.g
     worst = 0.0
-    for j in range(xi.g):
-        rhs = np.einsum("ks,sab->kab", xi.data[j], xi.data)
-        for k in range(xi.g):
-            worst = max(worst, operator_norm(xi.data[k] @ xi.data[j] - rhs[k]))
+    for j in range(g):
+        defect = xi.data @ xi.data[j]
+        defect -= (xi.data[j] @ xi.data.reshape(g, g * g)).reshape(g, g, g)
+        # the real view has the same row norms and needs no complex temporaries
+        fro = np.linalg.norm(defect.reshape(g, -1).view(float), axis=1)
+        for k in np.argsort(-fro):
+            if fro[k] <= worst:
+                break
+            worst = max(worst, operator_norm(defect[k]))
     return worst
 
 
@@ -111,11 +121,8 @@ def _solve_constants(
             f"(residual {worst:.3e})",
             residual=worst,
         )
-    # coeff column for pair (k, j) holds the row (k, :) of xi[j]
-    xi = np.empty((g, g, g), dtype=complex)
-    for k in range(g):
-        for j in range(g):
-            xi[j, k, :] = coeff[:, k * g + j]
+    # coeff[s, k * g + j] is xi[j][k, s]
+    xi = coeff.reshape(g, g, g).transpose(2, 1, 0)
     return MatrixTuple(xi), float(np.max(residuals))
 
 
@@ -154,44 +161,29 @@ def pencil_structure_constants(
 def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
     """Extend A to an independent spanning set of the algebra it generates.
 
-    Pairwise products are scanned in lexicographic order; any product outside
-    the current span is appended, and newly appended elements participate in
-    later rounds, until a full round appends nothing. Appended elements are
-    the raw products unless the flattened basis becomes ill conditioned, in
-    which case the orthonormalized remainder is kept instead.
+    One orthonormal span of the flattened basis grows with it. When element i
+    joins, its products with elements 0..i are formed in both orders, once
+    each; the unit remainder of every product outside the span (remainder
+    above max(tol * ||product||, SPAN_FLOOR)) is appended and joins the scan
+    in turn, so every ordered pair of elements is multiplied exactly once.
     """
     _check_square_independent(A, tol, "algebra closure")
     d = A.rows
-    basis = [np.asarray(m) for m in A]
-    flags: list[bool] = []
-    while True:
-        appended = False
-        size = len(basis)
-        for k in range(size):
-            for j in range(size):
-                product = basis[k] @ basis[j]
-                current = MatrixTuple.from_matrices(basis)
-                solver = _SpanSolver(current)
-                vec = product.reshape(-1, 1)
-                coeff, residuals = solver.coefficients(vec)
-                norm = float(np.linalg.norm(vec))
-                if residuals[0] <= max(tol * norm, SPAN_FLOOR):
+    span = OrthonormalSpan(d * d)
+    for mat in A:
+        span.add(mat, 0.0)
+    basis = list(A.data)
+    for i, new in enumerate(basis):  # appended elements are reached too
+        for k in range(i + 1):
+            products = [new @ basis[k]] if k == i else [new @ basis[k], basis[k] @ new]
+            for product in products:
+                floor = max(tol * float(np.linalg.norm(product)), SPAN_FLOOR)
+                unit = span.add(product, floor)
+                if unit is None:
                     continue
-                candidate = product
-                trial = basis + [candidate]
-                cond = np.linalg.cond(MatrixTuple.from_matrices(trial).flatten().T)
-                ortho = bool(cond >= ORTHO_COND_LIMIT)
-                if ortho:
-                    remainder = vec - solver.phi @ coeff
-                    remainder /= np.linalg.norm(remainder)
-                    candidate = remainder.reshape(d, d)
-                basis.append(candidate)
-                flags.append(ortho)
-                appended = True
+                basis.append(unit.reshape(d, d))
                 if len(basis) > d * d:  # span dimension bound
                     raise SpanViolation(
                         "closure exceeded the ambient dimension; tolerance too tight"
                     )
-        if not appended:
-            break
-    return AlgebraClosure(MatrixTuple.from_matrices(basis), len(flags), tuple(flags))
+    return AlgebraClosure(MatrixTuple.from_matrices(basis), len(basis) - A.g)

@@ -33,7 +33,7 @@ class MatrixTuple:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=complex, copy=True)
+        arr = np.array(self.data, dtype=complex, order="C", copy=True)
         if arr.ndim != 3:
             raise ShapeMismatch(f"expected (g, rows, cols) data, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
@@ -205,31 +205,49 @@ def joint_kernel(B: MatrixTuple, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     return kernel_basis(stacked, tol)
 
 
+class OrthonormalSpan:
+    """A growing span in C^dim kept as orthonormal rows q. Vectors join by
+    classical Gram-Schmidt run twice, which keeps q orthonormal to working
+    precision ("twice is enough"; Giraud, Langou and Rozloznik, Comput. Math.
+    Appl. 50 (2005))."""
+
+    def __init__(self, dim: int):
+        self.q = np.empty((0, dim), dtype=complex)
+
+    def add(self, vec, floor: float) -> np.ndarray | None:
+        """Append and return the unit remainder of vec against the span, or
+        return None when the remainder's norm is at or below floor."""
+        v = np.array(vec, dtype=complex).reshape(-1)
+        for _ in range(2):
+            v -= (self.q @ v.conj()).conj() @ self.q  # coefficients q_i^H v
+        norm = np.linalg.norm(v)
+        if norm <= floor:
+            return None
+        self.q = np.vstack([self.q, v / norm])
+        return self.q[-1]
+
+
 def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     """Whether the multiplicative algebra generated by B is nilpotent.
 
-    Checks that every word of length exactly d (the ambient size) in the
-    generators has norm at most tol; a nilpotent subalgebra of d x d matrices
-    has index at most d, so this is an exact criterion. Generators are scaled
-    to unit operator norm first, which makes the absolute threshold scale-free
-    and word norms non-increasing with length (enabling subtree pruning).
+    Runs the power chain V_1 = span B, V_{k+1} = span(B V_k) of the spans of
+    all words of length k; a nilpotent subalgebra of d x d matrices has index
+    at most d, so it is nilpotent iff V_d = 0. Generators are scaled to unit
+    operator norm, which makes the floor tol on each remainder scale-free. A
+    nilpotent algebra is similar to a strictly upper-triangular one, whose
+    k-th power has dimension (d - k)(d - k + 1)/2; a larger V_k rejects early.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
     d = B.rows
-    gens = []
-    for mat in B:
-        norm = operator_norm(mat)
-        if norm > tol:
-            gens.append(mat / norm)
-    if not gens:
-        return True
-
-    def extend(prod: np.ndarray, depth: int) -> bool:
-        if operator_norm(prod) <= tol:
-            return True  # all extensions stay below tol
-        if depth == d:
-            return False
-        return all(extend(gen @ prod, depth + 1) for gen in gens)
-
-    return all(extend(gen, 1) for gen in gens)
+    gens = [mat / norm for mat in B if (norm := operator_norm(mat)) > tol]
+    level = [np.eye(d)]  # V_0: the empty word
+    for k in range(1, d + 1):
+        cap = (d - k) * (d - k + 1) // 2
+        span = OrthonormalSpan(d * d)
+        for gen in gens:
+            for word in level:
+                if span.add(gen @ word, tol) is not None and len(span.q) > cap:
+                    return False
+        level = [row.reshape(d, d) for row in span.q]
+    return not level

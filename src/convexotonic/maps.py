@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .algebras import StructureConstants, convexotonic_residual, structure_constants
-from .errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
+from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
 
 COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
@@ -77,6 +77,8 @@ class ConvexotonicMap:
             raise TupleLengthMismatch(
                 f"tuple lengths differ: {self.xi.g} vs {X.g}"
             )
+        if not X.is_square:
+            raise NotSquare("maps are evaluated at square matrix tuples")
         lam = pencil_eval(self.xi, X)
         return np.eye(lam.shape[0], dtype=complex) + self.sign.factor * lam
 

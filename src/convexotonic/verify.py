@@ -9,7 +9,7 @@ in the check detail, never dropped silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,26 +60,14 @@ class VerificationReport:
         )
 
     def merge(self, other: "VerificationReport", prefix: str) -> None:
-        for c in other.checks:
-            self.checks.append(
-                CheckResult(f"{prefix}/{c.name}", c.passed, c.residual, c.samples, c.detail)
-            )
+        self.checks.extend(replace(c, name=f"{prefix}/{c.name}") for c in other.checks)
         self.warnings.extend(other.warnings)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "samples": c.samples,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "warnings": list(self.warnings),
         }
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from convexotonic import (
+    ConvexotonicMap,
     DependentInput,
     MatrixTuple,
     ShapeMismatch,
@@ -11,10 +14,13 @@ from convexotonic import (
     convexotonic_residual,
     is_convexotonic,
     is_linearly_independent,
+    numerical_rank,
     pencil_structure_constants,
     structure_constants,
 )
 from conftest import random_triangular_algebra
+from convexotonic.algebras import _solve_constants, _SpanSolver
+from convexotonic.linalg import operator_norm
 from convexotonic.sampling import complex_gaussian
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -208,3 +214,115 @@ def test_constants_similarity_covariant(f_tuple):
     sc = structure_constants(f_tuple)
     sc_conj = structure_constants(conj)
     assert np.max(np.abs(sc.xi.data - sc_conj.xi.data)) < 1e-8
+
+
+# --- incremental closure ----------------------------------------------------
+
+def pair(seed, d, kind):
+    data = complex_gaussian(np.random.default_rng(seed), 2, d, d)
+    return MatrixTuple(np.triu(data) if kind == "ut" else data)
+
+
+def test_closure_appends_orthonormal_remainders():
+    A = pair(4, 4, "full")
+    closure = algebra_closure(A)
+    assert closure.appended_count == 14
+    assert closure.orthonormalized == (True,) * 14
+    ext = closure.extended.flatten()
+    assert np.array_equal(ext[:2], A.flatten())
+    new = ext[2:]
+    assert np.max(np.abs(new.conj() @ new.T - np.eye(14))) < 1e-13
+    assert np.max(np.abs(new.conj() @ ext[:2].T)) < 1e-13
+
+
+def test_closure_of_random_7x7_pair_is_convexotonic():
+    # a closure that appends raw products gives xi entries ~1e4 and residual 2.7e-7 here
+    A = MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 7, 7))
+    J = algebra_closure(A).extended
+    assert J.g == 49
+    sc = structure_constants(J)
+    assert sc.convexotonic_residual <= 1e-12
+    assert ConvexotonicMap(sc.xi).residual <= 1e-12
+
+
+def test_closure_multiplies_both_orders():
+    # E21 @ E12 = E22 is reached from the later element, E12 @ E21 = E11 only
+    # from the earlier one
+    closure = algebra_closure(MatrixTuple.from_matrices([E12, E12.T]))
+    assert closure.appended_count == 2
+    assert numerical_rank(closure.extended) == 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from(["ut", "full"]))
+def test_closure_is_idempotent(seed, d, kind):
+    first = algebra_closure(pair(seed, d, kind)).extended
+    again = algebra_closure(first)
+    assert again.appended_count == 0
+    assert np.array_equal(again.extended.data, first.data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.just("ut"), st.integers(2, 8)),
+        st.tuples(st.just("full"), st.integers(2, 6)),
+    ),
+)
+@example(0, ("ut", 8))
+@example(0, ("full", 6))
+def test_closures_are_convexotonic(seed, kind_and_d):
+    kind, d = kind_and_d
+    J = algebra_closure(pair(seed, d, kind)).extended
+    assert J.g == (d * (d + 1) // 2 if kind == "ut" else d * d)
+    assert is_convexotonic(structure_constants(J).xi, 1e-12)
+
+
+# --- vectorised constants and residual ---------------------------------------
+
+def test_constants_reshape_matches_loop():
+    J = algebra_closure(pair(6, 3, "ut")).extended
+    g = J.g
+    assert g == 6
+    products = np.einsum("kab,jbc->kjac", J.data, J.data)
+    coeff, _ = _SpanSolver(J).coefficients(products.reshape(g * g, -1).T)
+    loop = np.empty((g, g, g), dtype=complex)
+    for k in range(g):
+        for j in range(g):
+            loop[j, k, :] = coeff[:, k * g + j]
+    xi, _ = _solve_constants(J, products, 1e-8, "test")
+    assert np.array_equal(xi.data, loop)
+
+
+def double_loop_residual(xi):
+    """Reference: the SVD of every defect block."""
+    worst = 0.0
+    for j in range(xi.g):
+        rhs = np.einsum("ks,sab->kab", xi.data[j], xi.data)
+        for k in range(xi.g):
+            worst = max(worst, operator_norm(xi.data[k] @ xi.data[j] - rhs[k]))
+    return worst
+
+
+def test_residual_matches_double_loop():
+    J = algebra_closure(pair(3, 6, "ut")).extended
+    assert J.g == 21
+    xi = structure_constants(J).xi
+    reference = double_loop_residual(xi)
+    # the defect blocks sum in another order, so they agree to rounding
+    assert abs(convexotonic_residual(xi) - reference) <= 1e-14
+    rough = MatrixTuple(complex_gaussian(np.random.default_rng(21), 21, 21, 21))
+    assert convexotonic_residual(rough) == pytest.approx(double_loop_residual(rough), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_residual_screen_keeps_the_maximum(seed, g):
+    # blocks of mixed rank and scale: a low-rank block with a smaller
+    # Frobenius norm can still hold the largest 2-norm
+    rng = np.random.default_rng(seed)
+    xi = complex_gaussian(rng, g, g, g) * rng.uniform(0.1, 1.0, (g, 1, 1))
+    xi[:, :, rng.integers(g) :] *= rng.uniform(0.0, 0.3)
+    xi = MatrixTuple(xi)
+    assert convexotonic_residual(xi) == pytest.approx(double_loop_residual(xi), rel=1e-12)

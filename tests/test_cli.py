@@ -144,6 +144,16 @@ def test_eval_domain_breach(files, capsys, tmp_path):
     assert doc["error"]["type"] == "DomainBreach"
 
 
+def test_eval_rectangular_point_usage_error(files, capsys, tmp_path):
+    rect = write_tuple(tmp_path / "rect.json", MatrixTuple(np.zeros((2, 2, 3))))
+    code, doc, err = run_json(
+        capsys, ["eval", "--xi", files["e"], "--sign", "plus", "--point", rect]
+    )
+    assert code == 1
+    assert doc is None
+    assert "NotSquare: maps are evaluated at square matrix tuples" in err
+
+
 # --- probes and harnesses ------------------------------------------------------------
 
 def test_sv_probe_certified(files, capsys):

@@ -19,6 +19,7 @@ from convexotonic import (
     operator_norm,
     pencil_eval,
 )
+from convexotonic.linalg import OrthonormalSpan
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -288,3 +289,90 @@ def test_nilpotent_examples(e_tuple, f_tuple):
 def test_nilpotent_scale_free(f_tuple):
     assert is_nilpotent(MatrixTuple(1e6 * f_tuple.data))
     assert is_nilpotent(MatrixTuple(1e-6 * f_tuple.data))
+
+
+def word_tree_is_nilpotent(B, tol=1e-8):
+    """Reference: every word of length d in the unit-norm generators has
+    operator norm at most tol (word norms never grow, so subtrees prune)."""
+    d = B.rows
+    gens = [m / operator_norm(m) for m in B if operator_norm(m) > tol]
+
+    def extend(prod, depth):
+        if operator_norm(prod) <= tol:
+            return True
+        if depth == d:
+            return False
+        return all(extend(gen @ prod, depth + 1) for gen in gens)
+
+    return all(extend(gen, 1) for gen in gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from(["strict", "similar", "generic"]),
+)
+def test_nilpotent_chain_matches_word_tree(seed, d, g, kind):
+    rng = np.random.default_rng(seed)
+    data = complex_gaussian(rng, g, d, d)
+    if kind != "generic":
+        data = np.triu(data, 1)
+    if kind == "similar":
+        s = np.eye(d) + 0.3 * rand_matrix(rng, d)
+        data = np.stack([np.linalg.solve(s, m @ s) for m in data])
+    B = MatrixTuple(data)
+    expected = kind != "generic"
+    assert word_tree_is_nilpotent(B) is expected
+    assert is_nilpotent(B) is expected
+
+
+@pytest.mark.parametrize("d", [10, 12, 16])
+def test_nilpotent_chain_large(d):
+    rng = np.random.default_rng(d)
+    strict = np.triu(complex_gaussian(rng, 3, d, d), 1)
+    assert is_nilpotent(MatrixTuple(strict))
+    # one nonzero diagonal entry makes that generator non-nilpotent
+    strict[0, d - 1, d - 1] = 1.0
+    assert not is_nilpotent(MatrixTuple(strict))
+    assert not is_nilpotent(MatrixTuple(complex_gaussian(rng, 3, d, d)))
+
+
+def test_nilpotent_shift_needs_full_chain():
+    # the d x d shift has index exactly d: words of length d - 1 survive
+    d = 7
+    shift = MatrixTuple.from_matrices([np.eye(d, k=1)])
+    assert is_nilpotent(shift)
+    assert not is_nilpotent(MatrixTuple.from_matrices([np.eye(d, k=1) + np.eye(d, k=1 - d)]))
+
+
+# --- incremental span ------------------------------------------------------
+
+def test_span_keeps_orthonormal_rows():
+    rng = np.random.default_rng(17)
+    span = OrthonormalSpan(12)
+    base = complex_gaussian(rng, 6, 12)
+    for v in base:
+        assert span.add(v, 0.0) is not None
+    # nearly dependent vectors still leave q orthonormal to working precision
+    for v in base[:3] + 1e-6 * complex_gaussian(rng, 3, 12):
+        unit = span.add(v, 0.0)
+        assert abs(np.linalg.norm(unit) - 1.0) < 1e-14
+    q = span.q
+    assert q.shape == (9, 12)
+    assert np.max(np.abs(q @ q.conj().T - np.eye(9))) < 1e-13
+
+
+def test_span_rejects_members_at_floor():
+    rng = np.random.default_rng(18)
+    span = OrthonormalSpan(4)
+    a, b = complex_gaussian(rng, 2, 4)
+    span.add(a, 0.0)
+    span.add(b, 0.0)
+    assert span.add(2 * a - 3j * b, 1e-12) is None
+    assert span.add(np.zeros(4), 0.0) is None
+    assert len(span.q) == 2
+    unit = span.add(a + np.array([0, 0, 0, 1e-3]), 1e-8)
+    assert unit is not None
+    assert np.max(np.abs(span.q[:2].conj() @ unit)) < 1e-13

@@ -13,6 +13,7 @@ from convexotonic import (
     DomainBreach,
     MapSign,
     MatrixTuple,
+    NotSquare,
     Realization,
     Spectrahedron,
     StructureConstants,
@@ -118,6 +119,15 @@ def test_map_matches_solve_einsum_reference(which, n, e_tuple):
         expected = solve_einsum_map(cmap, X)
         gap = np.linalg.norm(cmap(X).data - expected.data)
         assert gap <= 1e-13 * np.linalg.norm(expected.data)
+
+
+def test_rectangular_point_is_refused(e_tuple):
+    q = ConvexotonicMap(e_tuple, MapSign.PLUS)
+    rect = MatrixTuple(np.zeros((2, 2, 3)))
+    with pytest.raises(NotSquare):
+        q.pencil(rect)
+    with pytest.raises(NotSquare):
+        q(rect)
 
 
 def test_domain_breach(e_tuple):
