@@ -5,8 +5,10 @@
 
 Times pencil_eval, a type IV map call, transfer_residual and
 contraction_membership at level 2, JSON parse and emit at level 128,
-algebra_closure of random pairs, is_nilpotent on strictly upper-triangular
-triples, and convexotonic_residual at g=49. Each case reports the median and
+algebra_closure of random pairs, is_linearly_independent and
+structure_constants on the closures of an upper-triangular 6x6 pair (g=21) and
+a full 7x7 pair (g=49), is_nilpotent on strictly upper-triangular triples, and
+convexotonic_residual at g=49. Each case reports the median and
 the minimum of REPEAT calls made after one untimed warm-up call, or of fewer
 (at least MIN_REPEAT) once a case has run for BUDGET_S seconds; cases whose
 names match --skip are left out (the exponential nilpotency test of older
@@ -38,6 +40,11 @@ BUDGET_S = 30.0
 
 def gaussian(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2**0.5
+
+
+def pair(cx, np, kind, d):
+    data = gaussian(np.random.default_rng([d, 2]), 2, d, d)
+    return cx.MatrixTuple(np.triu(data) if kind == "ut" else data)
 
 
 def cases(cx, np):
@@ -77,9 +84,14 @@ def cases(cx, np):
     out["json.parse.g2.n128"] = lambda: jsonio.obj_to_tuple(doc)
 
     for kind, d in (("full", 6), ("full", 8), ("ut", 6)):
-        data = gaussian(np.random.default_rng([d, 2]), 2, d, d)
-        A = cx.MatrixTuple(np.triu(data) if kind == "ut" else data)
+        A = pair(cx, np, kind, d)
         out[f"algebra_closure.{kind}.d{d}"] = lambda A=A: cx.algebra_closure(A)
+
+    for kind, d in (("ut", 6), ("full", 7)):
+        B = cx.algebra_closure(pair(cx, np, kind, d)).extended
+        name = f"{kind}.d{d}.g{B.g}"
+        out[f"is_linearly_independent.{name}"] = lambda B=B: cx.is_linearly_independent(B)
+        out[f"structure_constants.{name}"] = lambda B=B: cx.structure_constants(B)
 
     for d in (10, 12, 16):
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))

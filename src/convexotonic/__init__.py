@@ -65,7 +65,6 @@ from .linalg import (
     joint_kernel,
     kernel_basis,
     min_eig_hermitian,
-    numerical_rank,
     operator_norm,
     pencil_eval,
 )
@@ -81,7 +80,6 @@ from .verify import (
     TheoremData,
     VerificationReport,
     example_catalog,
-    search_unimodular_twist,
     type_i_tuple,
     type_ii_tuple,
     type_iii_tuple,

@@ -13,21 +13,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
-from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, numerical_rank, operator_norm
+from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
 
 SPAN_FLOOR = 1e-12  # absolute floor: products may vanish exactly
 
 
+def _independent_span(T: MatrixTuple, tol: float, what: str) -> OrthonormalSpan:
+    """The orthonormal span of the flattened tuple, built element by element.
+
+    Raises DependentInput unless every element joins with a remainder above
+    tol * max_i ||T[i]||_F, a floor that scales with the data.
+    """
+    rows = T.flatten()
+    floor = tol * float(np.max(np.linalg.norm(rows, axis=1)))
+    span = OrthonormalSpan(rows.shape[1])
+    for i, row in enumerate(rows):
+        if span.add(row, floor) is None:
+            raise DependentInput(
+                f"{what}: the tuple is linearly dependent (element {i} lies "
+                f"within {floor:.3e} of the span of the elements before it)"
+            )
+    return span
+
+
 def is_linearly_independent(T: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the flattened tuple has full row rank."""
-    return numerical_rank(T.flatten(), tol) == T.g
+    """True iff every flattened element leaves a remainder above
+    tol * max_i ||T[i]||_F against the span of the elements before it."""
+    try:
+        _independent_span(T, tol, "independence")
+    except DependentInput:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
 class StructureConstants:
     """Coefficient tuple xi with the residuals certifying it.
 
-    residual: max least-squares reconstruction error over all products.
+    residual: max distance of a product from the span of the tuple.
     convexotonic_residual: max defect of xi multiplying against itself.
     """
 
@@ -51,28 +74,6 @@ class AlgebraClosure:
     def orthonormalized(self) -> tuple[bool, ...]:
         """One flag per appended element; all true, since every one is a remainder."""
         return (True,) * self.appended_count
-
-
-class _SpanSolver:
-    """One orthogonal factorization of the flattened basis, many solves."""
-
-    def __init__(self, basis: MatrixTuple):
-        self.shape = (basis.rows, basis.cols)
-        self.phi = basis.flatten().T  # columns are vectorized basis elements
-        self.q, self.r = np.linalg.qr(self.phi)
-
-    def coefficients(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares coefficients and residual norms, one RHS per column."""
-        coeff = np.linalg.solve(self.r, self.q.conj().T @ rhs)
-        residuals = np.linalg.norm(self.phi @ coeff - rhs, axis=0)
-        return coeff, residuals
-
-
-def _check_square_independent(J: MatrixTuple, tol: float, what: str) -> None:
-    if not J.is_square:
-        raise NotSquare(f"{what} needs a square tuple")
-    if not is_linearly_independent(J, tol):
-        raise DependentInput(f"{what} needs a linearly independent tuple")
 
 
 def convexotonic_residual(xi: MatrixTuple) -> float:
@@ -105,14 +106,15 @@ def _solve_constants(
 ) -> tuple[MatrixTuple, float]:
     """Express products[k, j] in the basis; return xi and the max residual.
 
-    products has shape (g, g, rows, cols), indexed (k, j).
+    products has shape (g, g, rows, cols), indexed (k, j). The basis must be
+    independent (DependentInput otherwise); its span has basis = r @ q, so the
+    coefficients x of the products solve x @ r = (their coordinates on q).
     """
     g = basis.g
-    solver = _SpanSolver(basis)
-    rhs = products.reshape(g * g, -1).T  # one column per (k, j) pair
-    coeff, residuals = solver.coefficients(rhs)
-    norms = np.linalg.norm(products.reshape(g * g, -1), axis=1)
-    bad = residuals > np.maximum(tol * norms, SPAN_FLOOR)
+    span = _independent_span(basis, tol, what)
+    rhs = products.reshape(g * g, -1)  # one row per (k, j) pair
+    coords, residuals = span.project(rhs)
+    bad = residuals > np.maximum(tol * np.linalg.norm(rhs, axis=1), SPAN_FLOOR)
     if np.any(bad):
         worst = float(np.max(residuals[bad]))
         k, j = divmod(int(np.argmax(bad)), g)
@@ -121,7 +123,9 @@ def _solve_constants(
             f"(residual {worst:.3e})",
             residual=worst,
         )
+    r, _ = span.project(basis.flatten())
     # coeff[s, k * g + j] is xi[j][k, s]
+    coeff = np.linalg.solve(r.T, coords.T)
     xi = coeff.reshape(g, g, g).transpose(2, 1, 0)
     return MatrixTuple(xi), float(np.max(residuals))
 
@@ -132,7 +136,8 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
     Raises SpanViolation when J does not span an algebra (close it first with
     algebra_closure); independence makes the coefficients unique.
     """
-    _check_square_independent(J, tol, "structure constant extraction")
+    if not J.is_square:
+        raise NotSquare("structure constants need a square tuple")
     products = np.einsum("kab,jbc->kjac", J.data, J.data)
     xi, residual = _solve_constants(J, products, tol, "structure constants")
     return StructureConstants(xi, residual, convexotonic_residual(xi))
@@ -151,8 +156,6 @@ def pencil_structure_constants(
         raise ShapeMismatch(
             f"middle factor must be {F.cols} x {F.rows}, got {C.shape}"
         )
-    if not is_linearly_independent(F, tol):
-        raise DependentInput("pencil structure constants need an independent tuple")
     products = np.einsum("kab,bc,jcd->kjad", F.data, C, F.data)
     xi, residual = _solve_constants(F, products, tol, "pencil structure constants")
     return StructureConstants(xi, residual, convexotonic_residual(xi))
@@ -167,11 +170,10 @@ def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
     above max(tol * ||product||, SPAN_FLOOR)) is appended and joins the scan
     in turn, so every ordered pair of elements is multiplied exactly once.
     """
-    _check_square_independent(A, tol, "algebra closure")
+    if not A.is_square:
+        raise NotSquare("algebra closure needs a square tuple")
     d = A.rows
-    span = OrthonormalSpan(d * d)
-    for mat in A:
-        span.add(mat, 0.0)
+    span = _independent_span(A, tol, "algebra closure")
     basis = list(A.data)
     for i, new in enumerate(basis):  # appended elements are reached too
         for k in range(i + 1):
@@ -179,11 +181,6 @@ def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
             for product in products:
                 floor = max(tol * float(np.linalg.norm(product)), SPAN_FLOOR)
                 unit = span.add(product, floor)
-                if unit is None:
-                    continue
-                basis.append(unit.reshape(d, d))
-                if len(basis) > d * d:  # span dimension bound
-                    raise SpanViolation(
-                        "closure exceeded the ambient dimension; tolerance too tight"
-                    )
+                if unit is not None:
+                    basis.append(unit.reshape(d, d))
     return AlgebraClosure(MatrixTuple.from_matrices(basis), len(basis) - A.g)

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: linear pencils, norms, eigenvalues,
-numerical rank and kernels.
+"""Dense complex matrix kernels: linear pencils, norms, eigenvalues, kernels
+and the orthonormal span engine.
 
 All randomized behaviour lives elsewhere; every function here is a pure
 function of its arguments.
@@ -174,26 +174,6 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     return vectors
 
 
-def numerical_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above tol * sigma_max.
-
-    Accepts a matrix, a sequence of vectors (stacked as rows), or a MatrixTuple
-    (each matrix flattened to a row).
-    """
-    if isinstance(m, MatrixTuple):
-        m = m.flatten()
-    else:
-        m = np.asarray(m, dtype=complex)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        elif m.ndim != 2:
-            raise ShapeMismatch(f"expected vectors or a matrix, got ndim={m.ndim}")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 def joint_kernel(B: MatrixTuple, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the intersection of the kernels of all B[j].
 
@@ -216,8 +196,11 @@ class OrthonormalSpan:
 
     def add(self, vec, floor: float) -> np.ndarray | None:
         """Append and return the unit remainder of vec against the span, or
-        return None when the remainder's norm is at or below floor."""
+        return None when the remainder's norm is at or below floor or the span
+        is already the whole space (its remainder is rounding noise)."""
         v = np.array(vec, dtype=complex).reshape(-1)
+        if len(self.q) == v.size:
+            return None
         for _ in range(2):
             v -= (self.q @ v.conj()).conj() @ self.q  # coefficients q_i^H v
         norm = np.linalg.norm(v)
@@ -225,6 +208,13 @@ class OrthonormalSpan:
             return None
         self.q = np.vstack([self.q, v / norm])
         return self.q[-1]
+
+    def project(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates q_i^H v of each row v against the span, one row of them
+        per input row, and the norm of what is left of each row."""
+        rows = np.asarray(rows, dtype=complex)
+        coords = rows @ self.q.conj().T
+        return coords, np.linalg.norm(rows - coords @ self.q, axis=1)
 
 
 def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:

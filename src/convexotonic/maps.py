@@ -119,6 +119,8 @@ class Realization:
         object.__setattr__(self, "c", c)
 
     def __call__(self, X: MatrixTuple) -> np.ndarray:
+        if not X.is_square:
+            raise NotSquare("realizations are evaluated at square matrix tuples")
         d, n = self.S.rows, X.rows
         lam = pencil_eval(self.S, X)
         inv = certified_inverse(np.eye(d * n, dtype=complex) - lam, "realization pencil")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import MatrixTuple
+from .linalg import MatrixTuple, OrthonormalSpan
 
 
 def complex_gaussian(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -26,8 +26,12 @@ def random_direction(rng: np.random.Generator, g: int, n: int) -> MatrixTuple:
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """Haar-random unitary: the Gram-Schmidt orthonormalization of the columns
+    of a complex Gaussian matrix (its QR factor with positive diagonal R)."""
+    span = OrthonormalSpan(n)
+    for column in complex_gaussian(rng, n, n).T:
+        span.add(column, 0.0)
+    return span.q.T
 
 
 def random_unimodular(rng: np.random.Generator) -> complex:

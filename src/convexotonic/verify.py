@@ -23,7 +23,7 @@ from .domains import (
     boundedness_probe,
     spec_membership,
 )
-from .errors import DomainBreach, SpanViolation, TupleLengthMismatch
+from .errors import DomainBreach, SpanViolation
 from .genericity import necessary_conditions, sv_probe
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
 from .maps import ConvexotonicMap, MapSign, certified_inverse
@@ -224,29 +224,6 @@ def verify_theorem(
             detail="not evaluated: constants missing",
         )
     return report
-
-
-def search_unimodular_twist(
-    e: MatrixTuple, b: MatrixTuple, grid: int = 360, tol: float = DEFAULT_TOL
-):
-    """Experimental: scan a unimodular grid for a scalar twist alpha with
-    b = alpha * e (the conjugation identity with identity change of basis).
-
-    Only covers the diagonal case Z = alpha I; returns (alpha, residual) for
-    the best grid point, or None when nothing lands within tol. No general
-    (Z, M) search is attempted.
-    """
-    if e.g != b.g or e.rows != b.rows or e.cols != b.cols:
-        raise TupleLengthMismatch("tuples must share length and shape")
-    best_alpha, best_gap = None, math.inf
-    for k in range(grid):
-        alpha = complex(np.exp(2j * np.pi * k / grid))
-        gap = max(operator_norm(b[j] - alpha * e[j]) for j in range(e.g))
-        if gap < best_gap:
-            best_alpha, best_gap = alpha, gap
-    if best_gap < tol:
-        return best_alpha, best_gap
-    return None
 
 
 def verify_ball_equality(

@@ -14,12 +14,11 @@ from convexotonic import (
     convexotonic_residual,
     is_convexotonic,
     is_linearly_independent,
-    numerical_rank,
     pencil_structure_constants,
     structure_constants,
 )
 from conftest import random_triangular_algebra
-from convexotonic.algebras import _solve_constants, _SpanSolver
+from convexotonic.algebras import _solve_constants
 from convexotonic.linalg import operator_norm
 from convexotonic.sampling import complex_gaussian
 
@@ -34,6 +33,33 @@ def test_independence_examples(e_tuple, f_tuple):
     assert not is_linearly_independent(
         MatrixTuple.from_matrices([np.eye(2), 2 * np.eye(2)])
     )
+    # more elements than the dimension are dependent even at tolerance zero
+    five = MatrixTuple(complex_gaussian(np.random.default_rng(0), 5, 2, 2))
+    assert not is_linearly_independent(five, 0.0)
+    assert is_linearly_independent(MatrixTuple(five.data[:4]), 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+def test_independence_rule(seed, d, data):
+    g = data.draw(st.integers(2, d * d), label="g")
+    rng = np.random.default_rng(seed)
+    T = complex_gaussian(rng, g, d, d)
+    planted = T.copy()
+    planted[-1] = np.tensordot(complex_gaussian(rng, g - 1), T[:-1], axes=1)
+    # the floor scales with the tuple, so no scale flips a verdict (an
+    # absolute floor fails at both ends of this range)
+    for c in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        assert is_linearly_independent(MatrixTuple(c * T))
+        assert not is_linearly_independent(MatrixTuple(c * planted))
+    dependent = MatrixTuple(planted)
+    for call in (
+        structure_constants,
+        lambda t: pencil_structure_constants(t, np.eye(d)),
+        algebra_closure,
+    ):
+        with pytest.raises(DependentInput):
+            call(dependent)
 
 
 # --- closure ----------------------------------------------------------------
@@ -250,7 +276,8 @@ def test_closure_multiplies_both_orders():
     # from the earlier one
     closure = algebra_closure(MatrixTuple.from_matrices([E12, E12.T]))
     assert closure.appended_count == 2
-    assert numerical_rank(closure.extended) == 4
+    assert closure.extended.g == 4
+    assert is_linearly_independent(closure.extended)
 
 
 @settings(max_examples=20, deadline=None)
@@ -286,13 +313,15 @@ def test_constants_reshape_matches_loop():
     g = J.g
     assert g == 6
     products = np.einsum("kab,jbc->kjac", J.data, J.data)
-    coeff, _ = _SpanSolver(J).coefficients(products.reshape(g * g, -1).T)
+    # reference: least squares on the flattened basis, one column per (k, j)
+    rhs = products.reshape(g * g, -1).T
+    coeff = np.linalg.lstsq(J.flatten().T, rhs, rcond=None)[0]
     loop = np.empty((g, g, g), dtype=complex)
     for k in range(g):
         for j in range(g):
             loop[j, k, :] = coeff[:, k * g + j]
     xi, _ = _solve_constants(J, products, 1e-8, "test")
-    assert np.array_equal(xi.data, loop)
+    assert np.max(np.abs(xi.data - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
 def double_loop_residual(xi):

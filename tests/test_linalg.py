@@ -15,7 +15,6 @@ from convexotonic import (
     joint_kernel,
     kernel_basis,
     min_eig_hermitian,
-    numerical_rank,
     operator_norm,
     pencil_eval,
 )
@@ -256,13 +255,6 @@ def test_kernel_basis_zero_matrix_full_space():
     assert len(kernel_basis(np.zeros((2, 2)))) == 2
 
 
-def test_numerical_rank_cases(e_tuple):
-    assert numerical_rank(np.eye(3)) == 3
-    e1, e2 = np.eye(2)[0], np.eye(2)[1]
-    assert numerical_rank([e1, e2, e1 + e2]) == 2
-    assert numerical_rank(e_tuple) == 2
-
-
 def test_joint_kernel_examples(e_tuple, f_tuple):
     assert joint_kernel(MatrixTuple.from_matrices([np.eye(2)])) == []
     vecs = joint_kernel(f_tuple)
@@ -376,3 +368,34 @@ def test_span_rejects_members_at_floor():
     unit = span.add(a + np.array([0, 0, 0, 1e-3]), 1e-8)
     assert unit is not None
     assert np.max(np.abs(span.q[:2].conj() @ unit)) < 1e-13
+    # a full span holds every vector, whatever the floor
+    assert span.add(complex_gaussian(rng, 4), 0.0) is not None
+    assert span.add(complex_gaussian(rng, 4), 0.0) is None
+    assert len(span.q) == 4
+
+
+def test_span_project_splits_rows():
+    rng = np.random.default_rng(19)
+    base = complex_gaussian(rng, 4, 10)
+    span = OrthonormalSpan(10)
+    for v in base:
+        span.add(v, 0.0)
+    inside = complex_gaussian(rng, 3, 4) @ base
+    outside = complex_gaussian(rng, 3, 10)
+    coords, rest = span.project(np.vstack([inside, outside]))
+    assert coords.shape == (6, 4)
+    assert_allclose(coords[:3] @ span.q, inside, atol=1e-13)
+    assert np.max(rest[:3]) < 1e-13
+    # reference: the least-squares distance from the span of the inputs
+    x = np.linalg.lstsq(base.T, outside.T, rcond=None)[0]
+    assert_allclose(rest[3:], np.linalg.norm(base.T @ x - outside.T, axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_random_unitary_matches_phase_fixed_qr(n):
+    # reference: the QR factor whose R has a positive real diagonal
+    q, r = np.linalg.qr(complex_gaussian(np.random.default_rng(n), n, n))
+    reference = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = random_unitary(np.random.default_rng(n), n)
+    assert np.max(np.abs(u - reference)) < 1e-13
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-13

@@ -181,6 +181,12 @@ def test_realization_components_assemble_map(e_tuple):
         assert np.linalg.norm(assembled - image[i]) < 1e-11
 
 
+def test_realization_rectangular_point_is_refused(e_tuple):
+    r = Realization(e_tuple, b=np.ones(2), c=np.ones(2))
+    with pytest.raises(NotSquare):
+        r(MatrixTuple(np.zeros((2, 2, 3))))
+
+
 def test_realization_breach():
     r = Realization(MatrixTuple.scalar([1]), b=np.ones(1), c=np.ones(1))
     with pytest.raises(DomainBreach):

@@ -10,7 +10,6 @@ from convexotonic import (
     algebra_closure,
     example_catalog,
     pencil_structure_constants,
-    search_unimodular_twist,
     structure_constants,
     verify_ball_equality,
     verify_corollary,
@@ -75,18 +74,6 @@ def test_theorem_conjugated_data(e_tuple):
     assert report.passed
     # the conjugation identity forces equal pencil norms
     assert verify_ball_equality(e_tuple, b, samples=20, seed=13).passed
-
-
-def test_twist_search_finds_grid_alpha(e_tuple):
-    alpha = np.exp(2j * np.pi * 90 / 360)  # on the grid exactly
-    found = search_unimodular_twist(e_tuple, MatrixTuple(alpha * e_tuple.data))
-    assert found is not None
-    assert abs(found[0] - alpha) < 1e-12
-    assert found[1] < 1e-12
-
-
-def test_twist_search_rejects_off_family(e_tuple, f_tuple):
-    assert search_unimodular_twist(e_tuple, MatrixTuple(2.0 * e_tuple.data)) is None
 
 
 # --- ball equality --------------------------------------------------------------
