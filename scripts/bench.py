@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Kernel-layer timings at fixed seeds and sizes, written to a BENCH_*.json file.
 
-    python scripts/bench.py [--src DIR] [--label NAME] [--out FILE] [--skip REGEX]
+    python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
 Times pencil_eval, a type IV map call, transfer_residual and
 contraction_membership at level 2, JSON parse and emit at level 128,
 algebra_closure of random pairs, is_linearly_independent and
 structure_constants on the closures of an upper-triangular 6x6 pair (g=21) and
-a full 7x7 pair (g=49), is_nilpotent on strictly upper-triangular triples, and
-convexotonic_residual at g=49. Each case reports the median and
-the minimum of REPEAT calls made after one untimed warm-up call, or of fewer
-(at least MIN_REPEAT) once a case has run for BUDGET_S seconds; cases whose
-names match --skip are left out (the exponential nilpotency test of older
-commits cannot finish d=16). The package is imported from --src (default: the
-src directory of this checkout), so one script can time two checkouts; each
-invocation adds or replaces the run named --label in --out and keeps the
-others, so a parent commit and a change sit side by side in one file. BLAS
-runs on one thread (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
+a full 7x7 pair (g=49), is_nilpotent on strictly upper-triangular triples,
+convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
+pairs (d=3/4), direct sums of a 1x1 or a 2x2 pair with a 2x2 pair, and a
+generic 5x5 pair. Each case reports the median and the minimum of REPEAT calls
+made after one untimed warm-up call, or of fewer (at least MIN_REPEAT) once a
+case has run for BUDGET_S seconds; cases whose names match --skip are left out
+(the exponential nilpotency test of older commits cannot finish d=16). The
+package is imported from --src (default: the src directory of this checkout),
+so one script can time two checkouts; each invocation adds or replaces the run
+named --label in --out and keeps the others, so a parent commit and a change
+sit side by side in one file. BLAS runs on one thread
+(CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing, and the
 tier-1 suite does not run it.
@@ -97,6 +99,19 @@ def cases(cx, np):
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
         out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
 
+    # sv_probe at 200 trials: scalar multiples and direct sums pass every
+    # necessary condition but have no certificate, so the search runs to the end
+    for d in (3, 4):
+        M = gaussian(np.random.default_rng([d, 4]), d, d)
+        A = cx.MatrixTuple(np.array([M, 2 * M]))
+        out[f"sv_probe.scalar.d{d}"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
+    for m in (1, 2):
+        rng = np.random.default_rng([m, 2, 4])
+        A = cx.MatrixTuple(gaussian(rng, 2, m, m)).direct_sum(cx.MatrixTuple(gaussian(rng, 2, 2, 2)))
+        out[f"sv_probe.direct_sum.{m}+2"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
+    G = cx.MatrixTuple(gaussian(np.random.default_rng([5, 4]), 2, 5, 5))
+    out["sv_probe.generic.d5"] = lambda: cx.sv_probe(G, trials=200, seed=42)
+
     # an orthonormal basis of M_7 spans an algebra whatever the closure code does
     basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]
     xi = cx.structure_constants(cx.MatrixTuple(basis.T.reshape(49, 7, 7))).xi
@@ -133,7 +148,7 @@ def main():
     )
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to time")
     parser.add_argument("--label", default="working-tree", help="name of this run in --out")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_2.json")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json file to update")
     parser.add_argument("--skip", help="leave out the cases whose names match this regex")
     args = parser.parse_args()
 

@@ -10,7 +10,6 @@ the fast necessary conditions (joint kernel, joint cokernel, nilpotency).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .errors import NotSquare, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
+    OrthonormalSpan,
     is_nilpotent,
     joint_kernel,
     pencil_eval,
@@ -25,14 +25,14 @@ from .linalg import (
 from .sampling import complex_gaussian
 
 GAP_TOL = 1e-6  # singular-value simplicity gap
-POOL_FACTOR = 4  # candidates kept per required vector before subset search
+POOL_FACTOR = 4  # candidates kept per required vector on each side
 
 
-def hyperbasis_margin(vectors, tol: float = DEFAULT_TOL) -> float:
+def hyperbasis_margin(vectors) -> float:
     """Min over omit-one subsets of the smallest singular value.
 
-    Expects exactly d+1 vectors in C^d; the set is a hyperbasis iff the
-    returned margin exceeds tol.
+    Expects exactly d+1 vectors in C^d; the set is a hyperbasis iff every
+    omit-one subset is a basis, that is iff the margin is positive.
     """
     mat = np.asarray([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     count, d = mat.shape
@@ -92,22 +92,6 @@ class ProbeResult:
     trials_used: int
 
 
-def _basis_margin(vectors) -> float:
-    mat = np.asarray(vectors).T
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
-
-
-def _find_subset(pool, size, margin_fn, tol):
-    """First subset (in trial order) whose margin clears tol."""
-    if len(pool) < size:
-        return None, 0.0
-    for combo in combinations(range(len(pool)), size):
-        margin = margin_fn([pool[i].kernel_vector for i in combo])
-        if margin > tol:
-            return [pool[i] for i in combo], margin
-    return None, 0.0
-
-
 def sv_probe(
     A: MatrixTuple,
     trials: int = 10_000,
@@ -118,52 +102,51 @@ def sv_probe(
     """Search for an sv-genericity certificate by seeded sampling.
 
     Each trial draws a Gaussian point, scales it so the pencil has unit norm
-    (making the defect pencil PSD with a kernel), and keeps the kernel vector
-    when the top singular value is simple. The certificate completed at the
-    smallest trial index is returned; per-trial seeds are seed + trial, so
-    results do not depend on execution order.
+    (making the defect pencil PSD with a kernel), and keeps the kernel vectors
+    when the top singular value is simple; per-trial seeds are seed + trial.
+    Each side pools POOL_FACTOR candidates per required vector and grows one
+    span with those that leave a remainder above tol. The first d beta joiners
+    must have a basis margin above tol; each later alpha is tried once as the
+    completion of the first d alpha joiners to a hyperbasis. No polynomial
+    search finds every hyperbasis (a spanning circuit), so a pool whose
+    hyperbases all avoid the greedy basis ends inconclusive.
     """
     conditions = necessary_conditions(A, tol)
     if not conditions.passed:
         return ProbeResult("rejected", None, conditions, 0)
     d, g = A.rows, A.g
-    alpha_pool: list[KernelPoint] = []
-    beta_pool: list[KernelPoint] = []
+    alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
+    alpha_basis, betas = [], []  # the first d span joiners of each side
+    alphas, b_margin, pooled = None, 0.0, 0
 
     def draw_candidate(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         for _ in range(100):
             gamma = complex_gaussian(rng, g)
-            lam = pencil_eval(A, MatrixTuple.scalar(gamma))
-            norm = np.linalg.norm(lam, 2)
-            if norm > 1e-12:
-                point = gamma / norm
-                u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(point)))
-                gap = s[0] - s[1] if d > 1 else s[0]
-                if gap > gap_tol:
-                    return point, vh[0].conj(), u[:, 0]
+            u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
+            gap = s[0] - s[1] if d > 1 else s[0]
+            if s[0] > 1e-12 and gap > gap_tol * s[0]:
+                return gamma / s[0], vh[0].conj(), u[:, 0]
         return None
 
     for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        drawn = draw_candidate(rng)
-        changed = False
-        if drawn is not None:
-            point, right, left = drawn
-            if len(alpha_pool) < POOL_FACTOR * (d + 1):
-                alpha_pool.append(KernelPoint(point, right))
-                changed = True
-            if len(beta_pool) < POOL_FACTOR * d:
-                beta_pool.append(KernelPoint(point, left))
-                changed = True
-        if not changed:
+        drawn = draw_candidate(np.random.default_rng(seed + trial))
+        if drawn is None:
             continue
-        alphas, h_margin = _find_subset(
-            alpha_pool, d + 1, lambda vs: hyperbasis_margin(vs, tol), tol
-        )
-        betas, b_margin = _find_subset(beta_pool, d, _basis_margin, tol)
-        if alphas is not None and betas is not None:
-            cert = GenericityCertificate(
-                tuple(alphas), tuple(betas), h_margin, b_margin, trial + 1, seed
-            )
+        point, right, left = drawn
+        pooled += 1
+        if alphas is None and pooled <= POOL_FACTOR * (d + 1):
+            if len(alpha_basis) == d:
+                vectors = [kp.kernel_vector for kp in alpha_basis] + [right]
+                if (h_margin := hyperbasis_margin(vectors)) > tol:
+                    alphas = (*alpha_basis, KernelPoint(point, right))
+            elif alpha_span.add(right, tol) is not None:
+                alpha_basis.append(KernelPoint(point, right))
+        if len(betas) < d and pooled <= POOL_FACTOR * d and beta_span.add(left, tol) is not None:
+            betas.append(KernelPoint(point, left))
+            if len(betas) == d:
+                vectors = [kp.kernel_vector for kp in betas]
+                b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
+        if alphas is not None and b_margin > tol:
+            cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, trial + 1, seed)
             return ProbeResult("certified", cert, conditions, trial + 1)
     return ProbeResult("inconclusive", None, conditions, trials)

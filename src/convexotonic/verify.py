@@ -208,13 +208,14 @@ def verify_theorem(
                 breaches += 1
                 continue
             worst = min(worst, verdict.margin)
-        ok = breaches == 0 and worst > -tol
+        evaluated = len(points) - breaches
         report.add(
             "ball-to-spectrahedron-transport",
-            ok,
-            max(0.0, -worst) if math.isfinite(worst) else math.inf,
+            evaluated > 0 and breaches == 0 and worst > -tol,
+            max(0.0, -worst) if evaluated else 0.0,
             samples=len(points),
-            detail=f"min margin {worst:.3e}; domain breaches {breaches}",
+            detail=(f"min margin {worst:.3e}" if evaluated else "no point evaluated")
+            + f"; domain breaches {breaches}",
         )
     else:
         report.add("convexotonic", False, detail="not evaluated: constants missing")
@@ -299,6 +300,10 @@ def verify_properness(
             except DomainBreach:
                 breaches += 1
     note = f"skipped {skipped} infinite rays; domain breaches {breaches}"
+    if not used:
+        for name in ("boundary-to-boundary", "interior-to-interior", "round-trip-identity"):
+            report.add(name, False, detail=f"no point evaluated; {note}")
+        return report
     report.add(
         "boundary-to-boundary",
         breaches == 0 and boundary_defect < boundary_tol,
@@ -387,6 +392,10 @@ def verify_corollary(
             for k in range(i + 1, len(imgs)):
                 min_gap = min(min_gap, _tuple_distance(imgs[i], imgs[k]))
     note = f"skipped {skipped} infinite rays; domain breaches {breaches}"
+    if not used:
+        for name in ("boundary-to-boundary", "interior-to-interior", "injectivity-gap"):
+            report.add(name, False, detail=f"no point evaluated; {note}")
+        return report
     report.add(
         "boundary-to-boundary",
         breaches == 0 and boundary_defect < BOUNDARY_TOL,

@@ -275,6 +275,28 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sv-probe", "--tuple", "e", "--trials", "-5"],
+        ["sv-probe", "--tuple", "e", "--trials", "0"],
+        ["verify-theorem", "--e", "e", "--b", "e", "--z", "eye", "--m", "eye",
+         "--samples", "0"],
+        ["examples", "--samples", "0"],
+        ["examples", "--samples", "-1"],
+        ["examples", "--samples", "two"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(files, capsys, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "usage:" in out.err
+
+
 def test_no_command_usage(capsys):
     assert run([]) == 1
 

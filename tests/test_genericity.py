@@ -1,7 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexotonic import (
+    GenericityCertificate,
+    KernelPoint,
     MatrixTuple,
     ShapeMismatch,
     Spectraball,
@@ -12,6 +18,7 @@ from convexotonic import (
     pencil_eval,
     sv_probe,
 )
+from convexotonic import genericity
 from convexotonic.sampling import complex_gaussian
 
 
@@ -129,3 +136,139 @@ def test_probe_inconclusive_on_scalar_multiples():
     assert result.status == "inconclusive"
     assert result.conditions.passed
     assert result.trials_used == 30
+
+
+# --- the greedy search against the exhaustive one -------------------------------
+
+def exhaustive_probe(A, trials, seed, tol=1e-8, gap_tol=1e-6, pool_factor=4):
+    """Reference: the lexicographically first subsets. After each new
+    candidate, every (d+1)-subset of the alpha pool and every d-subset of the
+    beta pool is tried in lexicographic order, which is exponential in d.
+    Returns (status, trials_used, certificate)."""
+    if not necessary_conditions(A, tol).passed:
+        return "rejected", 0, None
+    d, g = A.rows, A.g
+    alpha_pool, beta_pool = [], []
+
+    def draw(rng):
+        for _ in range(100):
+            gamma = complex_gaussian(rng, g)
+            norm = np.linalg.norm(pencil_eval(A, MatrixTuple.scalar(gamma)), 2)
+            if norm > 1e-12:
+                point = gamma / norm
+                u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(point)))
+                if (s[0] - s[1] if d > 1 else s[0]) > gap_tol:
+                    return point, vh[0].conj(), u[:, 0]
+        return None
+
+    def first_subset(pool, size, margin):
+        for combo in combinations(pool, size):
+            if (value := margin([kp.kernel_vector for kp in combo])) > tol:
+                return combo, value
+        return None, 0.0
+
+    def basis_margin(vectors):
+        return np.linalg.svd(np.array(vectors).T, compute_uv=False)[-1]
+
+    for trial in range(trials):
+        drawn = draw(np.random.default_rng(seed + trial))
+        if drawn is None:
+            continue
+        point, right, left = drawn
+        changed = False
+        if len(alpha_pool) < pool_factor * (d + 1):
+            alpha_pool.append(KernelPoint(point, right))
+            changed = True
+        if len(beta_pool) < pool_factor * d:
+            beta_pool.append(KernelPoint(point, left))
+            changed = True
+        if not changed:
+            continue
+        alphas, h_margin = first_subset(alpha_pool, d + 1, hyperbasis_margin)
+        betas, b_margin = first_subset(beta_pool, d, basis_margin)
+        if alphas is not None and betas is not None:
+            cert = GenericityCertificate(alphas, betas, h_margin, b_margin, trial + 1, seed)
+            return "certified", trial + 1, cert
+    return "inconclusive", trials, None
+
+
+def assert_same_certificate(result, expected):
+    status, trials_used, cert = expected
+    assert (result.status, result.trials_used) == (status, trials_used)
+    if cert is None:
+        assert result.certificate is None
+        return
+    got = result.certificate
+    assert got.trials_used == cert.trials_used
+    assert got.hyperbasis_margin == pytest.approx(cert.hyperbasis_margin, abs=1e-12)
+    assert got.basis_margin == pytest.approx(cert.basis_margin, abs=1e-12)
+    for mine, theirs in ((got.alphas, cert.alphas), (got.betas, cert.betas)):
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            np.testing.assert_allclose(a.point, b.point, rtol=0, atol=1e-12)
+            # kernel vectors are unique up to a unit phase
+            assert abs(np.vdot(a.kernel_vector, b.kernel_vector)) == pytest.approx(1, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 1000))
+def test_probe_matches_exhaustive_search_on_gaussian_pairs(data_seed, d, seed):
+    A = MatrixTuple(complex_gaussian(np.random.default_rng(data_seed), 2, d, d))
+    assert_same_certificate(sv_probe(A, trials=200, seed=seed), exhaustive_probe(A, 200, seed))
+
+
+def gauss(seed, *shape):
+    return complex_gaussian(np.random.default_rng(seed), *shape)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        MatrixTuple.scalar([1]),
+        MatrixTuple(np.triu(gauss(3, 2, 3, 3))),
+        MatrixTuple(np.random.default_rng(4).standard_normal((2, 3, 3))),
+        MatrixTuple(gauss(5, 3, 5, 5)),
+        MatrixTuple.from_matrices([gauss(6, 2, 2), (1 + 2j) * gauss(6, 2, 2)]),
+        MatrixTuple(gauss(7, 2, 1, 1)).direct_sum(MatrixTuple(gauss(8, 2, 2, 2))),
+    ],
+    ids=["scalar", "ut-d3", "real-d3", "generic-g3-d5", "multiples-d2", "sum-1+2"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_probe_matches_exhaustive_search_on_fixed_tuples(A, seed):
+    assert_same_certificate(sv_probe(A, trials=200, seed=seed), exhaustive_probe(A, 200, seed))
+
+
+def test_probe_type_iv_matches_exhaustive_search(e_tuple):
+    for seed in (0, 7, 42):
+        expected = exhaustive_probe(e_tuple, 10_000, seed)
+        assert_same_certificate(sv_probe(e_tuple, seed=seed), expected)
+
+
+def test_probe_direct_sum_tries_each_completion_once(monkeypatch):
+    # kernel vectors of a block-diagonal pencil lie in one block, so no
+    # hyperbasis exists; the greedy search tries each pool vector at most once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hyperbasis_margin(*args)
+
+    monkeypatch.setattr(genericity, "hyperbasis_margin", counted)
+    rng = np.random.default_rng(2)
+    A = MatrixTuple(complex_gaussian(rng, 2, 2, 2)).direct_sum(
+        MatrixTuple(complex_gaussian(rng, 2, 2, 2))
+    )
+    result = sv_probe(A, trials=200, seed=42)
+    assert result.status == "inconclusive"
+    assert result.trials_used == 200
+    assert len(calls) <= 4 * (A.rows + 1)
+
+
+def test_probe_greedy_basis_misses_other_hyperbases():
+    # the documented limit: e1..e3 join the span first and every later vector
+    # has a zero coordinate against them, although {e1, e2, e2+e3, e1+e3} is
+    # a hyperbasis
+    e1, e2, e3 = np.eye(3)
+    vectors = [e1, e2, e3, e1 + e2, e2 + e3, e1 + e3]
+    assert all(hyperbasis_margin([e1, e2, e3, v]) < 1e-12 for v in vectors[3:])
+    assert hyperbasis_margin([e1, e2, e2 + e3, e1 + e3]) > 0.1

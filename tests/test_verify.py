@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from convexotonic import (
     verify_properness,
     verify_theorem,
 )
+from convexotonic.jsonio import dumps
 from convexotonic.sampling import random_unitary
 
 
@@ -54,6 +57,26 @@ def test_theorem_swap_twist_fails(e_tuple):
     checks = check_map(report)
     assert not checks["twisted-product-constants"].passed
     assert "span" in checks["twisted-product-constants"].detail.lower()
+
+
+def strict_json(report):
+    """The report as strict JSON: NaN and +-Infinity are not JSON numbers."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(dumps(report.to_dict()), parse_constant=reject)
+
+
+def test_theorem_without_samples_fails_transport(e_tuple):
+    report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=0)
+    transport = check_map(report)["ball-to-spectrahedron-transport"]
+    assert not transport.passed
+    assert transport.samples == 0
+    assert transport.residual == 0.0
+    assert "no point evaluated" in transport.detail
+    doc = strict_json(report)
+    assert doc["passed"] is False
 
 
 def test_theorem_rejects_non_unitary(e_tuple):
@@ -112,6 +135,21 @@ def test_properness_corner_pair(r2_tuple):
 def test_properness_nilpotent_pair(f_tuple):
     report = verify_properness(f_tuple, samples=25, seed=8)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "harness, last",
+    [(verify_properness, "round-trip-identity"), (verify_corollary, "injectivity-gap")],
+)
+def test_properness_without_samples_fails(e_tuple, harness, last):
+    report = harness(e_tuple, samples=0)
+    checks = [c for c in report.checks if c.name != "closure"]
+    assert [c.name for c in checks] == ["boundary-to-boundary", "interior-to-interior", last]
+    for check in checks:
+        assert not check.passed
+        assert check.samples == 0
+        assert "no point evaluated" in check.detail
+    assert strict_json(report)["passed"] is False
 
 
 # --- corollary --------------------------------------------------------------------
