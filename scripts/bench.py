@@ -10,14 +10,16 @@ structure_constants on the closures of an upper-triangular 6x6 pair (g=21) and
 a full 7x7 pair (g=49), is_nilpotent on strictly upper-triangular triples,
 convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
 pairs (d=3/4), direct sums of a 1x1 or a 2x2 pair with a 2x2 pair, and a
-generic 5x5 pair. Each case reports the median and the minimum of REPEAT calls
-made after one untimed warm-up call, or of fewer (at least MIN_REPEAT) once a
-case has run for BUDGET_S seconds; cases whose names match --skip are left out
-(the exponential nilpotency test of older commits cannot finish d=16). The
-package is imported from --src (default: the src directory of this checkout),
-so one script can time two checkouts; each invocation adds or replaces the run
-named --label in --out and keeps the others, so a parent commit and a change
-sit side by side in one file. BLAS runs on one thread
+generic 5x5 pair, and the verification harnesses: the example catalog at seed
+42, properness of the type IV tuple and the corollary on the single 3x3 shift,
+both at 25 samples per level. Each case reports the median and the minimum of
+REPEAT calls made after one untimed warm-up call, or of fewer (at least
+MIN_REPEAT) once a case has run for BUDGET_S seconds; cases whose names match
+--skip are left out (the exponential nilpotency test of older commits cannot
+finish d=16). The package is imported from --src (default: the src directory
+of this checkout), so one script can time two checkouts; each invocation adds
+or replaces the run named --label in --out and keeps the others, so a parent
+commit and a change sit side by side in one file. BLAS runs on one thread
 (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing, and the
@@ -116,6 +118,12 @@ def cases(cx, np):
     basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]
     xi = cx.structure_constants(cx.MatrixTuple(basis.T.reshape(49, 7, 7))).xi
     out["convexotonic_residual.m7.g49"] = lambda: cx.convexotonic_residual(xi)
+
+    out["verify.example_catalog.seed42"] = lambda: cx.example_catalog(seed=42)
+    E = cx.type_iv_tuple()
+    out["verify.properness.type_iv.s25"] = lambda: cx.verify_properness(E, samples=25)
+    shift = cx.MatrixTuple.from_matrices([cx.type_i_tuple()[0]])
+    out["verify.corollary.shift3.s25"] = lambda: cx.verify_corollary(shift, samples=25)
     return out
 
 

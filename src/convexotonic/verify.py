@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -54,9 +56,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, passed, residual=0.0, samples=0, detail=""):
+    def add(self, name, passed, residual=0.0, samples=None, detail=""):
+        """Record a check; a sampled one (samples given) that evaluated no point
+        fails with residual 0, whatever it computed."""
+        if samples == 0:
+            passed, residual = False, 0.0
+            detail = "; ".join(filter(None, ("no point evaluated", detail)))
         self.checks.append(
-            CheckResult(name, bool(passed), float(residual), int(samples), detail)
+            CheckResult(name, bool(passed), float(residual), int(samples or 0), detail)
         )
 
     def merge(self, other: "VerificationReport", prefix: str) -> None:
@@ -141,16 +148,34 @@ class TheoremData:
         object.__setattr__(self, "change_of_basis", m)
 
 
-def _interior_ball_points(ball, rng, levels, count, frac=0.9):
-    points = []
-    for n in levels:
-        for _ in range(count):
-            x = random_direction(rng, ball.coeffs.g, n)
-            scale = boundary_scale(ball, x)
-            if not math.isfinite(scale) or scale > SCALE_CAP:
-                continue
-            points.append(MatrixTuple(frac * scale * x.data))
-    return points
+class _Rays:
+    """Random rays of a domain, `count` per level: yields (level, direction,
+    boundary scale) for each ray with a finite boundary point at most SCALE_CAP
+    out, and counts those rays in `used` and the others in `skipped`."""
+
+    def __init__(self, rng, domain, levels, count):
+        self.rng, self.domain, self.levels, self.count = rng, domain, levels, count
+        self.used = self.skipped = 0
+
+    def __iter__(self):
+        for n in self.levels:
+            for _ in range(self.count):
+                x = random_direction(self.rng, self.domain.coeffs.g, n)
+                scale = boundary_scale(self.domain, x)
+                if not math.isfinite(scale) or scale > SCALE_CAP:
+                    self.skipped += 1
+                    continue
+                self.used += 1
+                yield n, x, scale
+
+
+def _points(rng, g, levels, count, scale=1.0):
+    """`count` random directions per level, scaled by `scale`."""
+    return [
+        MatrixTuple(scale * random_direction(rng, g, n).data)
+        for n in levels
+        for _ in range(count)
+    ]
 
 
 def verify_theorem(
@@ -197,25 +222,21 @@ def verify_theorem(
 
         p_map = ConvexotonicMap.from_constants(sc, MapSign.MINUS)
         target = Spectrahedron(b)
-        rng = np.random.default_rng(seed)
-        points = _interior_ball_points(Spectraball(e), rng, (1, 2, 3), samples)
+        rays = _Rays(np.random.default_rng(seed), Spectraball(e), (1, 2, 3), samples)
         worst = math.inf
         breaches = 0
-        for x in points:
+        for _, x, scale in rays:
             try:
-                verdict = spec_membership(target, p_map(x), tol)
+                point = MatrixTuple(0.9 * scale * x.data)
+                worst = min(worst, spec_membership(target, p_map(point), tol).margin)
             except DomainBreach:
                 breaches += 1
-                continue
-            worst = min(worst, verdict.margin)
-        evaluated = len(points) - breaches
         report.add(
             "ball-to-spectrahedron-transport",
-            evaluated > 0 and breaches == 0 and worst > -tol,
-            max(0.0, -worst) if evaluated else 0.0,
-            samples=len(points),
-            detail=(f"min margin {worst:.3e}" if evaluated else "no point evaluated")
-            + f"; domain breaches {breaches}",
+            breaches == 0 and worst > -tol,
+            max(0.0, -worst),
+            samples=rays.used,
+            detail=f"min margin {worst:.3e}; domain breaches {breaches}",
         )
     else:
         report.add("convexotonic", False, detail="not evaluated: constants missing")
@@ -232,31 +253,73 @@ def verify_ball_equality(
 ) -> VerificationReport:
     """Pencil norms of E and B agree at random points (levels 1-3)."""
     report = VerificationReport("ball-equality")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    total = 0
-    for n in (1, 2, 3):
-        for _ in range(samples):
-            x = random_direction(rng, e.g, n)
-            worst = max(
-                worst,
-                abs(
-                    operator_norm(pencil_eval(e, x)) - operator_norm(pencil_eval(b, x))
-                ),
-            )
-            total += 1
-    report.add("pencil-norm-equality", worst < tol, worst, samples=total)
+    points = _points(np.random.default_rng(seed), e.g, (1, 2, 3), samples)
+    worst = max(
+        (
+            abs(operator_norm(pencil_eval(e, x)) - operator_norm(pencil_eval(b, x)))
+            for x in points
+        ),
+        default=0.0,
+    )
+    report.add("pencil-norm-equality", worst < tol, worst, samples=len(points))
     return report
 
 
+def _padded(data: np.ndarray, g: int) -> MatrixTuple:
+    """The tuple of `data` followed by zero matrices up to length g."""
+    zeros = np.zeros((g - len(data),) + data.shape[1:])
+    return MatrixTuple(np.concatenate([data, zeros]))
+
+
+def _transport(report, spec, q_map, j, samples, seed, then=lambda inside, image: None):
+    """Boundary and interior transport of the plus-sign map q_map of the algebra
+    tuple j, which starts with the coefficients of spec.
+
+    On each finite ray of spec (levels 1-3, `samples` per level), evaluates q_map
+    at the boundary point and at the point 0.9 times as far out, both padded with
+    zeros to length j.g, and adds the boundary-to-boundary and
+    interior-to-interior checks on the pencil norms of j at the images.
+    `then(inside, image)` runs on each interior point inside the same
+    DomainBreach guard, so its breaches count too and fail both checks. Returns
+    the breach count, the number of rays used, and (level, image, then-value)
+    for each interior image.
+    """
+    rays = _Rays(np.random.default_rng(seed), spec, (1, 2, 3), samples)
+    boundary_defect = 0.0
+    interior_worst = 0.0
+    interior = []
+    breaches = 0
+    for n, x, scale in rays:
+        try:
+            image = q_map(_padded(scale * x.data, j.g))
+            boundary_defect = max(
+                boundary_defect, abs(1.0 - operator_norm(pencil_eval(j, image)))
+            )
+            inside = _padded(0.9 * scale * x.data, j.g)
+            image = q_map(inside)
+            interior_worst = max(interior_worst, operator_norm(pencil_eval(j, image)))
+            interior.append((n, image, then(inside, image)))
+        except DomainBreach:
+            breaches += 1
+    report.add(
+        "boundary-to-boundary",
+        breaches == 0 and boundary_defect < BOUNDARY_TOL,
+        boundary_defect,
+        samples=rays.used,
+        detail=f"skipped {rays.skipped} infinite rays; domain breaches {breaches}",
+    )
+    report.add(
+        "interior-to-interior",
+        breaches == 0 and interior_worst < 1.0,
+        max(0.0, interior_worst - 1.0),
+        samples=rays.used,
+        detail=f"max interior image norm {interior_worst:.6f}",
+    )
+    return breaches, rays.used, interior
+
+
 def verify_properness(
-    J: MatrixTuple,
-    samples: int = 50,
-    seed: int = 42,
-    tol: float = DEFAULT_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
-    roundtrip_tol: float = ROUNDTRIP_TOL,
-    levels=(1, 2, 3),
+    J: MatrixTuple, samples: int = 50, seed: int = 42, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Boundary and interior transport of the plus-sign map on an algebra tuple.
 
@@ -268,59 +331,19 @@ def verify_properness(
     report = VerificationReport("properness")
     q_map = ConvexotonicMap.from_constants(structure_constants(J, tol), MapSign.PLUS)
     p_map = q_map.inverse()
-    spec = Spectrahedron(J)
-    rng = np.random.default_rng(seed)
-
-    boundary_defect = 0.0
-    interior_worst = 0.0
-    roundtrip = 0.0
-    skipped = 0
-    breaches = 0
-    used = 0
-    for n in levels:
-        for _ in range(samples):
-            x = random_direction(rng, J.g, n)
-            scale = boundary_scale(spec, x)
-            if not math.isfinite(scale) or scale > SCALE_CAP:
-                skipped += 1
-                continue
-            used += 1
-            on_boundary = MatrixTuple(scale * x.data)
-            inside = MatrixTuple(0.9 * scale * x.data)
-            try:
-                boundary_defect = max(
-                    boundary_defect,
-                    abs(1.0 - operator_norm(pencil_eval(J, q_map(on_boundary)))),
-                )
-                image = q_map(inside)
-                interior_worst = max(
-                    interior_worst, operator_norm(pencil_eval(J, image))
-                )
-                roundtrip = max(roundtrip, _tuple_distance(p_map(image), inside))
-            except DomainBreach:
-                breaches += 1
-    note = f"skipped {skipped} infinite rays; domain breaches {breaches}"
-    if not used:
-        for name in ("boundary-to-boundary", "interior-to-interior", "round-trip-identity"):
-            report.add(name, False, detail=f"no point evaluated; {note}")
-        return report
-    report.add(
-        "boundary-to-boundary",
-        breaches == 0 and boundary_defect < boundary_tol,
-        boundary_defect,
-        samples=used,
-        detail=note,
+    breaches, used, interior = _transport(
+        report,
+        Spectrahedron(J),
+        q_map,
+        J,
+        samples,
+        seed,
+        then=lambda inside, image: _tuple_distance(p_map(image), inside),
     )
-    report.add(
-        "interior-to-interior",
-        breaches == 0 and interior_worst < 1.0,
-        max(0.0, interior_worst - 1.0),
-        samples=used,
-        detail=f"max interior image norm {interior_worst:.6f}",
-    )
+    roundtrip = max((gap for _, _, gap in interior), default=0.0)
     report.add(
         "round-trip-identity",
-        breaches == 0 and roundtrip < roundtrip_tol,
+        breaches == 0 and roundtrip < ROUNDTRIP_TOL,
         roundtrip,
         samples=used,
     )
@@ -340,80 +363,21 @@ def verify_corollary(
     closure = algebra_closure(A, tol)
     j = closure.extended
     sc = structure_constants(j, tol)
-    q_map = ConvexotonicMap.from_constants(sc, MapSign.PLUS)
     report.add(
         "closure",
         True,
         sc.residual,
         detail=f"appended {closure.appended_count} elements",
     )
-
-    spec = Spectrahedron(A)
-    rng = np.random.default_rng(seed)
-
-    def padded(x: MatrixTuple) -> MatrixTuple:
-        data = np.zeros((j.g, x.rows, x.cols), dtype=complex)
-        data[: x.g] = x.data
-        return MatrixTuple(data)
-
-    boundary_defect = 0.0
-    interior_images = []
-    skipped = 0
-    breaches = 0
-    used = 0
-    for n in (1, 2, 3):
-        for _ in range(samples):
-            x = random_direction(rng, A.g, n)
-            scale = boundary_scale(spec, x)
-            if not math.isfinite(scale) or scale > SCALE_CAP:
-                skipped += 1
-                continue
-            used += 1
-            try:
-                img_b = q_map(padded(MatrixTuple(scale * x.data)))
-                boundary_defect = max(
-                    boundary_defect, abs(1.0 - operator_norm(pencil_eval(j, img_b)))
-                )
-                interior_images.append(
-                    (n, q_map(padded(MatrixTuple(0.9 * scale * x.data))))
-                )
-            except DomainBreach:
-                breaches += 1
-    interior_worst = max(
-        (operator_norm(pencil_eval(j, img)) for _, img in interior_images),
-        default=0.0,
-    )
-    min_gap = math.inf
-    by_level: dict[int, list[MatrixTuple]] = {}
-    for n, img in interior_images:
-        by_level.setdefault(n, []).append(img)
-    for imgs in by_level.values():
-        for i in range(len(imgs)):
-            for k in range(i + 1, len(imgs)):
-                min_gap = min(min_gap, _tuple_distance(imgs[i], imgs[k]))
-    note = f"skipped {skipped} infinite rays; domain breaches {breaches}"
-    if not used:
-        for name in ("boundary-to-boundary", "interior-to-interior", "injectivity-gap"):
-            report.add(name, False, detail=f"no point evaluated; {note}")
-        return report
-    report.add(
-        "boundary-to-boundary",
-        breaches == 0 and boundary_defect < BOUNDARY_TOL,
-        boundary_defect,
-        samples=used,
-        detail=note,
-    )
-    report.add(
-        "interior-to-interior",
-        breaches == 0 and interior_worst < 1.0,
-        max(0.0, interior_worst - 1.0),
-        samples=used,
-    )
+    q_map = ConvexotonicMap.from_constants(sc, MapSign.PLUS)
+    _, used, interior = _transport(report, Spectrahedron(A), q_map, j, samples, seed)
+    same_level = [(a, b) for (n, a, _), (k, b, _) in combinations(interior, 2) if n == k]
+    min_gap = min((_tuple_distance(a, b) for a, b in same_level), default=math.inf)
     report.add(
         "injectivity-gap",
         min_gap > 0.0,
         0.0,
-        samples=len(interior_images),
+        samples=len(interior),
         detail=f"min pairwise image gap {min_gap:.3e}",
     )
     return report
@@ -422,20 +386,10 @@ def verify_corollary(
 # ---------------------------------------------------------------------------
 # the worked-example catalog
 
-def _map_matches_oracle(xi, sign, oracle, points, tol):
-    worst = 0.0
-    cmap = ConvexotonicMap(xi, sign)
-    for x in points:
-        worst = max(worst, _tuple_distance(cmap(x), oracle(x)))
-    return worst, worst < tol
-
-
-def _catalog_points(rng, g, levels, count, scale=0.3):
-    pts = []
-    for n in levels:
-        for _ in range(count):
-            pts.append(MatrixTuple(scale * random_direction(rng, g, n).data))
-    return pts
+def _check_oracle(report, name, cmap, oracle, points, tol):
+    """Add the check that cmap agrees with its closed form at the points."""
+    worst = max((_tuple_distance(cmap(x), oracle(x)) for x in points), default=0.0)
+    report.add(name, worst < tol, worst, samples=len(points))
 
 
 def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
@@ -481,25 +435,19 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     # two candidate quadratic-shift maps; exactly one transports the boundary
     ball_e = Spectraball(e_tuple)
     defects = {1.0: 0.0, -1.0: 0.0}
-    candidates_used = 0
-    for n in (1, 2, 3):
-        for _ in range(samples):
-            x = random_direction(rng, 2, n)
-            scale = boundary_scale(spec_f, x)
-            if not math.isfinite(scale) or scale > SCALE_CAP:
-                continue
-            candidates_used += 1
-            on_boundary = MatrixTuple(scale * x.data)
-            for sgn in (1.0, -1.0):
-                norm = operator_norm(pencil_eval(e_tuple, quadratic_shift(on_boundary, sgn)))
-                defects[sgn] = max(defects[sgn], abs(1.0 - norm))
+    rays = _Rays(rng, spec_f, (1, 2, 3), samples)
+    for _, x, scale in rays:
+        on_boundary = MatrixTuple(scale * x.data)
+        for sgn in (1.0, -1.0):
+            norm = operator_norm(pencil_eval(e_tuple, quadratic_shift(on_boundary, sgn)))
+            defects[sgn] = max(defects[sgn], abs(1.0 - norm))
     minus_ok = defects[-1.0] < BOUNDARY_TOL
     plus_fails = defects[1.0] > BOUNDARY_TOL
     report.add(
         "type-i/candidate-map-transport",
         minus_ok and plus_fails,
         defects[-1.0],
-        samples=candidates_used,
+        samples=rays.used,
         detail=(
             f"boundary defect: (x1, x2 - x1^2) -> {defects[-1.0]:.3e}, "
             f"(x1, x2 + x1^2) -> {defects[1.0]:.3e}"
@@ -513,11 +461,10 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         "is the inverse direction, carrying the spectraball into the spectrahedron."
     )
 
-    pts = _catalog_points(rng, 2, (1, 2, 3), samples)
-    worst, ok = _map_matches_oracle(
-        sc_f.xi, MapSign.PLUS, lambda x: quadratic_shift(x, -1.0), pts, 1e-12
-    )
-    report.add("type-i/map-equals-quadratic-shift", ok, worst, samples=len(pts))
+    q_f = ConvexotonicMap.from_constants(sc_f, MapSign.PLUS)
+    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
+    shift = partial(quadratic_shift, sign=-1.0)
+    _check_oracle(report, "type-i/map-equals-quadratic-shift", q_f, shift, points, 1e-12)
 
     cond_f = necessary_conditions(f_tuple)
     report.add(
@@ -536,9 +483,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([res @ x[0], res @ x[1]])
 
-    pts = _catalog_points(rng, 2, (1, 2, 3), samples)
-    worst, ok = _map_matches_oracle(sc_r2.xi, MapSign.PLUS, type_ii_oracle, pts, 1e-10)
-    report.add("type-ii/closed-form", ok, worst, samples=len(pts))
+    q_r2 = ConvexotonicMap.from_constants(sc_r2, MapSign.PLUS)
+    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
+    _check_oracle(report, "type-ii/closed-form", q_r2, type_ii_oracle, points, 1e-10)
 
     skew = np.zeros((2, 2, 2), dtype=complex)
     skew[0, 0, 1] = -1.0
@@ -570,9 +517,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, x[1] @ res])
 
-    pts = _catalog_points(rng, 2, (1, 2, 3), samples)
-    worst, ok = _map_matches_oracle(sc_r3.xi, MapSign.PLUS, type_iii_oracle, pts, 1e-10)
-    report.add("type-iii/closed-form", ok, worst, samples=len(pts))
+    q_r3 = ConvexotonicMap.from_constants(sc_r3, MapSign.PLUS)
+    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
+    _check_oracle(report, "type-iii/closed-form", q_r3, type_iii_oracle, points, 1e-10)
 
     # --- type IV ------------------------------------------------------------
     sc_e = structure_constants(e_tuple)
@@ -581,9 +528,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, res @ x[1] @ res])
 
-    pts = _catalog_points(rng, 2, (1, 2, 3), samples)
-    worst, ok = _map_matches_oracle(sc_e.xi, MapSign.PLUS, type_iv_oracle, pts, 1e-10)
-    report.add("type-iv/closed-form", ok, worst, samples=len(pts))
+    q_e = ConvexotonicMap.from_constants(sc_e, MapSign.PLUS)
+    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
+    _check_oracle(report, "type-iv/closed-form", q_e, type_iv_oracle, points, 1e-10)
 
     probe_e = sv_probe(e_tuple, trials=2000, seed=seed)
     report.add(
@@ -605,12 +552,10 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     alphas = [1.0 + 0j, 1j, -1.0 + 0j, random_unimodular(rng)]
     labels = ["1", "i", "-1", "seeded"]
     for alpha, label in zip(alphas, labels):
-        xi_alpha = MatrixTuple(alpha * e_tuple.data)
-        pts3 = [MatrixTuple(0.3 * random_direction(rng, 2, 3).data) for _ in range(50)]
-        worst, ok = _map_matches_oracle(
-            xi_alpha, MapSign.MINUS, lambda x: mobius_conjugate(alpha, x), pts3, 1e-10
-        )
-        report.add(f"mobius-conjugate/closed-form-alpha-{label}", ok, worst, samples=50)
+        p_alpha = ConvexotonicMap(MatrixTuple(alpha * e_tuple.data), MapSign.MINUS)
+        points = _points(rng, 2, (3,), 50, 0.3)
+        name = f"mobius-conjugate/closed-form-alpha-{label}"
+        _check_oracle(report, name, p_alpha, partial(mobius_conjugate, alpha), points, 1e-10)
 
     spot = ConvexotonicMap(e_tuple, MapSign.MINUS)(MatrixTuple.scalar([0.25, 0.125]))
     spot_gap = max(
@@ -619,16 +564,16 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     )
     report.add("mobius-conjugate/spot-value", spot_gap < 1e-12, spot_gap)
 
+    def composed(alpha, x):
+        return mobius_conjugate(alpha, quadratic_shift(x, 1.0))
+
     e2 = e_tuple.data[1]
     for alpha, label in zip(alphas, labels):
         xi_comp = MatrixTuple.from_matrices([alpha * np.eye(2) + e2, alpha * e2])
-        pts3 = [MatrixTuple(0.25 * random_direction(rng, 2, 3).data) for _ in range(50)]
-
-        def composed(x, _a=alpha):
-            return mobius_conjugate(_a, quadratic_shift(x, 1.0))
-
-        worst, ok = _map_matches_oracle(xi_comp, MapSign.MINUS, composed, pts3, 1e-9)
-        report.add(f"composed-quadratic/constants-map-alpha-{label}", ok, worst, samples=50)
+        p_comp = ConvexotonicMap(xi_comp, MapSign.MINUS)
+        points = _points(rng, 2, (3,), 50, 0.25)
+        name = f"composed-quadratic/constants-map-alpha-{label}"
+        _check_oracle(report, name, p_comp, partial(composed, alpha), points, 1e-9)
 
     def composed_closed(alpha, x):
         res = certified_inverse(np.eye(x.rows, dtype=complex) - alpha * x[0])
@@ -637,13 +582,14 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         )
 
     alpha = alphas[3]
-    pts3 = [MatrixTuple(0.25 * random_direction(rng, 2, 3).data) for _ in range(50)]
-    worst = max(
-        _tuple_distance(
-            mobius_conjugate(alpha, quadratic_shift(x, 1.0)), composed_closed(alpha, x)
-        )
-        for x in pts3
+    points = _points(rng, 2, (3,), 50, 0.25)
+    _check_oracle(
+        report,
+        "composed-quadratic/closed-form",
+        partial(composed, alpha),
+        partial(composed_closed, alpha),
+        points,
+        1e-10,
     )
-    report.add("composed-quadratic/closed-form", worst < 1e-10, worst, samples=50)
 
     return report

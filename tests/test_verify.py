@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from convexotonic import (
     MapSign,
     MatrixTuple,
     TheoremData,
+    VerificationReport,
     algebra_closure,
     example_catalog,
     pencil_structure_constants,
@@ -68,6 +70,17 @@ def strict_json(report):
     return json.loads(dumps(report.to_dict()), parse_constant=reject)
 
 
+def test_sampled_check_without_samples_fails():
+    report = VerificationReport("rule")
+    report.add("sampled", True, 5.0, samples=0, detail="max norm 0")
+    report.add("unsampled", True, 1e-14)
+    sampled, unsampled = report.checks
+    assert (sampled.passed, sampled.residual, sampled.samples) == (False, 0.0, 0)
+    assert sampled.detail == "no point evaluated; max norm 0"
+    assert unsampled.passed and unsampled.samples == 0
+    assert not report.passed
+
+
 def test_theorem_without_samples_fails_transport(e_tuple):
     report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=0)
     transport = check_map(report)["ball-to-spectrahedron-transport"]
@@ -115,6 +128,12 @@ def test_ball_equality_cases(e_tuple):
     assert report.checks[0].residual < 1e-10
 
 
+def test_ball_equality_without_samples_fails(e_tuple):
+    report = verify_ball_equality(e_tuple, e_tuple, samples=0)
+    assert not report.passed
+    assert report.checks[0].detail.startswith("no point evaluated")
+
+
 def test_ball_equality_detects_difference(e_tuple, f_tuple):
     report = verify_ball_equality(e_tuple, MatrixTuple(2 * e_tuple.data), samples=10, seed=5)
     assert not report.passed
@@ -150,6 +169,21 @@ def test_properness_without_samples_fails(e_tuple, harness, last):
         assert check.samples == 0
         assert "no point evaluated" in check.detail
     assert strict_json(report)["passed"] is False
+
+
+def test_properness_counts_skipped_rays():
+    # most rays of the level-n spectrahedron of the scalar 1 meet no boundary
+    scalar = MatrixTuple.scalar([1.0])
+    report = verify_properness(scalar, samples=25, seed=1)
+    assert report.passed
+    boundary = check_map(report)["boundary-to-boundary"]
+    skipped = int(re.search(r"skipped (\d+) infinite rays", boundary.detail).group(1))
+    assert skipped > 0
+    assert boundary.samples + skipped == 3 * 25
+    # the corollary runs the same transport on the same rays
+    corollary = check_map(verify_corollary(scalar, samples=25, seed=1))["boundary-to-boundary"]
+    assert (corollary.residual, corollary.samples) == (boundary.residual, boundary.samples)
+    assert corollary.detail == boundary.detail
 
 
 # --- corollary --------------------------------------------------------------------
@@ -204,3 +238,19 @@ def test_catalog_deterministic():
     a = example_catalog(seed=7).to_dict()
     b = example_catalog(seed=7).to_dict()
     assert a == b
+
+
+def test_catalog_without_samples_fails_oracle_checks():
+    report = example_catalog(seed=42, samples=0)
+    checks = check_map(report)
+    for name in (
+        "type-i/map-equals-quadratic-shift",
+        "type-ii/closed-form",
+        "type-iii/closed-form",
+        "type-iv/closed-form",
+    ):
+        assert not checks[name].passed, name
+        assert checks[name].samples == 0
+        assert checks[name].residual == 0.0
+        assert checks[name].detail.startswith("no point evaluated")
+    assert report.passed is False
