@@ -172,7 +172,7 @@ def test_properness_without_samples_fails(e_tuple, harness, last):
 
 
 def test_properness_counts_skipped_rays():
-    # most rays of the level-n spectrahedron of the scalar 1 meet no boundary
+    # some rays never leave the spectrahedron of the scalar 1; they are skipped
     scalar = MatrixTuple.scalar([1.0])
     report = verify_properness(scalar, samples=25, seed=1)
     assert report.passed
