@@ -7,20 +7,26 @@ Times pencil_eval, a type IV map call, transfer_residual and
 contraction_membership at level 2, JSON parse and emit at level 128,
 algebra_closure of random pairs, is_linearly_independent and
 structure_constants on the closures of an upper-triangular 6x6 pair (g=21) and
-a full 7x7 pair (g=49), is_nilpotent on strictly upper-triangular triples,
-convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
-pairs (d=3/4), direct sums of a 1x1 or a 2x2 pair with a 2x2 pair, and a
-generic 5x5 pair, and the verification harnesses: the example catalog at seed
-42, properness of the type IV tuple and the corollary on the single 3x3 shift,
-both at 25 samples per level. Each case reports the median and the minimum of
-REPEAT calls made after one untimed warm-up call, or of fewer (at least
-MIN_REPEAT) once a case has run for BUDGET_S seconds; cases whose names match
---skip are left out (the exponential nilpotency test of older commits cannot
-finish d=16). The package is imported from --src (default: the src directory
-of this checkout), so one script can time two checkouts; each invocation adds
-or replaces the run named --label in --out and keeps the others, so a parent
-commit and a change sit side by side in one file. BLAS runs on one thread
-(CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
+a full 7x7 pair (g=49), the algebra pipeline on the same closures (structure
+constants, the map, and transfer_residual at level 2 with both signs),
+is_nilpotent on strictly upper-triangular triples, convexotonic_residual at
+g=49, and sv_probe at 200 trials on scalar-multiple pairs (d=3/4), direct sums
+of a 1x1 or a 2x2 pair with a 2x2 pair, and a generic 5x5 pair, and the
+verification harnesses: the example catalog at seed 42, properness of the type
+IV tuple and the corollary on the single 3x3 shift, both at 25 samples per
+level. Certificates are stored per tuple object, so the certifying cases
+(structure constants, residual, transfer, pipeline) get a fresh copy of their
+tuple on every call: they time the computation, not a stored result.
+
+Each case reports the median and the minimum of REPEAT calls made after one
+untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
+for BUDGET_S seconds; cases whose names match --skip are left out (the
+exponential nilpotency test of older commits cannot finish d=16). The package
+is imported from --src (default: the src directory of this checkout), so one
+script can time two checkouts; each invocation adds or replaces the run named
+--label in --out and keeps the others, so a parent commit and a change sit
+side by side in one file. BLAS runs on one thread (CONVEXOTONIC_NUM_THREADS=1)
+unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing, and the
 tier-1 suite does not run it.
@@ -51,6 +57,14 @@ def pair(cx, np, kind, d):
     return cx.MatrixTuple(np.triu(data) if kind == "ut" else data)
 
 
+def pipeline(cx, J, X):
+    """The algebra workload's sequence on one tuple: constants, the map, and
+    the transfer identity with both signs."""
+    cx.ConvexotonicMap(cx.structure_constants(J).xi, cx.MapSign.PLUS)
+    for sign in (cx.MapSign.PLUS, cx.MapSign.MINUS):
+        cx.transfer_residual(J, X, sign)
+
+
 def cases(cx, np):
     """Map case name -> zero-argument callable; inputs are drawn here, once."""
     from convexotonic import jsonio
@@ -78,7 +92,9 @@ def cases(cx, np):
     # ||pencil_J(X)|| <= sum ||J_j|| ||X_j|| = 1/4
     bound = sum(np.linalg.norm(J[j]) * np.linalg.norm(x[j]) for j in range(J.g))
     X = cx.MatrixTuple(x / (4 * bound))
-    out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda: cx.transfer_residual(J, X, cx.MapSign.PLUS)
+    out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda: cx.transfer_residual(
+        cx.MatrixTuple(J.data), X, cx.MapSign.PLUS
+    )
     out[f"contraction_membership.ut3.g{J.g}.n2"] = lambda: cx.contraction_membership(J, X)
 
     rng = np.random.default_rng(128)
@@ -95,7 +111,13 @@ def cases(cx, np):
         B = cx.algebra_closure(pair(cx, np, kind, d)).extended
         name = f"{kind}.d{d}.g{B.g}"
         out[f"is_linearly_independent.{name}"] = lambda B=B: cx.is_linearly_independent(B)
-        out[f"structure_constants.{name}"] = lambda B=B: cx.structure_constants(B)
+        out[f"structure_constants.{name}"] = lambda B=B: cx.structure_constants(
+            cx.MatrixTuple(B.data)
+        )
+        y = gaussian(np.random.default_rng([d, 5]), B.g, 2, 2)
+        bound = sum(np.linalg.norm(B[j]) * np.linalg.norm(y[j]) for j in range(B.g))
+        Y = cx.MatrixTuple(y / (4 * bound))
+        out[f"pipeline.{name}"] = lambda B=B, Y=Y: pipeline(cx, cx.MatrixTuple(B.data), Y)
 
     for d in (10, 12, 16):
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
@@ -117,7 +139,9 @@ def cases(cx, np):
     # an orthonormal basis of M_7 spans an algebra whatever the closure code does
     basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]
     xi = cx.structure_constants(cx.MatrixTuple(basis.T.reshape(49, 7, 7))).xi
-    out["convexotonic_residual.m7.g49"] = lambda: cx.convexotonic_residual(xi)
+    out["convexotonic_residual.m7.g49"] = lambda: cx.convexotonic_residual(
+        cx.MatrixTuple(xi.data)
+    )
 
     out["verify.example_catalog.seed42"] = lambda: cx.example_catalog(seed=42)
     E = cx.type_iv_tuple()

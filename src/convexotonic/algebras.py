@@ -9,6 +9,7 @@ of g x g coefficient matrices multiplies the same way against its own entries
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
 from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
 
 SPAN_FLOOR = 1e-12  # absolute floor: products may vanish exactly
+
+# Certificates computed once per MatrixTuple object (hashed by identity) and
+# freed with it; failures raise and are never stored.
+_RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()  # xi -> convexotonic residual
+_CONSTANTS: WeakKeyDictionary = WeakKeyDictionary()  # J -> {tol: StructureConstants}
 
 
 def _independent_span(T: MatrixTuple, tol: float, what: str) -> OrthonormalSpan:
@@ -76,13 +82,10 @@ class AlgebraClosure:
         return (True,) * self.appended_count
 
 
-def convexotonic_residual(xi: MatrixTuple) -> float:
-    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||.
-
-    SVDs run only on blocks whose Frobenius norm (a bound on the 2-norm)
-    exceeds the running maximum, which leaves the maximum unchanged."""
-    if not (xi.g == xi.rows == xi.cols):
-        raise ShapeMismatch("expected a g-tuple of g x g matrices")
+def _residual(xi: MatrixTuple) -> float:
+    """Compute and store convexotonic_residual(xi). SVDs run only on blocks
+    whose Frobenius norm (a bound on the 2-norm) exceeds the running maximum,
+    which leaves the maximum unchanged."""
     g = xi.g
     worst = 0.0
     for j in range(g):
@@ -94,11 +97,26 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
             if fro[k] <= worst:
                 break
             worst = max(worst, operator_norm(defect[k]))
+    _RESIDUALS[xi] = worst
     return worst
 
 
+def convexotonic_residual(xi: MatrixTuple) -> float:
+    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||,
+    computed once per tuple object."""
+    if not (xi.g == xi.rows == xi.cols):
+        raise ShapeMismatch("expected a g-tuple of g x g matrices")
+    return _RESIDUALS[xi] if xi in _RESIDUALS else _residual(xi)
+
+
+def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
+    """The largest accepted convexotonic residual, tol * max_j ||xi[j]||_F^2:
+    the defect is quadratic in xi, so scaling xi leaves the verdict alone."""
+    return tol * float(np.max(np.sum(np.abs(xi.data) ** 2, axis=(1, 2))))
+
+
 def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
-    return convexotonic_residual(xi) <= tol
+    return convexotonic_residual(xi) <= convexotonic_bound(xi, tol)
 
 
 def _solve_constants(
@@ -134,13 +152,18 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
     """Coefficients expressing every product J[k] @ J[j] back in the tuple.
 
     Raises SpanViolation when J does not span an algebra (close it first with
-    algebra_closure); independence makes the coefficients unique.
+    algebra_closure); independence makes the coefficients unique. Computed
+    once per tuple object and tol.
     """
     if not J.is_square:
         raise NotSquare("structure constants need a square tuple")
-    products = np.einsum("kab,jbc->kjac", J.data, J.data)
-    xi, residual = _solve_constants(J, products, tol, "structure constants")
-    return StructureConstants(xi, residual, convexotonic_residual(xi))
+    known = _CONSTANTS.get(J, {})
+    if tol not in known:
+        products = np.einsum("kab,jbc->kjac", J.data, J.data)
+        xi, residual = _solve_constants(J, products, tol, "structure constants")
+        known[tol] = StructureConstants(xi, residual, _residual(xi))
+        _CONSTANTS[J] = known
+    return known[tol]
 
 
 def pencil_structure_constants(
@@ -158,7 +181,7 @@ def pencil_structure_constants(
         )
     products = np.einsum("kab,bc,jcd->kjad", F.data, C, F.data)
     xi, residual = _solve_constants(F, products, tol, "pencil structure constants")
-    return StructureConstants(xi, residual, convexotonic_residual(xi))
+    return StructureConstants(xi, residual, _residual(xi))
 
 
 def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:

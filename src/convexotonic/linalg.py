@@ -27,7 +27,8 @@ def _as_complex_matrix(m) -> np.ndarray:
 class MatrixTuple:
     """A g-tuple of same-shape complex matrices, stored as a (g, rows, cols) array.
 
-    Immutable after construction; the backing array is marked read-only.
+    Immutable after construction: data is a read-only view of a read-only
+    array, which numpy refuses to make writable again.
     """
 
     data: np.ndarray
@@ -41,7 +42,7 @@ class MatrixTuple:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix tuple entries must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", arr.view())
 
     @classmethod
     def from_matrices(cls, matrices) -> "MatrixTuple":

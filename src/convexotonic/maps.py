@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebras import StructureConstants, convexotonic_residual, structure_constants
+from .algebras import convexotonic_bound, convexotonic_residual, structure_constants
 from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
 
@@ -48,25 +48,20 @@ class MapSign(str, Enum):
 
 @dataclass(frozen=True)
 class ConvexotonicMap:
-    """A convexotonic tuple plus the sign selecting the map or its inverse."""
+    """A convexotonic tuple plus the sign selecting the map or its inverse;
+    xi is accepted up to convexotonic_bound(xi, construction_tol)."""
 
     xi: MatrixTuple
     sign: MapSign = MapSign.MINUS
     construction_tol: float = DEFAULT_TOL
-    residual: float | None = field(default=None, compare=False)  # of xi; computed if None
+    residual: float = field(init=False, compare=False)  # of xi
 
     def __post_init__(self):
         if not (self.xi.g == self.xi.rows == self.xi.cols):
             raise ShapeMismatch("map tuples must be g matrices of size g x g")
-        if self.residual is None:
-            object.__setattr__(self, "residual", convexotonic_residual(self.xi))
-        if self.residual > self.construction_tol:
+        object.__setattr__(self, "residual", convexotonic_residual(self.xi))
+        if self.residual > convexotonic_bound(self.xi, self.construction_tol):
             raise ValueError(f"tuple is not convexotonic (residual {self.residual:.3e})")
-
-    @classmethod
-    def from_constants(cls, sc: StructureConstants, sign=MapSign.MINUS) -> "ConvexotonicMap":
-        """The map of extracted constants, reusing their certified residual."""
-        return cls(sc.xi, sign, residual=sc.convexotonic_residual)
 
     def inverse(self) -> "ConvexotonicMap":
         return replace(self, sign=self.sign.flipped())
@@ -136,7 +131,7 @@ def transfer_residual(
     (xi, sign), returns || pencil_J(y) - (I -/+ pencil_J(X))^{-1} pencil_J(X) ||,
     the pencil sign matching the map sign.
     """
-    image = ConvexotonicMap.from_constants(structure_constants(J, tol), sign)(X)
+    image = ConvexotonicMap(structure_constants(J, tol).xi, sign)(X)
     lam = pencil_eval(J, X)
     m = np.eye(lam.shape[0], dtype=complex) + sign.factor * lam
     inv = certified_inverse(m, "transfer pencil")

@@ -220,7 +220,7 @@ def verify_theorem(
         defect = sc.convexotonic_residual
         report.add("convexotonic", defect <= tol, defect)
 
-        p_map = ConvexotonicMap.from_constants(sc, MapSign.MINUS)
+        p_map = ConvexotonicMap(sc.xi, MapSign.MINUS)
         target = Spectrahedron(b)
         rays = _Rays(np.random.default_rng(seed), Spectraball(e), (1, 2, 3), samples)
         worst = math.inf
@@ -329,7 +329,7 @@ def verify_properness(
     counted.
     """
     report = VerificationReport("properness")
-    q_map = ConvexotonicMap.from_constants(structure_constants(J, tol), MapSign.PLUS)
+    q_map = ConvexotonicMap(structure_constants(J, tol).xi, MapSign.PLUS)
     p_map = q_map.inverse()
     breaches, used, interior = _transport(
         report,
@@ -369,7 +369,7 @@ def verify_corollary(
         sc.residual,
         detail=f"appended {closure.appended_count} elements",
     )
-    q_map = ConvexotonicMap.from_constants(sc, MapSign.PLUS)
+    q_map = ConvexotonicMap(sc.xi, MapSign.PLUS)
     _, used, interior = _transport(report, Spectrahedron(A), q_map, j, samples, seed)
     same_level = [(a, b) for (n, a, _), (k, b, _) in combinations(interior, 2) if n == k]
     min_gap = min((_tuple_distance(a, b) for a, b in same_level), default=math.inf)
@@ -461,7 +461,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         "is the inverse direction, carrying the spectraball into the spectrahedron."
     )
 
-    q_f = ConvexotonicMap.from_constants(sc_f, MapSign.PLUS)
+    q_f = ConvexotonicMap(sc_f.xi, MapSign.PLUS)
     points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     shift = partial(quadratic_shift, sign=-1.0)
     _check_oracle(report, "type-i/map-equals-quadratic-shift", q_f, shift, points, 1e-12)
@@ -483,7 +483,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([res @ x[0], res @ x[1]])
 
-    q_r2 = ConvexotonicMap.from_constants(sc_r2, MapSign.PLUS)
+    q_r2 = ConvexotonicMap(sc_r2.xi, MapSign.PLUS)
     points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     _check_oracle(report, "type-ii/closed-form", q_r2, type_ii_oracle, points, 1e-10)
 
@@ -517,7 +517,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, x[1] @ res])
 
-    q_r3 = ConvexotonicMap.from_constants(sc_r3, MapSign.PLUS)
+    q_r3 = ConvexotonicMap(sc_r3.xi, MapSign.PLUS)
     points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     _check_oracle(report, "type-iii/closed-form", q_r3, type_iii_oracle, points, 1e-10)
 
@@ -528,7 +528,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
         return MatrixTuple.from_matrices([x[0] @ res, res @ x[1] @ res])
 
-    q_e = ConvexotonicMap.from_constants(sc_e, MapSign.PLUS)
+    q_e = ConvexotonicMap(sc_e.xi, MapSign.PLUS)
     points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     _check_oracle(report, "type-iv/closed-form", q_e, type_iv_oracle, points, 1e-10)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose
 from convexotonic import (
     ConvexotonicMap,
     DependentInput,
+    MapSign,
     MatrixTuple,
     ShapeMismatch,
     SpanViolation,
@@ -16,8 +20,10 @@ from convexotonic import (
     is_linearly_independent,
     pencil_structure_constants,
     structure_constants,
+    transfer_residual,
 )
 from conftest import random_triangular_algebra
+from convexotonic import algebras
 from convexotonic.algebras import _solve_constants
 from convexotonic.linalg import operator_norm
 from convexotonic.sampling import complex_gaussian
@@ -355,3 +361,90 @@ def test_residual_screen_keeps_the_maximum(seed, g):
     xi[:, :, rng.integers(g) :] *= rng.uniform(0.0, 0.3)
     xi = MatrixTuple(xi)
     assert convexotonic_residual(xi) == pytest.approx(double_loop_residual(xi), rel=1e-12)
+
+
+# --- certificates computed once per tuple object -------------------------------
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Solves and residual computations made while the test runs."""
+    counts = {"solve": 0, "residual": 0}
+    solve, residual = algebras._solve_constants, algebras._residual
+
+    def counted_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    def counted_residual(xi):
+        counts["residual"] += 1
+        return residual(xi)
+
+    monkeypatch.setattr(algebras, "_solve_constants", counted_solve)
+    monkeypatch.setattr(algebras, "_residual", counted_residual)
+    return counts
+
+
+def test_one_tuple_is_certified_once(counts):
+    # the algebra workload's sequence: constants, the map, both transfer signs
+    J = algebra_closure(pair(5, 3, "ut")).extended
+    sc = structure_constants(J)
+    ConvexotonicMap(sc.xi, MapSign.PLUS)
+    x = complex_gaussian(np.random.default_rng(5), J.g, 2, 2)
+    point = MatrixTuple(x / (4 * np.linalg.norm(J.data) * np.linalg.norm(x)))
+    for sign in (MapSign.PLUS, MapSign.MINUS):
+        assert transfer_residual(J, point, sign) < 1e-12
+    assert structure_constants(J) is sc
+    assert counts == {"solve": 1, "residual": 1}
+
+
+def test_equal_but_distinct_tuple_is_certified_again(counts, e_tuple):
+    first = structure_constants(e_tuple)
+    second = structure_constants(MatrixTuple(e_tuple.data))
+    assert first is not second
+    assert np.array_equal(first.xi.data, second.xi.data)
+    assert counts == {"solve": 2, "residual": 2}
+
+
+def test_failures_are_raised_on_every_call(counts):
+    not_algebra = MatrixTuple.from_matrices([E12, E12.T])
+    dependent = MatrixTuple.from_matrices([np.eye(2), 2 * np.eye(2)])
+    for bad, error in ((not_algebra, SpanViolation), (dependent, DependentInput)):
+        for _ in range(2):
+            with pytest.raises(error):
+                structure_constants(bad)
+    assert counts == {"solve": 4, "residual": 0}
+
+
+def test_tighter_tol_after_a_looser_success_still_raises():
+    # (I + eps E11)^2 leaves span{I + eps E11, E12} by about eps
+    rough = MatrixTuple.from_matrices([np.diag([1 + 1e-6, 1]), E12])
+    assert structure_constants(rough, 1e-3).residual > 1e-8
+    with pytest.raises(SpanViolation):
+        structure_constants(rough, 1e-10)
+    assert structure_constants(rough, 1e-3) is structure_constants(rough, 1e-3)
+
+
+def test_dropped_tuple_leaves_no_memo_entry(e_tuple):
+    J = MatrixTuple(e_tuple.data)
+    xi = structure_constants(J).xi
+    assert J in algebras._CONSTANTS and xi in algebras._RESIDUALS
+    sizes = len(algebras._CONSTANTS), len(algebras._RESIDUALS)
+    refs = weakref.ref(J), weakref.ref(xi)
+    del J, xi
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(algebras._CONSTANTS) < sizes[0] and len(algebras._RESIDUALS) < sizes[1]
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_convexotonic_verdict_is_scale_free(c):
+    # the defect is quadratic in xi: at c = 1e3 this closure's residual is ~4e-8,
+    # and at c = 1e-6 the corner pair's residual of 1 drops to 1e-12
+    J = algebra_closure(MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 7, 7))).extended
+    xi = structure_constants(MatrixTuple(c * J.data)).xi
+    assert is_convexotonic(xi)
+    assert ConvexotonicMap(xi, MapSign.PLUS).residual == convexotonic_residual(xi)
+    bad = MatrixTuple.from_matrices([E12, E12.T])
+    assert not is_convexotonic(MatrixTuple(c * 1e-3 * bad.data))
+    with pytest.raises(ValueError):
+        ConvexotonicMap(MatrixTuple(c * 1e-3 * bad.data))

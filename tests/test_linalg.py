@@ -54,6 +54,12 @@ def test_tuple_immutable(e_tuple):
         e_tuple.data[0, 0, 0] = 5.0
 
 
+def test_tuple_cannot_be_made_writable(e_tuple):
+    # certificates are stored per tuple object, so its data must never change
+    with pytest.raises(ValueError):
+        e_tuple.data.setflags(write=True)
+
+
 def test_direct_sum_shapes(e_tuple):
     both = e_tuple.direct_sum(e_tuple)
     assert both.rows == 4

@@ -16,7 +16,6 @@ from convexotonic import (
     NotSquare,
     Realization,
     Spectrahedron,
-    StructureConstants,
     boundary_scale,
     jacobian_at_zero,
     pencil_eval,
@@ -89,8 +88,8 @@ def test_map_rejects_non_convexotonic():
     bad = MatrixTuple.from_matrices([E12, E12.T])
     with pytest.raises(ValueError):
         ConvexotonicMap(bad, MapSign.PLUS)
-    with pytest.raises(ValueError):
-        ConvexotonicMap.from_constants(StructureConstants(bad, 0.0, 1.0), MapSign.PLUS)
+    with pytest.raises(TypeError):  # the residual is always computed, never passed in
+        ConvexotonicMap(bad, MapSign.PLUS, residual=0.0)
 
 
 def solve_einsum_map(cmap, X):
