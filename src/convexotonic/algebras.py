@@ -83,9 +83,12 @@ class AlgebraClosure:
 
 
 def _residual(xi: MatrixTuple) -> float:
-    """Compute and store convexotonic_residual(xi). SVDs run only on blocks
-    whose Frobenius norm (a bound on the 2-norm) exceeds the running maximum,
-    which leaves the maximum unchanged."""
+    """convexotonic_residual without the shape check, which every xi the
+    constructors below build passes; computed once per tuple object. SVDs
+    run only on blocks whose Frobenius norm (a bound on the 2-norm) exceeds
+    the running maximum, which leaves the maximum unchanged."""
+    if xi in _RESIDUALS:
+        return _RESIDUALS[xi]
     g = xi.g
     worst = 0.0
     for j in range(g):
@@ -106,13 +109,14 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
     computed once per tuple object."""
     if not (xi.g == xi.rows == xi.cols):
         raise ShapeMismatch("expected a g-tuple of g x g matrices")
-    return _RESIDUALS[xi] if xi in _RESIDUALS else _residual(xi)
+    return _residual(xi)
 
 
 def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
-    """The largest accepted convexotonic residual, tol * max_j ||xi[j]||_F^2:
-    the defect is quadratic in xi, so scaling xi leaves the verdict alone."""
-    return tol * float(np.max(np.sum(np.abs(xi.data) ** 2, axis=(1, 2))))
+    """The largest accepted convexotonic residual, tol * max(1, max_j ||xi[j]||_F^2):
+    the defect is quadratic in xi, so the bound grows with large xi, and it
+    stays at tol for small xi, whose defect may be rounding noise alone."""
+    return tol * max(1.0, float(np.max(np.sum(np.abs(xi.data) ** 2, axis=(1, 2)))))
 
 
 def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:

@@ -27,8 +27,8 @@ def _as_complex_matrix(m) -> np.ndarray:
 class MatrixTuple:
     """A g-tuple of same-shape complex matrices, stored as a (g, rows, cols) array.
 
-    Immutable after construction: data is a read-only view of a read-only
-    array, which numpy refuses to make writable again.
+    Immutable after construction: data views a private copy through a
+    read-only buffer, so numpy refuses to make it writable.
     """
 
     data: np.ndarray
@@ -41,8 +41,7 @@ class MatrixTuple:
             raise ShapeMismatch("a matrix tuple needs at least one entry")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix tuple entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr.view())
+        object.__setattr__(self, "data", np.asarray(memoryview(arr).toreadonly()))
 
     @classmethod
     def from_matrices(cls, matrices) -> "MatrixTuple":

@@ -309,7 +309,9 @@ def test_closures_are_convexotonic(seed, kind_and_d):
     kind, d = kind_and_d
     J = algebra_closure(pair(seed, d, kind)).extended
     assert J.g == (d * (d + 1) // 2 if kind == "ut" else d * d)
-    assert is_convexotonic(structure_constants(J).xi, 1e-12)
+    sc = structure_constants(J)
+    assert sc.convexotonic_residual <= 1e-12
+    assert is_convexotonic(sc.xi, 1e-12)
 
 
 # --- vectorised constants and residual ---------------------------------------
@@ -367,21 +369,28 @@ def test_residual_screen_keeps_the_maximum(seed, g):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Solves and residual computations made while the test runs."""
-    counts = {"solve": 0, "residual": 0}
-    solve, residual = algebras._solve_constants, algebras._residual
+    """Solves and residual SVDs made while the test runs."""
+    counts = {"solve": 0, "svd": 0}
+    solve, svd = algebras._solve_constants, algebras.operator_norm
 
     def counted_solve(*args):
         counts["solve"] += 1
         return solve(*args)
 
-    def counted_residual(xi):
-        counts["residual"] += 1
-        return residual(xi)
+    def counted_svd(m):
+        counts["svd"] += 1
+        return svd(m)
 
     monkeypatch.setattr(algebras, "_solve_constants", counted_solve)
-    monkeypatch.setattr(algebras, "_residual", counted_residual)
+    monkeypatch.setattr(algebras, "operator_norm", counted_svd)
     return counts
+
+
+def svds_of_one_residual(counts, xi):
+    """SVDs that one residual of an equal but fresh copy of xi runs."""
+    before = counts["svd"]
+    convexotonic_residual(MatrixTuple(xi.data))
+    return counts["svd"] - before
 
 
 def test_one_tuple_is_certified_once(counts):
@@ -394,15 +403,21 @@ def test_one_tuple_is_certified_once(counts):
     for sign in (MapSign.PLUS, MapSign.MINUS):
         assert transfer_residual(J, point, sign) < 1e-12
     assert structure_constants(J) is sc
-    assert counts == {"solve": 1, "residual": 1}
+    assert convexotonic_residual(sc.xi) == sc.convexotonic_residual
+    assert counts["solve"] == 1
+    svds = counts["svd"]
+    assert svds == svds_of_one_residual(counts, sc.xi) > 0
 
 
-def test_equal_but_distinct_tuple_is_certified_again(counts, e_tuple):
-    first = structure_constants(e_tuple)
-    second = structure_constants(MatrixTuple(e_tuple.data))
+def test_equal_but_distinct_tuple_is_certified_again(counts):
+    J = algebra_closure(pair(5, 3, "ut")).extended
+    first = structure_constants(J)
+    svds = counts["svd"]
+    second = structure_constants(MatrixTuple(J.data))
     assert first is not second
     assert np.array_equal(first.xi.data, second.xi.data)
-    assert counts == {"solve": 2, "residual": 2}
+    assert counts == {"solve": 2, "svd": 2 * svds}
+    assert svds == svds_of_one_residual(counts, first.xi) > 0
 
 
 def test_failures_are_raised_on_every_call(counts):
@@ -412,7 +427,7 @@ def test_failures_are_raised_on_every_call(counts):
         for _ in range(2):
             with pytest.raises(error):
                 structure_constants(bad)
-    assert counts == {"solve": 4, "residual": 0}
+    assert counts == {"solve": 4, "svd": 0}
 
 
 def test_tighter_tol_after_a_looser_success_still_raises():
@@ -437,14 +452,28 @@ def test_dropped_tuple_leaves_no_memo_entry(e_tuple):
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
-def test_convexotonic_verdict_is_scale_free(c):
+def test_convexotonic_verdict_follows_scale(c):
     # the defect is quadratic in xi: at c = 1e3 this closure's residual is ~4e-8,
-    # and at c = 1e-6 the corner pair's residual of 1 drops to 1e-12
+    # above the absolute 1e-8 but within 1e-8 * max_j ||xi_j||_F^2
     J = algebra_closure(MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 7, 7))).extended
     xi = structure_constants(MatrixTuple(c * J.data)).xi
     assert is_convexotonic(xi)
     assert ConvexotonicMap(xi, MapSign.PLUS).residual == convexotonic_residual(xi)
-    bad = MatrixTuple.from_matrices([E12, E12.T])
-    assert not is_convexotonic(MatrixTuple(c * 1e-3 * bad.data))
+    bad = MatrixTuple(c * MatrixTuple.from_matrices([E12, E12.T]).data)
+    assert not is_convexotonic(bad)
     with pytest.raises(ValueError):
-        ConvexotonicMap(MatrixTuple(c * 1e-3 * bad.data))
+        ConvexotonicMap(bad)
+
+
+def test_conjugated_square_zero_pair_is_accepted():
+    # span{E13, E23} squares to zero; after a similarity its products, and so
+    # xi, are rounding noise, which the absolute floor of the bound accepts
+    s = complex_gaussian(np.random.default_rng(1), 1, 3, 3)[0] + 3 * np.eye(3)
+    s_inv = np.linalg.inv(s)
+    e13, e23 = np.zeros((3, 3)), np.zeros((3, 3))
+    e13[0, 2] = e23[1, 2] = 1.0
+    J = MatrixTuple.from_matrices([s_inv @ e13 @ s, s_inv @ e23 @ s])
+    xi = structure_constants(J).xi
+    assert 0.0 < np.max(np.abs(xi.data)) < 1e-14
+    assert is_convexotonic(xi)
+    assert ConvexotonicMap(xi, MapSign.PLUS).residual <= 1e-8

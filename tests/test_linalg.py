@@ -56,8 +56,9 @@ def test_tuple_immutable(e_tuple):
 
 def test_tuple_cannot_be_made_writable(e_tuple):
     # certificates are stored per tuple object, so its data must never change
-    with pytest.raises(ValueError):
-        e_tuple.data.setflags(write=True)
+    for arr in (e_tuple.data, np.asarray(e_tuple.data.base)):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
 
 
 def test_direct_sum_shapes(e_tuple):
