@@ -4,11 +4,13 @@
     python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
 Times pencil_eval, a type IV map call, transfer_residual and
-contraction_membership at level 2, JSON parse and emit at level 128,
-algebra_closure of random pairs, is_linearly_independent and
-structure_constants on the closures of an upper-triangular 6x6 pair (g=21) and
-a full 7x7 pair (g=49), the algebra pipeline on the same closures (structure
-constants, the map, and transfer_residual at level 2 with both signs),
+contraction_membership at level 2, spec_membership of the type IV tuple at
+level 128 (the size of the perfbench cli workload's `member` request), JSON
+parse and emit at level 128, algebra_closure of random pairs,
+is_linearly_independent and structure_constants on the closures of an
+upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
+pipeline on the same closures (structure constants, the map, and
+transfer_residual at level 2 with both signs),
 is_nilpotent on strictly upper-triangular triples, convexotonic_residual at
 g=49, and sv_probe at 200 trials on scalar-multiple pairs (d=3/4), direct sums
 of a 1x1 or a 2x2 pair with a 2x2 pair, and a generic 5x5 pair, and the
@@ -92,10 +94,18 @@ def cases(cx, np):
     # ||pencil_J(X)|| <= sum ||J_j|| ||X_j|| = 1/4
     bound = sum(np.linalg.norm(J[j]) * np.linalg.norm(x[j]) for j in range(J.g))
     X = cx.MatrixTuple(x / (4 * bound))
-    out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda: cx.transfer_residual(
+    out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda J=J, X=X: cx.transfer_residual(
         cx.MatrixTuple(J.data), X, cx.MapSign.PLUS
     )
-    out[f"contraction_membership.ut3.g{J.g}.n2"] = lambda: cx.contraction_membership(J, X)
+    out[f"contraction_membership.ut3.g{J.g}.n2"] = lambda J=J, X=X: cx.contraction_membership(
+        J, X
+    )
+
+    spec = cx.Spectrahedron(cx.type_iv_tuple())
+    x = cx.MatrixTuple(gaussian(np.random.default_rng([128, 6]), 2, 128, 128))
+    # half way to the boundary, as in the cli workload's member request
+    X = cx.MatrixTuple(0.5 * cx.boundary_scale(spec, x) * x.data)
+    out["spec_membership.type_iv.n128"] = lambda X=X: cx.spec_membership(spec, X)
 
     rng = np.random.default_rng(128)
     t = cx.MatrixTuple(gaussian(rng, 2, 128, 128))

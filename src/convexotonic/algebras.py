@@ -82,11 +82,13 @@ class AlgebraClosure:
         return (True,) * self.appended_count
 
 
-def _residual(xi: MatrixTuple) -> float:
-    """convexotonic_residual without the shape check, which every xi the
-    constructors below build passes; computed once per tuple object. SVDs
-    run only on blocks whose Frobenius norm (a bound on the 2-norm) exceeds
-    the running maximum, which leaves the maximum unchanged."""
+def convexotonic_residual(xi: MatrixTuple) -> float:
+    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||,
+    computed once per tuple object. SVDs run only on blocks whose Frobenius
+    norm (a bound on the 2-norm) exceeds the running maximum, which leaves
+    the maximum unchanged."""
+    if not (xi.g == xi.rows == xi.cols):
+        raise ShapeMismatch("expected a g-tuple of g x g matrices")
     if xi in _RESIDUALS:
         return _RESIDUALS[xi]
     g = xi.g
@@ -102,14 +104,6 @@ def _residual(xi: MatrixTuple) -> float:
             worst = max(worst, operator_norm(defect[k]))
     _RESIDUALS[xi] = worst
     return worst
-
-
-def convexotonic_residual(xi: MatrixTuple) -> float:
-    """Max over (j, k) of || xi[k] @ xi[j] - sum_s xi[j][k, s] * xi[s] ||,
-    computed once per tuple object."""
-    if not (xi.g == xi.rows == xi.cols):
-        raise ShapeMismatch("expected a g-tuple of g x g matrices")
-    return _residual(xi)
 
 
 def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
@@ -165,7 +159,7 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
     if tol not in known:
         products = np.einsum("kab,jbc->kjac", J.data, J.data)
         xi, residual = _solve_constants(J, products, tol, "structure constants")
-        known[tol] = StructureConstants(xi, residual, _residual(xi))
+        known[tol] = StructureConstants(xi, residual, convexotonic_residual(xi))
         _CONSTANTS[J] = known
     return known[tol]
 
@@ -185,7 +179,7 @@ def pencil_structure_constants(
         )
     products = np.einsum("kab,bc,jcd->kjad", F.data, C, F.data)
     xi, residual = _solve_constants(F, products, tol, "pencil structure constants")
-    return StructureConstants(xi, residual, _residual(xi))
+    return StructureConstants(xi, residual, convexotonic_residual(xi))
 
 
 def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:

@@ -13,16 +13,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotSquare, SingularPencil, TupleLengthMismatch, ZeroDirection
+from .errors import NotSquare, SingularPencil, ZeroDirection
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
     hermitian_pencil,
-    min_eig_hermitian,
     operator_norm,
     pencil_eval,
+    resolvent,
 )
-from .maps import certified_inverse
 from .sampling import random_direction
 
 
@@ -73,16 +72,12 @@ class Spectrahedron:
 
 def ball_membership(ball: Spectraball, X: MatrixTuple, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Margin is 1 - ||pencil(X)||."""
-    if ball.coeffs.g != X.g:
-        raise TupleLengthMismatch(
-            f"tuple lengths differ: {ball.coeffs.g} vs {X.g}"
-        )
     return _classify(1.0 - operator_norm(pencil_eval(ball.coeffs, X)), tol)
 
 
 def spec_membership(spec: Spectrahedron, X: MatrixTuple, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Margin is the smallest eigenvalue of the Hermitian pencil."""
-    return _classify(min_eig_hermitian(hermitian_pencil(spec.coeffs, X)), tol)
+    return _classify(float(np.linalg.eigvalsh(hermitian_pencil(spec.coeffs, X))[0]), tol)
 
 
 def ball_to_spectrahedron(ball: Spectraball) -> Spectrahedron:
@@ -102,11 +97,7 @@ def contraction_membership(F: MatrixTuple, X: MatrixTuple, tol: float = DEFAULT_
     """
     if not F.is_square:
         raise NotSquare("contraction membership needs a square tuple")
-    if F.g != X.g:
-        raise TupleLengthMismatch(f"tuple lengths differ: {F.g} vs {X.g}")
-    t = pencil_eval(F, X)
-    m = np.eye(t.shape[0], dtype=complex) + t
-    inv = certified_inverse(m, "exterior point: I + pencil(X)", 1.0 / tol, SingularPencil)
+    inv, t = resolvent(F, X, 1.0, "exterior point: I + pencil(X)", 1.0 / tol, SingularPencil)
     return _classify(1.0 - operator_norm(inv @ t), tol)
 
 
@@ -123,6 +114,8 @@ def boundary_scale(domain, X: MatrixTuple) -> float:
         norm = operator_norm(pencil_eval(domain.coeffs, X))
         return math.inf if norm == 0.0 else 1.0 / norm
     if isinstance(domain, Spectrahedron):
+        if not X.is_square:
+            raise NotSquare("spectrahedra are evaluated at square matrix tuples")
         lam = pencil_eval(domain.coeffs, X)
         h = lam + lam.conj().T
         lmin = float(np.linalg.eigvalsh(h)[0])

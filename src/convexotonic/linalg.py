@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: linear pencils, norms, eigenvalues, kernels
-and the orthonormal span engine.
+"""Dense complex matrix kernels: linear pencils and their certified
+resolvents, norms, eigenvalues, kernels and the orthonormal span engine.
 
 All randomized behaviour lives elsewhere; every function here is a pure
 function of its arguments.
@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare, ShapeMismatch, TupleLengthMismatch
+from .errors import DomainBreach, NotHermitian, NotSquare, ShapeMismatch, TupleLengthMismatch
 
 DEFAULT_TOL = 1e-8
+COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -127,12 +128,49 @@ def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
 
 
 def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
-    """Monic Hermitian pencil I + pencil + pencil*; output is exactly Hermitian."""
-    if not coeffs.is_square:
-        raise NotSquare("hermitian pencils need square coefficient tuples")
+    """Monic Hermitian pencil I + pencil + pencil*; exactly Hermitian as formed,
+    since entry (i, k) adds the same two terms as the conjugate of entry (k, i)."""
+    if not (coeffs.is_square and point.is_square):
+        raise NotSquare("hermitian pencils need square coefficient and point tuples")
     lam = pencil_eval(coeffs, point)
-    m = np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
-    return (m + m.conj().T) / 2
+    return np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
+
+
+def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=DomainBreach):
+    """Inverse of m, refused with `error` unless the 1-norm condition number
+    ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below limit.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    if not np.isfinite(cond) or cond >= limit:
+        raise error(f"{what} is numerically singular (cond {cond:.3e})")
+    return inv
+
+
+def resolvent(
+    coeffs: MatrixTuple,
+    point: MatrixTuple,
+    factor: float,
+    what: str,
+    limit: float = COND_LIMIT,
+    error=DomainBreach,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The certified inverse of the monic pencil I + factor * lam, with
+    lam = pencil_eval(coeffs, point), and lam itself.
+
+    Raises NotSquare for a rectangular point and `error` (see
+    certified_inverse) when the pencil's condition number reaches limit.
+    """
+    if not point.is_square:
+        raise NotSquare("maps are evaluated at square matrix tuples")
+    lam = pencil_eval(coeffs, point)
+    m = factor * lam
+    m += np.eye(len(m))  # a real identity: one complex temporary fewer
+    return certified_inverse(m, what, limit, error), lam
 
 
 def operator_norm(m) -> float:

@@ -13,25 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .algebras import convexotonic_bound, convexotonic_residual, structure_constants
-from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
-from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
-
-COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
-
-
-def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=DomainBreach):
-    """Inverse of m, refused with `error` unless the 1-norm condition number
-    ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below limit.
-    """
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    else:
-        cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if not np.isfinite(cond) or cond >= limit:
-        raise error(f"{what} is numerically singular (cond {cond:.3e})")
-    return inv
+from .errors import DomainBreach, ShapeMismatch
+from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, resolvent
 
 
 class MapSign(str, Enum):
@@ -57,8 +40,6 @@ class ConvexotonicMap:
     residual: float = field(init=False, compare=False)  # of xi
 
     def __post_init__(self):
-        if not (self.xi.g == self.xi.rows == self.xi.cols):
-            raise ShapeMismatch("map tuples must be g matrices of size g x g")
         object.__setattr__(self, "residual", convexotonic_residual(self.xi))
         if self.residual > convexotonic_bound(self.xi, self.construction_tol):
             raise ValueError(f"tuple is not convexotonic (residual {self.residual:.3e})")
@@ -66,32 +47,22 @@ class ConvexotonicMap:
     def inverse(self) -> "ConvexotonicMap":
         return replace(self, sign=self.sign.flipped())
 
-    def pencil(self, X: MatrixTuple) -> np.ndarray:
-        """The defining pencil I -/+ pencil_xi(X) at the point."""
-        if X.g != self.xi.g:
-            raise TupleLengthMismatch(
-                f"tuple lengths differ: {self.xi.g} vs {X.g}"
-            )
-        if not X.is_square:
-            raise NotSquare("maps are evaluated at square matrix tuples")
-        lam = pencil_eval(self.xi, X)
-        return np.eye(lam.shape[0], dtype=complex) + self.sign.factor * lam
-
     def domain_check(self, X: MatrixTuple) -> bool:
         """True iff the map is defined at X, i.e. calling it raises no DomainBreach."""
         try:
-            certified_inverse(self.pencil(X), "defining pencil")
+            resolvent(self.xi, X, self.sign.factor, "defining pencil")
         except DomainBreach:
             return False
         return True
 
     def __call__(self, X: MatrixTuple) -> MatrixTuple:
-        """Evaluate levelwise: component i is sum_j X[j] @ inv(M) block (j, i).
+        """Evaluate levelwise: component i is sum_j X[j] @ inv(M) block (j, i),
+        M = I -/+ pencil_xi(X) the defining pencil.
 
         That is the single product of the row block [X[0] ... X[g-1]] with
         inv(M), cut into its g column blocks.
         """
-        inv = certified_inverse(self.pencil(X), "defining pencil")
+        inv = resolvent(self.xi, X, self.sign.factor, "defining pencil")[0]
         g, n = X.g, X.rows
         row = X.data.transpose(1, 0, 2).reshape(n, g * n) @ inv
         return MatrixTuple(row.reshape(n, g, n).transpose(1, 0, 2))
@@ -114,11 +85,8 @@ class Realization:
         object.__setattr__(self, "c", c)
 
     def __call__(self, X: MatrixTuple) -> np.ndarray:
-        if not X.is_square:
-            raise NotSquare("realizations are evaluated at square matrix tuples")
+        inv = resolvent(self.S, X, -1.0, "realization pencil")[0]
         d, n = self.S.rows, X.rows
-        lam = pencil_eval(self.S, X)
-        inv = certified_inverse(np.eye(d * n, dtype=complex) - lam, "realization pencil")
         return np.einsum("a,apbq,b->pq", self.c.conj(), inv.reshape(d, n, d, n), self.b)
 
 
@@ -131,10 +99,8 @@ def transfer_residual(
     (xi, sign), returns || pencil_J(y) - (I -/+ pencil_J(X))^{-1} pencil_J(X) ||,
     the pencil sign matching the map sign.
     """
-    image = ConvexotonicMap(structure_constants(J, tol).xi, sign)(X)
-    lam = pencil_eval(J, X)
-    m = np.eye(lam.shape[0], dtype=complex) + sign.factor * lam
-    inv = certified_inverse(m, "transfer pencil")
+    image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)(X)
+    inv, lam = resolvent(J, X, sign.factor, "transfer pencil")
     return operator_norm(pencil_eval(J, image) - inv @ lam)
 
 

@@ -15,7 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebras import algebra_closure, pencil_structure_constants, structure_constants
+from .algebras import (
+    algebra_closure,
+    is_convexotonic,
+    pencil_structure_constants,
+    structure_constants,
+)
 from .domains import (
     Spectraball,
     Spectrahedron,
@@ -27,8 +32,8 @@ from .domains import (
 )
 from .errors import DomainBreach, SpanViolation
 from .genericity import necessary_conditions, sv_probe
-from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval
-from .maps import ConvexotonicMap, MapSign, certified_inverse
+from .linalg import DEFAULT_TOL, MatrixTuple, certified_inverse, operator_norm, pencil_eval
+from .maps import ConvexotonicMap, MapSign
 from .sampling import random_direction, random_unimodular
 
 UNITARY_TOL = 1e-8
@@ -216,11 +221,14 @@ def verify_theorem(
     else:
         report.add("constants-match", False, detail="not evaluated: constants missing")
 
-    if sc is not None:
-        defect = sc.convexotonic_residual
-        report.add("convexotonic", defect <= tol, defect)
+    convexotonic = sc is not None and is_convexotonic(sc.xi, tol)
+    if sc is None:
+        report.add("convexotonic", False, detail="not evaluated: constants missing")
+    else:
+        report.add("convexotonic", convexotonic, sc.convexotonic_residual)
 
-        p_map = ConvexotonicMap(sc.xi, MapSign.MINUS)
+    if convexotonic:
+        p_map = ConvexotonicMap(sc.xi, MapSign.MINUS, tol)
         target = Spectrahedron(b)
         rays = _Rays(np.random.default_rng(seed), Spectraball(e), (1, 2, 3), samples)
         worst = math.inf
@@ -239,11 +247,11 @@ def verify_theorem(
             detail=f"min margin {worst:.3e}; domain breaches {breaches}",
         )
     else:
-        report.add("convexotonic", False, detail="not evaluated: constants missing")
+        reason = "constants missing" if sc is None else "constants not convexotonic"
         report.add(
             "ball-to-spectrahedron-transport",
             False,
-            detail="not evaluated: constants missing",
+            detail=f"not evaluated: {reason}",
         )
     return report
 
@@ -329,7 +337,7 @@ def verify_properness(
     counted.
     """
     report = VerificationReport("properness")
-    q_map = ConvexotonicMap(structure_constants(J, tol).xi, MapSign.PLUS)
+    q_map = ConvexotonicMap(structure_constants(J, tol).xi, MapSign.PLUS, tol)
     p_map = q_map.inverse()
     breaches, used, interior = _transport(
         report,
@@ -369,7 +377,7 @@ def verify_corollary(
         sc.residual,
         detail=f"appended {closure.appended_count} elements",
     )
-    q_map = ConvexotonicMap(sc.xi, MapSign.PLUS)
+    q_map = ConvexotonicMap(sc.xi, MapSign.PLUS, tol)
     _, used, interior = _transport(report, Spectrahedron(A), q_map, j, samples, seed)
     same_level = [(a, b) for (n, a, _), (k, b, _) in combinations(interior, 2) if n == k]
     min_gap = min((_tuple_distance(a, b) for a, b in same_level), default=math.inf)

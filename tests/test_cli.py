@@ -65,6 +65,16 @@ def test_member_exterior_exit_code(files, capsys):
     assert doc["location"] == "exterior"
 
 
+def test_member_spec_rectangular_point_usage_error(files, capsys, tmp_path):
+    rect = write_tuple(tmp_path / "rect.json", MatrixTuple(np.ones((2, 2, 3))))
+    code, doc, err = run_json(
+        capsys, ["member", "--kind", "spec", "--tuple", files["f"], "--point", rect]
+    )
+    assert code == 1
+    assert doc is None
+    assert "NotSquare" in err
+
+
 def test_member_ball(files, capsys):
     code, doc, _ = run_json(
         capsys,
@@ -209,6 +219,25 @@ def test_verify_theorem_pass_and_fail(files, capsys, tmp_path):
     )
     assert code == 2
     assert doc["passed"] is False
+
+
+def test_verify_theorem_tol_governs_map_acceptance(files, capsys, tmp_path):
+    # constants of a perturbed type IV tuple have a convexotonic residual
+    # (3.2e-7) inside the bound of tol = 1e-4 but outside that of 1e-8
+    e = type_iv_tuple()
+    noise = 1e-6 * np.random.default_rng(0).standard_normal(e.data.shape)
+    path = write_tuple(tmp_path / "ep.json", MatrixTuple(e.data + noise))
+    code, doc, _ = run_json(
+        capsys,
+        [
+            "verify-theorem",
+            "--e", path, "--b", path,
+            "--z", files["eye"], "--m", files["eye"],
+            "--samples", "5", "--tol", "1e-4",
+        ],
+    )
+    assert code in (0, 2)
+    assert doc["passed"] is (code == 0)
 
 
 def test_examples_catalog(files, capsys):

@@ -62,6 +62,20 @@ def test_spectrahedron_rejects_rectangular():
         Spectrahedron(rect)
 
 
+def test_spectrahedron_routes_refuse_rectangular_points(f_tuple):
+    rect = MatrixTuple(np.ones((2, 2, 3)))
+    spec = Spectrahedron(f_tuple)
+    with pytest.raises(NotSquare):
+        spec_membership(spec, rect)
+    with pytest.raises(NotSquare):
+        boundary_scale(spec, rect)
+    with pytest.raises(NotSquare):
+        contraction_membership(f_tuple, rect)
+    # balls keep accepting rectangular points
+    assert ball_membership(Spectraball(f_tuple), rect).location.value == "exterior"
+    assert boundary_scale(Spectraball(f_tuple), rect) > 0
+
+
 def test_ball_embedding_structure(e_tuple):
     spec = ball_to_spectrahedron(Spectraball(e_tuple))
     assert spec.coeffs.rows == 4

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from convexotonic import (
+    DomainBreach,
     MatrixTuple,
     NotHermitian,
     NotSquare,
     ShapeMismatch,
+    SingularPencil,
     TupleLengthMismatch,
     hermitian_pencil,
     is_nilpotent,
@@ -18,7 +20,7 @@ from convexotonic import (
     operator_norm,
     pencil_eval,
 )
-from convexotonic.linalg import OrthonormalSpan
+from convexotonic.linalg import OrthonormalSpan, resolvent
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -192,6 +194,53 @@ def test_hermitian_pencil_requires_square():
     rect = MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 2, 3))
     with pytest.raises(NotSquare):
         hermitian_pencil(rect, MatrixTuple.zeros(2, 2))
+
+
+@pytest.mark.parametrize("g, d, n", [(1, 1, 1), (2, 2, 3), (2, 3, 4), (3, 4, 2), (4, 2, 16)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hermitian_pencil_matches_averaged_formula(g, d, n, seed):
+    # I + lam + lam* is Hermitian as formed: averaging it with its adjoint
+    # returns the same bits
+    rng = np.random.default_rng([g, d, n, seed])
+    for coeffs, point in (
+        (complex_gaussian(rng, g, d, d), complex_gaussian(rng, g, n, n)),
+        (rng.standard_normal((g, d, d)), rng.standard_normal((g, n, n))),
+    ):
+        coeffs, point = MatrixTuple(coeffs), MatrixTuple(point)
+        lam = pencil_eval(coeffs, point)
+        m = np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
+        averaged = (m + m.conj().T) / 2
+        assert hermitian_pencil(coeffs, point).tobytes() == averaged.tobytes()
+
+
+def test_hermitian_pencil_refuses_rectangular_point(f_tuple):
+    with pytest.raises(NotSquare):
+        hermitian_pencil(f_tuple, MatrixTuple(np.ones((2, 2, 3))))
+
+
+# --- certified resolvent ---------------------------------------------------
+
+def test_resolvent_inverts_the_monic_pencil(e_tuple):
+    X = MatrixTuple(0.2 * complex_gaussian(np.random.default_rng(6), 2, 3, 3))
+    for factor in (1.0, -1.0, 0.5):
+        inv, lam = resolvent(e_tuple, X, factor, "pencil")
+        assert np.array_equal(lam, pencil_eval(e_tuple, X))
+        assert_allclose(inv @ (np.eye(6) + factor * lam), np.eye(6), atol=1e-13)
+
+
+def test_resolvent_refusals(e_tuple):
+    with pytest.raises(NotSquare):
+        resolvent(e_tuple, MatrixTuple(np.ones((2, 2, 3))), 1.0, "pencil")
+    with pytest.raises(TupleLengthMismatch):
+        resolvent(e_tuple, MatrixTuple.scalar([1.0]), 1.0, "pencil")
+    # I - pencil_E(1, 0) = I - I is exactly singular
+    with pytest.raises(DomainBreach, match="pencil is numerically singular"):
+        resolvent(e_tuple, MatrixTuple.scalar([1.0, 0.0]), -1.0, "pencil")
+    # I - pencil_E(0.99, 0.5) = [[0.01, -0.5], [0, 0.01]] has 1-norm condition number 2601
+    X = MatrixTuple.scalar([0.99, 0.5])
+    resolvent(e_tuple, X, -1.0, "pencil")
+    with pytest.raises(SingularPencil, match="cond 2.601e"):
+        resolvent(e_tuple, X, -1.0, "pencil", 1e3, SingularPencil)
 
 
 # --- norms and eigenvalues -------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import convexotonic.verify
 from convexotonic import (
     ConvexotonicMap,
     MapSign,
@@ -15,6 +16,7 @@ from convexotonic import (
     example_catalog,
     pencil_structure_constants,
     structure_constants,
+    type_iv_tuple,
     verify_ball_equality,
     verify_corollary,
     verify_properness,
@@ -59,6 +61,35 @@ def test_theorem_swap_twist_fails(e_tuple):
     checks = check_map(report)
     assert not checks["twisted-product-constants"].passed
     assert "span" in checks["twisted-product-constants"].detail.lower()
+
+
+def perturbed_type_iv():
+    """Type IV plus 1e-6 noise: its constants have convexotonic residual
+    3.2e-7, inside the bound of tol = 1e-4 and outside that of 1e-8."""
+    e = type_iv_tuple()
+    return MatrixTuple(e.data + 1e-6 * np.random.default_rng(0).standard_normal(e.data.shape))
+
+
+def test_harness_tol_governs_map_acceptance():
+    ep = perturbed_type_iv()
+    theorem = verify_theorem(TheoremData(ep, ep, np.eye(2), np.eye(2)), samples=5, tol=1e-4)
+    checks = check_map(theorem)
+    assert checks["convexotonic"].passed
+    assert checks["convexotonic"].residual == pytest.approx(3.2e-7, rel=0.01)
+    assert checks["ball-to-spectrahedron-transport"].samples > 0
+    for harness in (verify_properness, verify_corollary):
+        report = harness(ep, samples=5, tol=1e-4)
+        assert check_map(report)["boundary-to-boundary"].samples > 0
+
+
+def test_theorem_skips_transport_of_non_convexotonic_constants(monkeypatch, e_tuple):
+    monkeypatch.setattr(convexotonic.verify, "is_convexotonic", lambda xi, tol: False)
+    report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=5)
+    checks = check_map(report)
+    assert not checks["convexotonic"].passed
+    transport = checks["ball-to-spectrahedron-transport"]
+    assert not transport.passed
+    assert transport.detail == "not evaluated: constants not convexotonic"
 
 
 def strict_json(report):
