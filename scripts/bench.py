@@ -13,7 +13,9 @@ pipeline on the same closures (structure constants, the map, and
 transfer_residual at level 2 with both signs),
 is_nilpotent on strictly upper-triangular triples, convexotonic_residual at
 g=49, and sv_probe at 200 trials on scalar-multiple pairs (d=3/4), direct sums
-of a 1x1 or a 2x2 pair with a 2x2 pair, and a generic 5x5 pair, and the
+of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
+(U, 2U) for a 3x3 unitary U, whose top singular value is never simple, and at
+2,000 trials on the near-degenerate (I_3, 1e-7 G), and the
 verification harnesses: the example catalog at seed 42, properness of the type
 IV tuple and the corollary on the single 3x3 shift, both at 25 samples per
 level. Certificates are stored per tuple object, so the certifying cases
@@ -70,6 +72,7 @@ def pipeline(cx, J, X):
 def cases(cx, np):
     """Map case name -> zero-argument callable; inputs are drawn here, once."""
     from convexotonic import jsonio
+    from convexotonic.sampling import complex_gaussian, random_unitary
 
     out = {}
     for g, d, n in ((2, 2, 256), (6, 3, 64), (4, 16, 32)):
@@ -145,6 +148,17 @@ def cases(cx, np):
         out[f"sv_probe.direct_sum.{m}+2"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
     G = cx.MatrixTuple(gaussian(np.random.default_rng([5, 4]), 2, 5, 5))
     out["sv_probe.generic.d5"] = lambda: cx.sv_probe(G, trials=200, seed=42)
+    # the top singular value of eye(2) and of (U, 2U) is never simple, so every
+    # draw is rejected; (I, 1e-7 G) rejects a positive share of its draws
+    U = random_unitary(np.random.default_rng(1), 3)
+    for name, A in (
+        ("eye2", cx.MatrixTuple.from_matrices([np.eye(2)])),
+        ("u2u.d3", cx.MatrixTuple.from_matrices([U, 2 * U])),
+    ):
+        out[f"sv_probe.never_simple.{name}"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
+    noise = 1e-7 * complex_gaussian(np.random.default_rng(5), 3, 3)
+    A = cx.MatrixTuple.from_matrices([np.eye(3), noise])
+    out["sv_probe.near_degenerate.d3"] = lambda A=A: cx.sv_probe(A, trials=2000, seed=42)
 
     # an orthonormal basis of M_7 spans an algebra whatever the closure code does
     basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]

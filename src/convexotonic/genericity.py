@@ -97,13 +97,14 @@ def sv_probe(
     trials: int = 10_000,
     seed: int = 42,
     tol: float = DEFAULT_TOL,
-    gap_tol: float = GAP_TOL,
 ) -> ProbeResult:
     """Search for an sv-genericity certificate by seeded sampling.
 
-    Each trial draws a Gaussian point, scales it so the pencil has unit norm
-    (making the defect pencil PSD with a kernel), and keeps the kernel vectors
-    when the top singular value is simple; per-trial seeds are seed + trial.
+    Each trial makes one Gaussian draw, seeded seed + trial, so trials bounds
+    the work. The draw is scaled so the pencil has unit norm (making the
+    defect pencil PSD with a kernel), and its kernel vectors are kept when the
+    top singular value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when
+    d = 1); a test relative to s0 makes the verdict independent of scale.
     Each side pools POOL_FACTOR candidates per required vector and grows one
     span with those that leave a remainder above tol. The first d beta joiners
     must have a basis margin above tol; each later alpha is tried once as the
@@ -118,21 +119,12 @@ def sv_probe(
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
     alpha_basis, betas = [], []  # the first d span joiners of each side
     alphas, b_margin, pooled = None, 0.0, 0
-
-    def draw_candidate(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        for _ in range(100):
-            gamma = complex_gaussian(rng, g)
-            u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
-            gap = s[0] - s[1] if d > 1 else s[0]
-            if s[0] > 1e-12 and gap > gap_tol * s[0]:
-                return gamma / s[0], vh[0].conj(), u[:, 0]
-        return None
-
     for trial in range(trials):
-        drawn = draw_candidate(np.random.default_rng(seed + trial))
-        if drawn is None:
-            continue
-        point, right, left = drawn
+        gamma = complex_gaussian(np.random.default_rng(seed + trial), g)
+        u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
+        if (s[0] - s[1] if d > 1 else s[0]) <= GAP_TOL * s[0]:
+            continue  # a multiple top singular value pools nothing
+        point, right, left = gamma / s[0], vh[0].conj(), u[:, 0]
         pooled += 1
         if alphas is None and pooled <= POOL_FACTOR * (d + 1):
             if len(alpha_basis) == d:

@@ -33,7 +33,10 @@ def _entry(value, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise JsonFormatError(f"{where}: complex entries must be [re, im] numbers")
-    re, im = float(value[0]), float(value[1])
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError as err:  # an integer beyond float range
+        raise JsonFormatError(f"{where}: entry out of float range") from err
     if not (math.isfinite(re) and math.isfinite(im)):
         raise JsonFormatError(f"{where}: non-finite entry")
     return complex(re, im)

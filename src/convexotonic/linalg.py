@@ -261,14 +261,16 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     Runs the power chain V_1 = span B, V_{k+1} = span(B V_k) of the spans of
     all words of length k; a nilpotent subalgebra of d x d matrices has index
     at most d, so it is nilpotent iff V_d = 0. Generators are scaled to unit
-    operator norm, which makes the floor tol on each remainder scale-free. A
+    operator norm, which makes the floor tol on each remainder scale-free;
+    those at most tol times the largest generator norm count as zero. A
     nilpotent algebra is similar to a strictly upper-triangular one, whose
     k-th power has dimension (d - k)(d - k + 1)/2; a larger V_k rejects early.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
     d = B.rows
-    gens = [mat / norm for mat in B if (norm := operator_norm(mat)) > tol]
+    norms = [operator_norm(mat) for mat in B]
+    gens = [mat / norm for mat, norm in zip(B, norms) if norm > tol * max(norms)]
     level = [np.eye(d)]  # V_0: the empty word
     for k in range(1, d + 1):
         cap = (d - k) * (d - k + 1) // 2

@@ -104,7 +104,7 @@ def transfer_residual(
     return operator_norm(pencil_eval(J, image) - inv @ lam)
 
 
-def jacobian_at_zero(cmap: ConvexotonicMap, steps=(1e-4, 1e-5)) -> np.ndarray:
+def jacobian_at_zero(cmap: ConvexotonicMap) -> np.ndarray:
     """Level-1 Jacobian at the origin by Richardson-extrapolated central differences."""
     g = cmap.xi.g
 
@@ -118,7 +118,7 @@ def jacobian_at_zero(cmap: ConvexotonicMap, steps=(1e-4, 1e-5)) -> np.ndarray:
             jac[j, :] = (plus - minus) / (2 * h)
         return jac
 
-    h1, h2 = steps
+    h1, h2 = 1e-4, 1e-5
     d1, d2 = central(h1), central(h2)
     # cancel the O(h^2) term of the central difference
     return (h1**2 * d2 - h2**2 * d1) / (h1**2 - h2**2)

@@ -290,6 +290,20 @@ def test_nonfinite_rejected(files, capsys, tmp_path):
     assert "non-finite" in err
 
 
+def test_integer_beyond_float_range_rejected(files, capsys, tmp_path):
+    bad = tmp_path / "huge.json"
+    bad.write_text(
+        '{"g": 1, "rows": 1, "cols": 1, "matrices": [[[[1' + "0" * 400 + ', 0]]]]}'
+    )
+    code = run(["member", "--kind", "ball", "--tuple", str(bad), "--point", files["small"]])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert out.err.startswith("error: ")
+    assert "matrices[0]" in out.err
+
+
 def test_missing_file(files, capsys):
     code, doc, err = run_json(
         capsys,

@@ -13,10 +13,13 @@ from convexotonic import (
     Spectraball,
     ball_to_spectrahedron,
     hyperbasis_margin,
+    is_nilpotent,
     kernel_basis,
     necessary_conditions,
     pencil_eval,
     sv_probe,
+    type_i_tuple,
+    type_iv_tuple,
 )
 from convexotonic import genericity
 from convexotonic.sampling import complex_gaussian
@@ -272,3 +275,45 @@ def test_probe_greedy_basis_misses_other_hyperbases():
     vectors = [e1, e2, e3, e1 + e2, e2 + e3, e1 + e3]
     assert all(hyperbasis_margin([e1, e2, e3, v]) < 1e-12 for v in vectors[3:])
     assert hyperbasis_margin([e1, e2, e2 + e3, e1 + e3]) > 0.1
+
+
+# --- one draw per trial ---------------------------------------------------------
+
+def test_probe_makes_one_draw_per_trial(monkeypatch):
+    # the top singular value of eye(2) is never simple, so every draw is
+    # rejected; the trial count alone bounds the work
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pencil_eval(*args)
+
+    monkeypatch.setattr(genericity, "pencil_eval", counted)
+    result = sv_probe(MatrixTuple.from_matrices([np.eye(2)]), trials=200, seed=42)
+    assert result.status == "inconclusive"
+    assert result.trials_used == 200
+    assert len(calls) == 200
+
+
+def test_probe_near_degenerate_tuple_needs_more_trials():
+    # the top singular value of (I, 1e-7 G) is multiple for a positive share of
+    # draws; rejected draws are not redrawn, so a certificate takes more trials
+    G = complex_gaussian(np.random.default_rng(5), 3, 3)
+    A = MatrixTuple.from_matrices([np.eye(3), 1e-7 * G])
+    result = sv_probe(A, trials=2000, seed=42)
+    assert result.status == "certified"
+    assert result.trials_used > 200
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-8, 1.0, 1e8])
+def test_verdicts_do_not_depend_on_scale(c):
+    def scaled(t):
+        return MatrixTuple(c * np.asarray(t.data))
+
+    assert not is_nilpotent(scaled(type_iv_tuple()))
+    assert is_nilpotent(scaled(type_i_tuple()))
+    result = sv_probe(scaled(type_iv_tuple()), trials=200, seed=42)
+    assert (result.status, result.trials_used) == ("certified", 3)
+    real = MatrixTuple(np.random.default_rng(0).standard_normal((2, 3, 3)))
+    result = sv_probe(scaled(real), trials=200, seed=42)
+    assert (result.status, result.trials_used) == ("certified", 4)

@@ -265,6 +265,14 @@ def test_catalog_passes_and_warns():
     assert "mobius-conjugate/spot-value" in names
 
 
+def test_catalog_composed_closed_form_is_an_independent_expansion():
+    # the closed form expands the products in another order, so rounding
+    # leaves a residual that is small but not zero
+    check = check_map(example_catalog(seed=42))["composed-quadratic/closed-form"]
+    assert check.passed
+    assert 0.0 < check.residual < 1e-10
+
+
 def test_catalog_deterministic():
     a = example_catalog(seed=7).to_dict()
     b = example_catalog(seed=7).to_dict()
