@@ -6,7 +6,8 @@
 Times pencil_eval, a type IV map call, transfer_residual and
 contraction_membership at level 2, spec_membership of the type IV tuple at
 level 128 (the size of the perfbench cli workload's `member` request), JSON
-parse and emit at level 128, algebra_closure of random pairs,
+parse and emit at level 128, algebra_closure of random pairs (full d=6/7/8,
+upper-triangular d=6) and of a strictly upper-triangular 8x8 triple,
 is_linearly_independent and structure_constants on the closures of an
 upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
 pipeline on the same closures (structure constants, the map, and
@@ -116,9 +117,12 @@ def cases(cx, np):
     out["json.emit.g2.n128"] = lambda: jsonio.tuple_to_obj(t)
     out["json.parse.g2.n128"] = lambda: jsonio.obj_to_tuple(doc)
 
-    for kind, d in (("full", 6), ("full", 8), ("ut", 6)):
+    for kind, d in (("full", 6), ("full", 7), ("full", 8), ("ut", 6)):
         A = pair(cx, np, kind, d)
         out[f"algebra_closure.{kind}.d{d}"] = lambda A=A: cx.algebra_closure(A)
+    # the algebra workload's most frequent closure: a strictly upper-triangular triple
+    A = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([8, 3]), 3, 8, 8), 1))
+    out["algebra_closure.nil.g3.d8"] = lambda A=A: cx.algebra_closure(A)
 
     for kind, d in (("ut", 6), ("full", 7)):
         B = cx.algebra_closure(pair(cx, np, kind, d)).extended

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
 from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
 
-SPAN_FLOOR = 1e-12  # absolute floor: products may vanish exactly
-
 # Certificates computed once per MatrixTuple object (hashed by identity) and
 # freed with it; failures raise and are never stored.
 _RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()  # xi -> convexotonic residual
@@ -69,8 +67,9 @@ class StructureConstants:
 class AlgebraClosure:
     """A tuple extended to an independent spanning set of its algebra.
 
-    The first g slots are the original tuple; every appended element is a
-    unit-norm remainder, orthogonal to all slots before it.
+    The first g slots are the original tuple; every appended element is the
+    unit-norm remainder of a word in the generators, orthogonal to all slots
+    before it.
     """
 
     extended: MatrixTuple
@@ -118,19 +117,20 @@ def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _solve_constants(
-    basis: MatrixTuple, products: np.ndarray, tol: float, what: str
+    basis: MatrixTuple, left: np.ndarray, right: np.ndarray, tol: float, what: str
 ) -> tuple[MatrixTuple, float]:
-    """Express products[k, j] in the basis; return xi and the max residual.
-
-    products has shape (g, g, rows, cols), indexed (k, j). The basis must be
-    independent (DependentInput otherwise); its span has basis = r @ q, so the
-    coefficients x of the products solve x @ r = (their coordinates on q).
+    """Express every product left[k] @ right[j] in the basis; return xi and
+    the max residual. A product lies in the span when its remainder is at
+    most tol * ||left[k]||_F ||right[j]||_F, which no scaling changes. The
+    basis must be independent (DependentInput otherwise); its span has basis
+    = r @ q, so the coefficients x solve x @ r = (their coordinates on q).
     """
     g = basis.g
     span = _independent_span(basis, tol, what)
-    rhs = products.reshape(g * g, -1)  # one row per (k, j) pair
+    rhs = np.einsum("kab,jbc->kjac", left, right).reshape(g * g, -1)  # row k * g + j
     coords, residuals = span.project(rhs)
-    bad = residuals > np.maximum(tol * np.linalg.norm(rhs, axis=1), SPAN_FLOOR)
+    factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
+    bad = residuals > tol * factors.reshape(-1)
     if np.any(bad):
         worst = float(np.max(residuals[bad]))
         k, j = divmod(int(np.argmax(bad)), g)
@@ -157,8 +157,7 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
         raise NotSquare("structure constants need a square tuple")
     known = _CONSTANTS.get(J, {})
     if tol not in known:
-        products = np.einsum("kab,jbc->kjac", J.data, J.data)
-        xi, residual = _solve_constants(J, products, tol, "structure constants")
+        xi, residual = _solve_constants(J, J.data, J.data, tol, "structure constants")
         known[tol] = StructureConstants(xi, residual, convexotonic_residual(xi))
         _CONSTANTS[J] = known
     return known[tol]
@@ -177,31 +176,27 @@ def pencil_structure_constants(
         raise ShapeMismatch(
             f"middle factor must be {F.cols} x {F.rows}, got {C.shape}"
         )
-    products = np.einsum("kab,bc,jcd->kjad", F.data, C, F.data)
-    xi, residual = _solve_constants(F, products, tol, "pencil structure constants")
+    xi, residual = _solve_constants(F, F.data, C @ F.data, tol, "pencil structure constants")
     return StructureConstants(xi, residual, convexotonic_residual(xi))
 
 
 def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
-    """Extend A to an independent spanning set of the algebra it generates.
-
-    One orthonormal span of the flattened basis grows with it. When element i
-    joins, its products with elements 0..i are formed in both orders, once
-    each; the unit remainder of every product outside the span (remainder
-    above max(tol * ||product||, SPAN_FLOOR)) is appended and joins the scan
-    in turn, so every ordered pair of elements is multiplied exactly once.
+    """Extend A to an independent spanning set of the algebra it generates,
+    the span of the words in A. A span that holds the generators and is
+    closed under left multiplication by each of them holds every word, so
+    each element, from the unit-norm generators on, is multiplied on the left
+    by every unit-norm generator once; a product of unit factors leaving a
+    remainder above tol (the rule of _solve_constants) appends it, unit-norm.
     """
     if not A.is_square:
         raise NotSquare("algebra closure needs a square tuple")
     d = A.rows
     span = _independent_span(A, tol, "algebra closure")
-    basis = list(A.data)
-    for i, new in enumerate(basis):  # appended elements are reached too
-        for k in range(i + 1):
-            products = [new @ basis[k]] if k == i else [new @ basis[k], basis[k] @ new]
-            for product in products:
-                floor = max(tol * float(np.linalg.norm(product)), SPAN_FLOOR)
-                unit = span.add(product, floor)
-                if unit is not None:
-                    basis.append(unit.reshape(d, d))
-    return AlgebraClosure(MatrixTuple.from_matrices(basis), len(basis) - A.g)
+    gens = A.data / np.linalg.norm(A.flatten(), axis=1)[:, None, None]
+    words = list(gens)
+    for word in words:  # appended elements are reached too
+        for product in gens @ word:
+            unit = span.add(product, tol)
+            if unit is not None:
+                words.append(unit.reshape(d, d))
+    return AlgebraClosure(MatrixTuple.from_matrices([*A, *words[A.g :]]), len(words) - A.g)

@@ -192,13 +192,15 @@ def verify_theorem(
     (1) the conjugation identity, (2) structure constants of the twisted
     products of E, (3) matching structure constants of B, (4) the minus-sign
     map carrying sampled spectraball points into the target spectrahedron.
+    Checks (1) and (3) compare against tol times max(1, the largest ||B_j||)
+    and max(1, the largest ||xi_j||_F).
     """
     report = VerificationReport("theorem")
     e, b = data.ball_tuple, data.target_tuple
     z, m = data.twist, data.change_of_basis
 
     conj = max(operator_norm(b[j] - m.conj().T @ z @ e[j] @ m) for j in range(e.g))
-    report.add("conjugation-identity", conj < tol, conj)
+    report.add("conjugation-identity", conj < tol * max(1.0, *map(operator_norm, b)), conj)
 
     sc = None
     try:
@@ -218,7 +220,8 @@ def verify_theorem(
 
     if sc is not None and sc_b is not None:
         gap = _tuple_distance(sc.xi, sc_b.xi)
-        report.add("constants-match", gap < tol, gap)
+        size = max(1.0, *np.linalg.norm(sc.xi.data, axis=(1, 2)))
+        report.add("constants-match", gap < tol * size, gap)
     else:
         report.add("constants-match", False, detail="not evaluated: constants missing")
 

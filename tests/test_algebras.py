@@ -21,12 +21,16 @@ from convexotonic import (
     pencil_structure_constants,
     structure_constants,
     transfer_residual,
+    type_i_tuple,
+    type_ii_tuple,
+    type_iii_tuple,
+    type_iv_tuple,
 )
 from conftest import random_triangular_algebra
 from convexotonic import algebras
 from convexotonic.algebras import _solve_constants
-from convexotonic.linalg import operator_norm
-from convexotonic.sampling import complex_gaussian
+from convexotonic.linalg import OrthonormalSpan, operator_norm
+from convexotonic.sampling import complex_gaussian, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -278,12 +282,154 @@ def test_closure_of_random_7x7_pair_is_convexotonic():
 
 
 def test_closure_multiplies_both_orders():
-    # E21 @ E12 = E22 is reached from the later element, E12 @ E21 = E11 only
-    # from the earlier one
+    # left multiplication reaches both orders: E21 @ E12 = E22 from the word
+    # E12, E12 @ E21 = E11 from the word E21
     closure = algebra_closure(MatrixTuple.from_matrices([E12, E12.T]))
     assert closure.appended_count == 2
     assert closure.extended.g == 4
     assert is_linearly_independent(closure.extended)
+
+
+def test_closure_of_7x7_pair_makes_g_products_per_element(monkeypatch):
+    # g products per element: the 2 generators join, then 2 products for each of 49
+    floors = []
+    add = OrthonormalSpan.add
+
+    def counted_add(self, vec, floor):
+        floors.append(floor)
+        return add(self, vec, floor)
+
+    monkeypatch.setattr(OrthonormalSpan, "add", counted_add)
+    J = algebra_closure(MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 7, 7))).extended
+    assert len(floors) <= 2 + 2 * 49
+    assert J.g == 49
+    assert structure_constants(J).convexotonic_residual <= 1e-12
+
+
+def pairs_closure(A, tol=1e-8):
+    """Reference: the all-pairs closure. When element i joins, its products
+    with elements 0..i are formed in both orders, and a product joins when its
+    remainder exceeds max(tol * ||product||_F, 1e-12)."""
+    d = A.rows
+    span = OrthonormalSpan(d * d)
+    for row in A.flatten():
+        assert span.add(row, tol * np.linalg.norm(row)) is not None
+    basis = list(A.data)
+    for i, new in enumerate(basis):
+        for k in range(i + 1):
+            products = [new @ basis[k]] if k == i else [new @ basis[k], basis[k] @ new]
+            for product in products:
+                unit = span.add(product, max(tol * np.linalg.norm(product), 1e-12))
+                if unit is not None:
+                    basis.append(unit.reshape(d, d))
+    return MatrixTuple.from_matrices(basis)
+
+
+def projector(T):
+    """Orthogonal projector onto the span of the flattened tuple."""
+    q = np.linalg.qr(T.flatten().T)[0]
+    return q @ q.conj().T
+
+
+def assert_closure_matches_pairs(A):
+    closure, reference = algebra_closure(A), pairs_closure(A)
+    assert closure.appended_count == reference.g - A.g
+    assert np.max(np.abs(projector(closure.extended) - projector(reference))) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
+        st.tuples(st.just("strict"), st.integers(3, 8)),
+    ),
+)
+@example(0, ("full", 6))
+@example(0, ("strict", 8))
+def test_closure_by_words_matches_all_pairs(seed, kind_and_d):
+    kind, d = kind_and_d
+    rng = np.random.default_rng(seed)
+    if kind == "strict":
+        A = MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))
+    elif kind == "similar":
+        # S = U diag(s) V with s in [1, 10], so cond(S) <= 10
+        s = random_unitary(rng, d) * rng.uniform(1, 10, d) @ random_unitary(rng, d)
+        A = MatrixTuple(np.linalg.solve(s, np.triu(complex_gaussian(rng, 2, d, d)) @ s))
+    else:
+        A = pair(seed, d, kind)
+    assert_closure_matches_pairs(A)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        MatrixTuple.from_matrices([E12, E12.T]),
+        MatrixTuple.from_matrices([type_i_tuple()[0]]),
+        MatrixTuple.from_matrices([np.eye(3)]),
+        type_i_tuple(),
+        type_ii_tuple(),
+        type_iii_tuple(),
+        type_iv_tuple(),
+    ],
+    ids=["e12-e21", "shift3", "eye3", "type-i", "type-ii", "type-iii", "type-iv"],
+)
+def test_closure_by_words_matches_all_pairs_examples(A):
+    assert_closure_matches_pairs(A)
+
+
+# --- the product rule is scale-free --------------------------------------------
+
+SCALES = (1e-13, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+SCALE_CASES = {
+    "full5": pair(7, 5, "full"),
+    "ut6": pair(7, 6, "ut"),
+    "strict6": MatrixTuple(np.triu(complex_gaussian(np.random.default_rng(7), 3, 6, 6), 1)),
+    "shift3": MatrixTuple.from_matrices([type_i_tuple()[0]]),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_CASES)
+def test_closure_dimension_does_not_depend_on_scale(name):
+    # every factor is unit-norm, so c cancels from each remainder test
+    A = SCALE_CASES[name]
+    unit = algebra_closure(A).appended_count
+    assert unit > 0
+    for c in SCALES:
+        assert algebra_closure(MatrixTuple(c * A.data)).appended_count == unit, c
+
+
+@pytest.mark.parametrize("name", SCALE_CASES)
+def test_scaled_closure_spans_a_convexotonic_algebra(name):
+    A = SCALE_CASES[name]
+    for c in SCALES:
+        J = algebra_closure(MatrixTuple(c * A.data)).extended
+        if c >= 1e-8:
+            assert is_convexotonic(structure_constants(J).xi), c
+        else:
+            # c-scale generators next to unit-norm appended elements fail
+            # the independence floor tol * max_i ||J_i||_F
+            with pytest.raises(DependentInput):
+                structure_constants(J)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_non_algebra_is_refused_at_every_scale(c):
+    # E12 @ E21 = E11 leaves the span by the full size of its factors
+    with pytest.raises(SpanViolation):
+        structure_constants(MatrixTuple(c * np.stack([E12, E12.T])))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("make", [type_iv_tuple, type_i_tuple], ids=["type-iv", "type-i"])
+def test_rotated_algebra_is_accepted_at_large_scale(make, c):
+    # rounding leaves B_2^2 of rotated type IV at ~6e-11 for c = 1e3: small
+    # next to its factors, not next to an absolute floor
+    E = make()
+    M = random_unitary(np.random.default_rng(3), E.rows)
+    B = MatrixTuple(M.conj().T @ (c * E.data) @ M)
+    assert is_convexotonic(structure_constants(B).xi)
 
 
 @settings(max_examples=20, deadline=None)
@@ -328,7 +474,7 @@ def test_constants_reshape_matches_loop():
     for k in range(g):
         for j in range(g):
             loop[j, k, :] = coeff[:, k * g + j]
-    xi, _ = _solve_constants(J, products, 1e-8, "test")
+    xi, _ = _solve_constants(J, J.data, J.data, 1e-8, "test")
     assert np.max(np.abs(xi.data - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 

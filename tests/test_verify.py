@@ -16,6 +16,7 @@ from convexotonic import (
     example_catalog,
     pencil_structure_constants,
     structure_constants,
+    type_i_tuple,
     type_iv_tuple,
     verify_ball_equality,
     verify_corollary,
@@ -141,6 +142,18 @@ def test_theorem_conjugated_data(e_tuple):
     assert report.passed
     # the conjugation identity forces equal pencil norms
     assert verify_ball_equality(e_tuple, b, samples=20, seed=13).passed
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e8])
+@pytest.mark.parametrize("make", [type_iv_tuple, type_i_tuple], ids=["type-iv", "type-i"])
+def test_theorem_checks_scale_with_the_data(make, c):
+    # planted B = M* (cE) M with Z = I; at c = 1e8 the constants of E and B
+    # differ by ~1.7e-8 against ||xi|| ~ 1e8, which an absolute tol refused
+    e = MatrixTuple(c * make().data)
+    m = random_unitary(np.random.default_rng(3), e.rows)
+    b = MatrixTuple(m.conj().T @ e.data @ m)
+    report = verify_theorem(TheoremData(e, b, np.eye(e.rows), m), samples=5)
+    assert report.passed, [ch.name for ch in report.checks if not ch.passed]
 
 
 # --- ball equality --------------------------------------------------------------
