@@ -302,6 +302,7 @@ def test_closure_of_7x7_pair_makes_g_products_per_element(monkeypatch):
     monkeypatch.setattr(OrthonormalSpan, "add", counted_add)
     J = algebra_closure(MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 7, 7))).extended
     assert len(floors) <= 2 + 2 * 49
+    assert set(floors[2:]) == {1e-8}  # unit factors: the product rule's bound is tol
     assert J.g == 49
     assert structure_constants(J).convexotonic_residual <= 1e-12
 
