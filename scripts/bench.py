@@ -11,9 +11,12 @@ upper-triangular d=6) and of a strictly upper-triangular 8x8 triple,
 is_linearly_independent and structure_constants on the closures of an
 upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
 pipeline on the same closures (structure constants, the map, and
-transfer_residual at level 2 with both signs),
-is_nilpotent on strictly upper-triangular triples, convexotonic_residual at
-g=49, and sv_probe at 200 trials on scalar-multiple pairs (d=3/4), direct sums
+transfer_residual at level 2 with both signs), structure_constants on the
+closures of full 8x8 and 10x10 pairs (g=64 and 100, where the exact residual
+takes seconds and the associativity bound certifies the constants),
+is_nilpotent on strictly upper-triangular triples, the exact
+convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
+pairs (d=3/4), direct sums
 of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
 (U, 2U) for a 3x3 unitary U, whose top singular value is never simple, and at
 2,000 trials on the near-degenerate (I_3, 1e-7 G), and the
@@ -136,6 +139,12 @@ def cases(cx, np):
         Y = cx.MatrixTuple(y / (4 * bound))
         out[f"pipeline.{name}"] = lambda B=B, Y=Y: pipeline(cx, cx.MatrixTuple(B.data), Y)
 
+    for d in (8, 10):
+        B = cx.algebra_closure(pair(cx, np, "full", d)).extended
+        out[f"structure_constants.full.d{d}.g{B.g}"] = lambda B=B: cx.structure_constants(
+            cx.MatrixTuple(B.data)
+        )
+
     for d in (10, 12, 16):
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
         out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
@@ -164,7 +173,8 @@ def cases(cx, np):
     A = cx.MatrixTuple.from_matrices([np.eye(3), noise])
     out["sv_probe.near_degenerate.d3"] = lambda A=A: cx.sv_probe(A, trials=2000, seed=42)
 
-    # an orthonormal basis of M_7 spans an algebra whatever the closure code does
+    # an orthonormal basis of M_7 spans an algebra whatever the closure code does;
+    # a copy of its constants has no associativity bound, so this times the exact path
     basis = np.linalg.qr(gaussian(np.random.default_rng(49), 49, 49))[0]
     xi = cx.structure_constants(cx.MatrixTuple(basis.T.reshape(49, 7, 7))).xi
     out["convexotonic_residual.m7.g49"] = lambda: cx.convexotonic_residual(

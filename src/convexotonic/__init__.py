@@ -39,7 +39,6 @@ from .domains import (
 from .errors import (
     DependentInput,
     DomainBreach,
-    NotHermitian,
     NotSquare,
     PencilError,
     ShapeMismatch,
@@ -64,7 +63,6 @@ from .linalg import (
     is_nilpotent,
     joint_kernel,
     kernel_basis,
-    min_eig_hermitian,
     operator_norm,
     pencil_eval,
 )

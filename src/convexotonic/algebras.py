@@ -4,10 +4,29 @@ A linearly independent square tuple J that spans an algebra determines unique
 coefficients with J[k] @ J[j] = sum_s xi[j][k, s] * J[s]; the resulting g-tuple
 of g x g coefficient matrices multiplies the same way against its own entries
 (it is "convexotonic"), which is what makes the rational maps in `maps` work.
+
+The exact residual of that law costs O(g^5) (convexotonic_residual); for the xi
+of structure_constants associativity bounds it in O(g^2) from the remainders
+R_kj = J_k J_j - sum_s xi_j[k, s] J_s. With Phi(v) = sum_s v_s J_s and the
+defect D_ji = xi_j xi_i - sum_s xi_i[j, s] xi_s, expanding (J_k J_j) J_i and
+J_k (J_j J_i) through R and equating the two gives
+
+    Phi(row k of D_ji) = -R_kj J_i + J_k R_ji - sum_s xi_j[k, s] R_si + sum_s xi_i[j, s] R_ks.
+
+Here ||Phi(v)||_F >= sigma ||v||, sigma the smallest singular value of the
+flattened J (and of its coordinates r on the span). Let rho_kj = ||R_kj||_F and
+a_i = ||J_i||_F. By ||AB||_F <= ||A||_F ||B||_F, Cauchy-Schwarz on the sums over
+s and the triangle inequality in l2 over k, sigma ||D_ji|| <= sigma ||D_ji||_F <=
+a_i ||rho[:, j]|| + ||a|| rho_ji + ||rho[:, i]|| ||xi_j||_F + ||rho||_F ||xi_i[j, :]||.
+The max over (j, i), plus g u max(1, max_j ||xi_j||_F^2) (u the unit roundoff)
+for the rounding of the defect as convexotonic_residual forms it, is the
+bound. Acceptance passes on it and computes the exact residual only when the
+bound is not decisive, so verdicts are those of the exact residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -18,7 +37,9 @@ from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
 
 # Certificates computed once per MatrixTuple object (hashed by identity) and
 # freed with it; failures raise and are never stored.
-_RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()  # xi -> convexotonic residual
+# xi -> [bound, residual]: the associativity bound of a solved xi (inf for any
+# other xi) and the exact convexotonic residual once computed (None before)
+_RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()
 _CONSTANTS: WeakKeyDictionary = WeakKeyDictionary()  # J -> {tol: StructureConstants}
 
 
@@ -55,12 +76,16 @@ class StructureConstants:
     """Coefficient tuple xi with the residuals certifying it.
 
     residual: max distance of a product from the span of the tuple.
-    convexotonic_residual: max defect of xi multiplying against itself.
+    convexotonic_residual: max defect of xi multiplying against itself,
+    computed on first read.
     """
 
     xi: MatrixTuple
     residual: float
-    convexotonic_residual: float
+
+    @property
+    def convexotonic_residual(self) -> float:
+        return convexotonic_residual(self.xi)
 
 
 @dataclass(frozen=True)
@@ -88,8 +113,9 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
     the maximum unchanged."""
     if not (xi.g == xi.rows == xi.cols):
         raise ShapeMismatch("expected a g-tuple of g x g matrices")
-    if xi in _RESIDUALS:
-        return _RESIDUALS[xi]
+    entry = _RESIDUALS.setdefault(xi, [math.inf, None])
+    if entry[1] is not None:
+        return entry[1]
     g = xi.g
     worst = 0.0
     for j in range(g):
@@ -101,7 +127,7 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
             if fro[k] <= worst:
                 break
             worst = max(worst, operator_norm(defect[k]))
-    _RESIDUALS[xi] = worst
+    entry[1] = worst
     return worst
 
 
@@ -113,22 +139,51 @@ def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
 
 
 def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
-    return convexotonic_residual(xi) <= convexotonic_bound(xi, tol)
+    """Whether convexotonic_residual(xi) <= convexotonic_bound(xi, tol), decided
+    by the associativity bound of a solved xi when that is within the limit."""
+    limit = convexotonic_bound(xi, tol)
+    return _RESIDUALS.get(xi, [math.inf])[0] <= limit or convexotonic_residual(xi) <= limit
+
+
+def _associativity_bound(J: MatrixTuple, xi: MatrixTuple, products, r) -> float:
+    """The bound of the module docstring on the convexotonic residual of xi,
+    the constants of J; turns products (J_k J_j in row k * g + j) into R_kj in
+    place and builds no g^3 temporary."""
+    g = J.g
+    flat = J.flatten()
+    rho = np.empty((g, g))
+    for k, rows in enumerate(products.reshape(g, g, -1)):
+        rows -= xi.data[:, k] @ flat  # xi.data[j, k, s] = xi_j[k, s]
+        rho[k] = np.linalg.norm(rows.view(float), axis=1)
+    real = xi.data.view(float)
+    rows_sq = np.einsum("jkt,jkt->jk", real, real)  # ||xi_j[k, :]||^2
+    a = np.linalg.norm(flat, axis=1)
+    cols = np.linalg.norm(rho, axis=0)
+    xi_sq = rows_sq.sum(axis=1)
+    blocks = np.outer(cols, a) + np.linalg.norm(a) * rho  # the four terms, at [j, i]
+    blocks += np.outer(np.sqrt(xi_sq), cols) + np.linalg.norm(rho) * np.sqrt(rows_sq).T
+    sigma = np.linalg.svd(r, compute_uv=False)[-1]
+    rounding = g * np.finfo(float).eps * max(1.0, float(np.max(xi_sq)))
+    return float(np.max(blocks) / sigma + rounding)
 
 
 def _solve_constants(
-    basis: MatrixTuple, left: np.ndarray, right: np.ndarray, tol: float, what: str
+    basis: MatrixTuple, tol: float, what: str, middle=None
 ) -> tuple[MatrixTuple, float]:
-    """Express every product left[k] @ right[j] in the basis; return xi and
-    the max residual. A product lies in the span when its remainder is at
-    most tol * ||left[k]||_F ||right[j]||_F, which no scaling changes. The
-    basis must be independent (DependentInput otherwise); its span has basis
-    = r @ q, so the coefficients x solve x @ r = (their coordinates on q).
+    """Express every product basis[k] @ middle @ basis[j] (no middle: the
+    plain product) in the basis; return xi and the max residual. A product
+    lies in the span when its remainder is at most tol times the Frobenius
+    norms of its two factors, which no scaling changes. The basis must be
+    independent (DependentInput otherwise); its span has basis = r @ q, so the
+    coefficients x solve x @ r = (their coordinates on q). Without a middle,
+    the associativity bound of xi goes into its _RESIDUALS entry.
     """
     g = basis.g
     span = _independent_span(basis, tol, what)
-    rhs = np.einsum("kab,jbc->kjac", left, right).reshape(g * g, -1)  # row k * g + j
-    coords, residuals = span.project(rhs)
+    left = basis.data
+    right = left if middle is None else middle @ left
+    products = np.einsum("kab,jbc->kjac", left, right).reshape(g * g, -1)  # row k * g + j
+    coords, residuals = span.project(products)
     factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
     bad = residuals > tol * factors.reshape(-1)
     if np.any(bad):
@@ -140,10 +195,12 @@ def _solve_constants(
             residual=worst,
         )
     r, _ = span.project(basis.flatten())
-    # coeff[s, k * g + j] is xi[j][k, s]
-    coeff = np.linalg.solve(r.T, coords.T)
-    xi = coeff.reshape(g, g, g).transpose(2, 1, 0)
-    return MatrixTuple(xi), float(np.max(residuals))
+    # solve(...)[s, k * g + j] is xi[j][k, s]
+    xi = MatrixTuple(np.linalg.solve(r.T, coords.T).reshape(g, g, g).transpose(2, 1, 0))
+    del coords
+    if middle is None:
+        _RESIDUALS[xi] = [_associativity_bound(basis, xi, products, r), None]
+    return xi, float(np.max(residuals))
 
 
 def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureConstants:
@@ -157,8 +214,7 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
         raise NotSquare("structure constants need a square tuple")
     known = _CONSTANTS.get(J, {})
     if tol not in known:
-        xi, residual = _solve_constants(J, J.data, J.data, tol, "structure constants")
-        known[tol] = StructureConstants(xi, residual, convexotonic_residual(xi))
+        known[tol] = StructureConstants(*_solve_constants(J, tol, "structure constants"))
         _CONSTANTS[J] = known
     return known[tol]
 
@@ -176,8 +232,7 @@ def pencil_structure_constants(
         raise ShapeMismatch(
             f"middle factor must be {F.cols} x {F.rows}, got {C.shape}"
         )
-    xi, residual = _solve_constants(F, F.data, C @ F.data, tol, "pencil structure constants")
-    return StructureConstants(xi, residual, convexotonic_residual(xi))
+    return StructureConstants(*_solve_constants(F, tol, "pencil structure constants", C))
 
 
 def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:

@@ -13,24 +13,10 @@ import sys
 from importlib import resources
 
 from . import jsonio
-from .algebras import (
-    algebra_closure,
-    pencil_structure_constants,
-    structure_constants,
-)
-from .domains import (
-    Spectraball,
-    Spectrahedron,
-    ball_membership,
-    spec_membership,
-)
+from .algebras import algebra_closure, pencil_structure_constants, structure_constants
+from .domains import Spectraball, Spectrahedron, ball_membership, spec_membership
 from .errors import (
-    DependentInput,
-    DomainBreach,
-    PencilError,
-    SingularPencil,
-    SpanViolation,
-    ZeroDirection,
+    DependentInput, DomainBreach, PencilError, SingularPencil, SpanViolation, ZeroDirection
 )
 from .genericity import sv_probe
 from .linalg import DEFAULT_TOL
@@ -42,13 +28,7 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 
-_NUMERICAL_ERRORS = (
-    DomainBreach,
-    SpanViolation,
-    SingularPencil,
-    DependentInput,
-    ZeroDirection,
-)
+_NUMERICAL_ERRORS = (DomainBreach, SpanViolation, SingularPencil, DependentInput, ZeroDirection)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,15 +56,16 @@ def _cmd_member(args) -> int:
         verdict = ball_membership(Spectraball(coeffs), point, args.tol)
     else:
         verdict = spec_membership(Spectrahedron(coeffs), point, args.tol)
-    _emit(
-        {
-            "kind": args.kind,
-            "location": verdict.location.value,
-            "margin": verdict.margin,
-            "tol": args.tol,
-        }
-    )
-    return EXIT_OK if verdict.location.value != "exterior" else EXIT_FAIL
+    location = verdict.location.value
+    _emit({"kind": args.kind, "location": location, "margin": verdict.margin, "tol": args.tol})
+    return EXIT_OK if location != "exterior" else EXIT_FAIL
+
+
+def _emit_constants(sc, **payload) -> int:
+    """Emit xi with its residuals (the convexotonic one exact) and payload."""
+    residuals = {"residual": sc.residual, "convexotonic_residual": sc.convexotonic_residual}
+    _emit({"xi": jsonio.tuple_to_obj(sc.xi), **residuals, **payload})
+    return EXIT_OK
 
 
 def _cmd_xi(args) -> int:
@@ -97,30 +78,12 @@ def _cmd_xi(args) -> int:
             "orthonormalized": list(closure.orthonormalized),
         }
         t = closure.extended
-    sc = structure_constants(t, args.tol)
-    payload.update(
-        {
-            "xi": jsonio.tuple_to_obj(sc.xi),
-            "residual": sc.residual,
-            "convexotonic_residual": sc.convexotonic_residual,
-        }
-    )
-    _emit(payload)
-    return EXIT_OK
+    return _emit_constants(structure_constants(t, args.tol), **payload)
 
 
 def _cmd_pencil_xi(args) -> int:
     t = _load_tuple(args.tuple)
-    middle = _load_matrix(args.middle)
-    sc = pencil_structure_constants(t, middle, args.tol)
-    _emit(
-        {
-            "xi": jsonio.tuple_to_obj(sc.xi),
-            "residual": sc.residual,
-            "convexotonic_residual": sc.convexotonic_residual,
-        }
-    )
-    return EXIT_OK
+    return _emit_constants(pencil_structure_constants(t, _load_matrix(args.middle), args.tol))
 
 
 def _cmd_eval(args) -> int:
@@ -279,10 +242,7 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except jsonio.JsonFormatError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (jsonio.JsonFormatError, FileNotFoundError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except _NUMERICAL_ERRORS as err:

@@ -13,10 +13,6 @@ class NotSquare(PencilError):
     """An operation requiring square matrices received a rectangular tuple."""
 
 
-class NotHermitian(PencilError):
-    """A matrix required to be Hermitian fails the tolerance check."""
-
-
 class ShapeMismatch(PencilError):
     """Array dimensions are inconsistent with the operation's contract."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainBreach, NotHermitian, NotSquare, ShapeMismatch, TupleLengthMismatch
+from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
 
 DEFAULT_TOL = 1e-8
 COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
@@ -179,20 +179,6 @@ def operator_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def min_eig_hermitian(m, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The input is symmetrized before the eigensolve to suppress roundoff drift;
-    inputs farther than tol * norm from Hermitian are rejected.
-    """
-    m = _as_complex_matrix(m)
-    drift = np.linalg.norm(m - m.conj().T)
-    if drift > tol * max(np.linalg.norm(m), 1e-300):
-        raise NotHermitian(f"matrix is not Hermitian within tolerance (drift {drift:.3e})")
-    sym = (m + m.conj().T) / 2
-    return float(np.linalg.eigvalsh(sym)[0])
 
 
 def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

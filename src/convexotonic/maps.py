@@ -7,12 +7,12 @@ levelwise on square matrix tuples and respects direct sums and similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .algebras import convexotonic_bound, convexotonic_residual, structure_constants
+from .algebras import convexotonic_residual, is_convexotonic, structure_constants
 from .errors import DomainBreach, ShapeMismatch
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, resolvent
 
@@ -32,17 +32,20 @@ class MapSign(str, Enum):
 @dataclass(frozen=True)
 class ConvexotonicMap:
     """A convexotonic tuple plus the sign selecting the map or its inverse;
-    xi is accepted up to convexotonic_bound(xi, construction_tol)."""
+    xi is accepted when is_convexotonic(xi, construction_tol)."""
 
     xi: MatrixTuple
     sign: MapSign = MapSign.MINUS
     construction_tol: float = DEFAULT_TOL
-    residual: float = field(init=False, compare=False)  # of xi
 
     def __post_init__(self):
-        object.__setattr__(self, "residual", convexotonic_residual(self.xi))
-        if self.residual > convexotonic_bound(self.xi, self.construction_tol):
+        if not is_convexotonic(self.xi, self.construction_tol):
             raise ValueError(f"tuple is not convexotonic (residual {self.residual:.3e})")
+
+    @property
+    def residual(self) -> float:
+        """The exact convexotonic residual of xi, computed on first read."""
+        return convexotonic_residual(self.xi)
 
     def inverse(self) -> "ConvexotonicMap":
         return replace(self, sign=self.sign.flipped())

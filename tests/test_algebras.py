@@ -28,7 +28,7 @@ from convexotonic import (
 )
 from conftest import random_triangular_algebra
 from convexotonic import algebras
-from convexotonic.algebras import _solve_constants
+from convexotonic.algebras import _solve_constants, convexotonic_bound
 from convexotonic.linalg import OrthonormalSpan, operator_norm
 from convexotonic.sampling import complex_gaussian, random_unitary
 
@@ -422,6 +422,44 @@ def test_non_algebra_is_refused_at_every_scale(c):
         structure_constants(MatrixTuple(c * np.stack([E12, E12.T])))
 
 
+def similarity(rng, d):
+    """S = U diag(s) V with s in [1, 10], so cond(S) <= 10."""
+    return random_unitary(rng, d) * rng.uniform(1, 10, d) @ random_unitary(rng, d)
+
+
+def certificate_verdicts(J):
+    """Independence, span, convexotonic and map acceptance of J; the
+    convexotonic verdict must come from the associativity bound alone."""
+    independent = is_linearly_independent(J)
+    try:
+        xi = structure_constants(J).xi
+    except SpanViolation:
+        return independent, False, None, None
+    convexotonic = is_convexotonic(xi)
+    try:
+        ConvexotonicMap(xi, MapSign.PLUS)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert algebras._RESIDUALS[xi][1] is None  # the exact residual never ran
+    return independent, True, convexotonic, accepted
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ut", "full"]), st.integers(2, 6))
+@example(0, "full", 6)
+def test_certificate_verdicts_do_not_depend_on_scale_or_similarity(seed, kind, d):
+    # a closed algebra passes every certificate; dropping its last element
+    # leaves an independent tuple whose products leave its span
+    J = algebra_closure(pair(seed, d, kind)).extended
+    s = similarity(np.random.default_rng(seed), d)
+    for T, want in ((J, (True, True, True, True)), (MatrixTuple(J.data[:-1]), (True, False, None, None))):
+        assert certificate_verdicts(T) == want
+        for c in SCALES:
+            assert certificate_verdicts(MatrixTuple(c * T.data)) == want, c
+        assert certificate_verdicts(MatrixTuple(np.linalg.solve(s, T.data @ s))) == want
+
+
 @pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
 @pytest.mark.parametrize("make", [type_iv_tuple, type_i_tuple], ids=["type-iv", "type-i"])
 def test_rotated_algebra_is_accepted_at_large_scale(make, c):
@@ -475,7 +513,7 @@ def test_constants_reshape_matches_loop():
     for k in range(g):
         for j in range(g):
             loop[j, k, :] = coeff[:, k * g + j]
-    xi, _ = _solve_constants(J, J.data, J.data, 1e-8, "test")
+    xi, _ = _solve_constants(J, 1e-8, "test")
     assert np.max(np.abs(xi.data - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
@@ -541,17 +579,19 @@ def svds_of_one_residual(counts, xi):
 
 
 def test_one_tuple_is_certified_once(counts):
-    # the algebra workload's sequence: constants, the map, both transfer signs
+    # the algebra workload's sequence: constants, the map, both transfer signs;
+    # acceptance passes on the associativity bound and runs no residual SVD
     J = algebra_closure(pair(5, 3, "ut")).extended
     sc = structure_constants(J)
-    ConvexotonicMap(sc.xi, MapSign.PLUS)
+    cmap = ConvexotonicMap(sc.xi, MapSign.PLUS)
     x = complex_gaussian(np.random.default_rng(5), J.g, 2, 2)
     point = MatrixTuple(x / (4 * np.linalg.norm(J.data) * np.linalg.norm(x)))
     for sign in (MapSign.PLUS, MapSign.MINUS):
         assert transfer_residual(J, point, sign) < 1e-12
     assert structure_constants(J) is sc
-    assert convexotonic_residual(sc.xi) == sc.convexotonic_residual
-    assert counts["solve"] == 1
+    assert counts == {"solve": 1, "svd": 0}
+    # the first read runs the exact residual once; later reads reuse it
+    assert sc.convexotonic_residual == cmap.residual == convexotonic_residual(sc.xi)
     svds = counts["svd"]
     assert svds == svds_of_one_residual(counts, sc.xi) > 0
 
@@ -559,12 +599,25 @@ def test_one_tuple_is_certified_once(counts):
 def test_equal_but_distinct_tuple_is_certified_again(counts):
     J = algebra_closure(pair(5, 3, "ut")).extended
     first = structure_constants(J)
-    svds = counts["svd"]
     second = structure_constants(MatrixTuple(J.data))
     assert first is not second
     assert np.array_equal(first.xi.data, second.xi.data)
-    assert counts == {"solve": 2, "svd": 2 * svds}
-    assert svds == svds_of_one_residual(counts, first.xi) > 0
+    assert counts == {"solve": 2, "svd": 0}
+    assert first.convexotonic_residual == second.convexotonic_residual
+    svds = svds_of_one_residual(counts, first.xi)
+    assert counts == {"solve": 2, "svd": 3 * svds} and svds > 0
+
+
+def test_full_d10_closure_is_certified_without_the_exact_residual(counts):
+    J = algebra_closure(pair(10, 10, "full")).extended
+    assert J.g == 100
+    sc = structure_constants(J)
+    ConvexotonicMap(sc.xi, MapSign.PLUS)
+    x = complex_gaussian(np.random.default_rng(10), J.g, 2, 2)
+    point = MatrixTuple(x / (4 * np.linalg.norm(J.data) * np.linalg.norm(x)))
+    for sign in (MapSign.PLUS, MapSign.MINUS):
+        assert transfer_residual(J, point, sign) < 1e-10
+    assert counts == {"solve": 1, "svd": 0}
 
 
 def test_failures_are_raised_on_every_call(counts):
@@ -624,3 +677,69 @@ def test_conjugated_square_zero_pair_is_accepted():
     assert 0.0 < np.max(np.abs(xi.data)) < 1e-14
     assert is_convexotonic(xi)
     assert ConvexotonicMap(xi, MapSign.PLUS).residual <= 1e-8
+
+
+# --- the associativity bound -------------------------------------------------
+
+def assert_bound_decides_like_the_residual(J):
+    """The bound stored for the constants of J is at least their exact
+    residual, and is_convexotonic and ConvexotonicMap give the verdict of
+    that residual at every tol, each on constants of its own."""
+    xi = structure_constants(MatrixTuple(J.data)).xi
+    bound = algebras._RESIDUALS[xi][0]
+    exact = convexotonic_residual(MatrixTuple(xi.data))  # a copy has no bound
+    assert exact <= bound
+    for tol in (1e-8, 1e-12, 1e-14, 1e-16):
+        verdict = exact <= convexotonic_bound(xi, tol)
+        assert is_convexotonic(structure_constants(MatrixTuple(J.data)).xi, tol) is verdict
+        try:
+            ConvexotonicMap(structure_constants(MatrixTuple(J.data)).xi, MapSign.PLUS, tol)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted is verdict, tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
+        st.tuples(st.just("nil"), st.integers(3, 8)),
+    ),
+)
+@example(0, ("full", 6))
+@example(0, ("nil", 8))
+def test_bound_covers_the_residual_of_closures(seed, kind_and_d):
+    kind, d = kind_and_d
+    rng = np.random.default_rng(seed)
+    if kind == "nil":
+        A = MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))
+    elif kind == "similar":
+        s = similarity(rng, d)
+        A = MatrixTuple(np.linalg.solve(s, np.triu(complex_gaussian(rng, 2, d, d)) @ s))
+    else:
+        A = pair(seed, d, kind)
+    assert_bound_decides_like_the_residual(algebra_closure(A).extended)
+
+
+@pytest.mark.parametrize(
+    "J",
+    [type_i_tuple(), type_ii_tuple(), type_iii_tuple(), type_iv_tuple(),
+     algebra_closure(MatrixTuple.from_matrices([E12, E12.T])).extended,
+     algebra_closure(MatrixTuple.from_matrices([type_i_tuple()[0]])).extended],
+    ids=["type-i", "type-ii", "type-iii", "type-iv", "m2", "shift3"],
+)
+def test_bound_covers_the_residual_of_the_catalog(J):
+    assert_bound_decides_like_the_residual(J)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6))
+def test_bound_covers_the_residual_of_conjugated_square_zero_pairs(seed, d):
+    # span{E1d, E2d} squares to zero: the constants are rounding noise
+    e1, e2 = np.zeros((d, d)), np.zeros((d, d))
+    e1[0, -1] = e2[1, -1] = 1.0
+    s = similarity(np.random.default_rng(seed), d)
+    J = MatrixTuple(np.linalg.solve(s, np.stack([e1, e2]) @ s))
+    assert_bound_decides_like_the_residual(J)

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from convexotonic import (
     DomainBreach,
     MatrixTuple,
-    NotHermitian,
     NotSquare,
     ShapeMismatch,
     SingularPencil,
@@ -16,7 +15,6 @@ from convexotonic import (
     is_nilpotent,
     joint_kernel,
     kernel_basis,
-    min_eig_hermitian,
     operator_norm,
     pencil_eval,
 )
@@ -264,26 +262,6 @@ def test_operator_norm_unitary_invariance(seed):
     m = rand_matrix(rng, 3)
     u, v = random_unitary(rng, 3), random_unitary(rng, 3)
     assert abs(operator_norm(u @ m @ v) - operator_norm(m)) < 1e-10
-
-
-def test_min_eig_values():
-    assert min_eig_hermitian(np.eye(3)) == pytest.approx(1.0)
-    assert min_eig_hermitian(np.ones((3, 3))) == pytest.approx(0.0, abs=1e-14)
-    m = np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=complex)
-    assert min_eig_hermitian(m) == pytest.approx(-1.0)
-
-
-def test_min_eig_unitary_invariance():
-    rng = np.random.default_rng(21)
-    m = rand_matrix(rng, 4)
-    m = m + m.conj().T
-    u = random_unitary(rng, 4)
-    assert abs(min_eig_hermitian(u.conj().T @ m @ u) - min_eig_hermitian(m)) < 1e-10
-
-
-def test_min_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        min_eig_hermitian(E12)
 
 
 # --- kernels and rank ------------------------------------------------------

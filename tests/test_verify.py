@@ -83,6 +83,16 @@ def test_harness_tol_governs_map_acceptance():
         assert check_map(report)["boundary-to-boundary"].samples > 0
 
 
+def test_properness_judges_the_round_trip_at_the_callers_tol():
+    # the accepted constants miss convexotonic by 3.2e-7, and the round trip
+    # misses X by up to 6.6e-6: over 1e-9, the old absolute bound, but within
+    # 1e-4 ||X||
+    report = check_map(verify_properness(perturbed_type_iv(), tol=1e-4))
+    for name in ("boundary-to-boundary", "interior-to-interior", "round-trip-identity"):
+        assert report[name].passed and report[name].samples > 0, name
+    assert report["round-trip-identity"].residual > 1e-6
+
+
 def test_theorem_skips_transport_of_non_convexotonic_constants(monkeypatch, e_tuple):
     monkeypatch.setattr(convexotonic.verify, "is_convexotonic", lambda xi, tol: False)
     report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=5)
