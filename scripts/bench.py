@@ -3,7 +3,9 @@
 
     python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
-Times pencil_eval, a type IV map call, transfer_residual and
+Times pencil_eval, map calls (type IV at levels 32-256, and the closures of
+an upper-triangular 3x3 pair at level 64, of an upper-triangular 6x6 pair at
+level 16 and of a full 7x7 pair at levels 4 and 16), transfer_residual and
 contraction_membership at level 2, spec_membership of the type IV tuple at
 level 128 (the size of the perfbench cli workload's `member` request), JSON
 parse and emit at level 128, algebra_closure of random pairs (full d=6/7/8,
@@ -11,7 +13,9 @@ upper-triangular d=6) and of a strictly upper-triangular 8x8 triple,
 is_linearly_independent and structure_constants on the closures of an
 upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
 pipeline on the same closures (structure constants, the map, and
-transfer_residual at level 2 with both signs), structure_constants on the
+transfer_residual at level 2 with both signs), closure and constants in one
+call on the same pairs (the constants reuse the closure's
+span), structure_constants on the
 closures of full 8x8 and 10x10 pairs (g=64 and 100, where the exact residual
 takes seconds and the associativity bound certifies the constants),
 is_nilpotent on strictly upper-triangular triples, the exact
@@ -24,7 +28,9 @@ verification harnesses: the example catalog at seed 42, properness of the type
 IV tuple and the corollary on the single 3x3 shift, both at 25 samples per
 level. Certificates are stored per tuple object, so the certifying cases
 (structure constants, residual, transfer, pipeline) get a fresh copy of their
-tuple on every call: they time the computation, not a stored result.
+tuple on every call: they time the computation, not a stored result. A
+map-call case calls one map, whose coordinate map (closures only) the
+warm-up call derives.
 
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
@@ -94,6 +100,13 @@ def cases(cx, np):
         norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
         X = cx.MatrixTuple(0.5 * x / norm)
         out[f"map_call.type_iv.n{n}"] = lambda X=X: q(X)
+    # closures have g > d, so their maps invert the d n x d n pencil of J
+    for kind, d, n in (("ut", 3, 64), ("ut", 6, 16), ("full", 7, 4), ("full", 7, 16)):
+        J = cx.algebra_closure(pair(cx, np, kind, d)).extended
+        cmap = cx.ConvexotonicMap(cx.structure_constants(J).xi, cx.MapSign.PLUS)
+        x = cx.MatrixTuple(gaussian(np.random.default_rng([d, n, 7]), J.g, n, n))
+        X = cx.MatrixTuple(0.5 * x.data / np.linalg.norm(cx.pencil_eval(J, x), 2))
+        out[f"map_call.{kind}{d}.g{J.g}.n{n}"] = lambda cmap=cmap, X=X: cmap(X)
 
     rng = np.random.default_rng(3)
     J = cx.algebra_closure(cx.MatrixTuple(np.triu(gaussian(rng, 2, 3, 3)))).extended
@@ -138,6 +151,10 @@ def cases(cx, np):
         bound = sum(np.linalg.norm(B[j]) * np.linalg.norm(y[j]) for j in range(B.g))
         Y = cx.MatrixTuple(y / (4 * bound))
         out[f"pipeline.{name}"] = lambda B=B, Y=Y: pipeline(cx, cx.MatrixTuple(B.data), Y)
+        A = pair(cx, np, kind, d)
+        out[f"closure_constants.{name}"] = lambda A=A: cx.structure_constants(
+            cx.algebra_closure(A).extended
+        )
 
     for d in (8, 10):
         B = cx.algebra_closure(pair(cx, np, "full", d)).extended

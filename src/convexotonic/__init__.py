@@ -69,7 +69,6 @@ from .linalg import (
 from .maps import (
     ConvexotonicMap,
     MapSign,
-    Realization,
     jacobian_at_zero,
     transfer_residual,
 )

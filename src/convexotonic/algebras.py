@@ -37,10 +37,12 @@ from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
 
 # Certificates computed once per MatrixTuple object (hashed by identity) and
 # freed with it; failures raise and are never stored.
-# xi -> [bound, residual]: the associativity bound of a solved xi (inf for any
-# other xi) and the exact convexotonic residual once computed (None before)
+# xi -> [bound, residual, algebra]: the associativity bound of a solved xi (inf
+# for any other xi), the exact convexotonic residual once computed (None
+# before), and what _coordinate_map reads (None for any other xi)
 _RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()
 _CONSTANTS: WeakKeyDictionary = WeakKeyDictionary()  # J -> {tol: StructureConstants}
+_SPANS: WeakKeyDictionary = WeakKeyDictionary()  # closure.extended -> (tol, its span)
 
 
 def _independent_span(T: MatrixTuple, tol: float, what: str) -> OrthonormalSpan:
@@ -113,7 +115,7 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
     the maximum unchanged."""
     if not (xi.g == xi.rows == xi.cols):
         raise ShapeMismatch("expected a g-tuple of g x g matrices")
-    entry = _RESIDUALS.setdefault(xi, [math.inf, None])
+    entry = _RESIDUALS.setdefault(xi, [math.inf, None, None])
     if entry[1] is not None:
         return entry[1]
     g = xi.g
@@ -174,12 +176,14 @@ def _solve_constants(
     plain product) in the basis; return xi and the max residual. A product
     lies in the span when its remainder is at most tol times the Frobenius
     norms of its two factors, which no scaling changes. The basis must be
-    independent (DependentInput otherwise); its span has basis = r @ q, so the
-    coefficients x solve x @ r = (their coordinates on q). Without a middle,
-    the associativity bound of xi goes into its _RESIDUALS entry.
+    independent (DependentInput otherwise), or a closure's extended tuple,
+    whose span algebra_closure certified at a tol no smaller; basis = r @ q,
+    so the coefficients x solve x @ r = (their coordinates on q). Without a
+    middle, the associativity bound of xi goes into its _RESIDUALS entry.
     """
     g = basis.g
-    span = _independent_span(basis, tol, what)
+    closed = _SPANS.get(basis, (-math.inf, None))
+    span = closed[1] if tol <= closed[0] else _independent_span(basis, tol, what)
     left = basis.data
     right = left if middle is None else middle @ left
     products = np.einsum("kab,jbc->kjac", left, right).reshape(g * g, -1)  # row k * g + j
@@ -199,7 +203,8 @@ def _solve_constants(
     xi = MatrixTuple(np.linalg.solve(r.T, coords.T).reshape(g, g, g).transpose(2, 1, 0))
     del coords
     if middle is None:
-        _RESIDUALS[xi] = [_associativity_bound(basis, xi, products, r), None]
+        bound = _associativity_bound(basis, xi, products, r)
+        _RESIDUALS[xi] = [bound, None, basis.data if basis.rows < g else None]
     return xi, float(np.max(residuals))
 
 
@@ -217,6 +222,28 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
         known[tol] = StructureConstants(*_solve_constants(J, tol, "structure constants"))
         _CONSTANTS[J] = known
     return known[tol]
+
+
+def _coordinate_map(xi: MatrixTuple):
+    """(J, picks, coords) for the xi that structure_constants solved from a J
+    with fewer rows than elements (None for any other xi), derived from J's
+    data on first use: a copy of J, g flat entries picked by column-pivoted
+    Gram-Schmidt on the flattened J, and the inverse of the transposed g x g
+    block at them, which maps those entries of sum_i J_i y_i to y."""
+    entry = _RESIDUALS.get(xi)
+    if entry is None or entry[2] is None:
+        return None
+    if isinstance(entry[2], np.ndarray):
+        J = MatrixTuple(entry[2])
+        flat = J.flatten()
+        rest, picks = flat.copy(), []
+        for _ in range(J.g):
+            k = int(np.argmax(np.linalg.norm(rest, axis=0)))
+            unit = rest[:, k] / np.linalg.norm(rest[:, k])
+            rest -= np.outer(unit, unit.conj() @ rest)
+            picks.append(k)
+        entry[2] = (J, np.array(picks), np.linalg.inv(flat[:, picks]).T)
+    return entry[2]
 
 
 def pencil_structure_constants(
@@ -254,4 +281,6 @@ def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
             unit = span.add(product, tol)
             if unit is not None:
                 words.append(unit.reshape(d, d))
-    return AlgebraClosure(MatrixTuple.from_matrices([*A, *words[A.g :]]), len(words) - A.g)
+    extended = MatrixTuple.from_matrices([*A, *words[A.g :]])
+    _SPANS[extended] = (tol, span)
+    return AlgebraClosure(extended, len(words) - A.g)

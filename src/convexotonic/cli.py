@@ -116,12 +116,7 @@ def _cmd_sv_probe(args) -> int:
     t = _load_tuple(args.tuple)
     result = sv_probe(t, trials=args.trials, seed=args.seed, tol=args.tol)
     if result.status == "certified":
-        _emit(
-            {
-                "result": "certified",
-                "certificate": jsonio.certificate_to_obj(result.certificate),
-            }
-        )
+        _emit({"result": "certified", "certificate": jsonio.certificate_to_obj(result.certificate)})
         return EXIT_OK
     if result.status == "rejected":
         _emit({"result": "rejected", "reasons": list(result.conditions.reasons)})

@@ -85,11 +85,7 @@ def _dim(obj, key: str, where: str) -> int:
 
 def matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": _pairs(m),
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _pairs(m)}
 
 
 def obj_to_matrix(obj, where: str = "matrix") -> np.ndarray:
@@ -101,12 +97,7 @@ def obj_to_matrix(obj, where: str = "matrix") -> np.ndarray:
 
 
 def tuple_to_obj(t: MatrixTuple) -> dict:
-    return {
-        "g": t.g,
-        "rows": t.rows,
-        "cols": t.cols,
-        "matrices": _pairs(t.data),
-    }
+    return {"g": t.g, "rows": t.rows, "cols": t.cols, "matrices": _pairs(t.data)}
 
 
 def obj_to_tuple(obj, where: str = "tuple") -> MatrixTuple:
@@ -127,11 +118,7 @@ def obj_to_tuple(obj, where: str = "tuple") -> MatrixTuple:
 def certificate_to_obj(cert: GenericityCertificate) -> dict:
     def points(items):
         return [
-            {
-                "point": _pairs(kp.point),
-                "kernel_vector": _pairs(kp.kernel_vector),
-            }
-            for kp in items
+            {"point": _pairs(kp.point), "kernel_vector": _pairs(kp.kernel_vector)} for kp in items
         ]
 
     return {
@@ -150,9 +137,7 @@ def load_document(path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise JsonFormatError(
-            f"{path}:{err.lineno}:{err.colno}: {err.msg}"
-        ) from err
+        raise JsonFormatError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
 
 
 def dumps(payload) -> str:

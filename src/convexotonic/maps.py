@@ -1,4 +1,4 @@
-"""Convexotonic rational maps, realizations, and the pencil transfer identity.
+"""Convexotonic rational maps and the pencil transfer identity.
 
 The map with tuple xi and sign `minus` sends x to x (I - pencil_xi(x))^{-1};
 the `plus` sign flips the pencil and yields the inverse map. Evaluation is
@@ -12,8 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebras import convexotonic_residual, is_convexotonic, structure_constants
-from .errors import DomainBreach, ShapeMismatch
+from .algebras import _coordinate_map, convexotonic_residual, is_convexotonic, structure_constants
+from .errors import DomainBreach
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, resolvent
 
 
@@ -52,45 +52,35 @@ class ConvexotonicMap:
 
     def domain_check(self, X: MatrixTuple) -> bool:
         """True iff the map is defined at X, i.e. calling it raises no DomainBreach."""
+        route = _coordinate_map(self.xi)
         try:
-            resolvent(self.xi, X, self.sign.factor, "defining pencil")
+            resolvent(route[0] if route else self.xi, X, self.sign.factor, "defining pencil")
         except DomainBreach:
             return False
         return True
 
     def __call__(self, X: MatrixTuple) -> MatrixTuple:
-        """Evaluate levelwise: component i is sum_j X[j] @ inv(M) block (j, i),
-        M = I -/+ pencil_xi(X) the defining pencil.
+        """Evaluate levelwise. When xi came from structure_constants(J) with
+        fewer rows d than elements g, read p(X) off g of the n x n blocks of
+        pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X) (each a
+        block row of inv(M) times a block column); otherwise go through xi."""
+        route = _coordinate_map(self.xi)
+        if route is None:
+            return self._through_xi(X)
+        J, picks, coords = route
+        inv, lam = resolvent(J, X, self.sign.factor, "defining pencil")
+        d, n = J.rows, X.rows
+        rows, cols = np.divmod(picks, d)
+        blocks = inv.reshape(d, n, d * n)[rows] @ lam.reshape(d * n, d, n)[:, cols].transpose(1, 0, 2)
+        return MatrixTuple(np.tensordot(coords, blocks, axes=1))
 
-        That is the single product of the row block [X[0] ... X[g-1]] with
-        inv(M), cut into its g column blocks.
-        """
+    def _through_xi(self, X: MatrixTuple) -> MatrixTuple:
+        """The single product of the row block [X[0] ... X[g-1]] with inv(M),
+        M = I -/+ pencil_xi(X), cut into its g column blocks."""
         inv = resolvent(self.xi, X, self.sign.factor, "defining pencil")[0]
         g, n = X.g, X.rows
         row = X.data.transpose(1, 0, 2).reshape(n, g * n) @ inv
         return MatrixTuple(row.reshape(n, g, n).transpose(1, 0, 2))
-
-
-@dataclass(frozen=True)
-class Realization:
-    """A free rational function r(x) = c* (I - pencil_S(x))^{-1} b."""
-
-    S: MatrixTuple
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
-        c = np.asarray(self.c, dtype=complex).reshape(-1)
-        if not self.S.is_square or b.size != self.S.rows or c.size != self.S.rows:
-            raise ShapeMismatch("state tuple and vectors must share one size")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def __call__(self, X: MatrixTuple) -> np.ndarray:
-        inv = resolvent(self.S, X, -1.0, "realization pencil")[0]
-        d, n = self.S.rows, X.rows
-        return np.einsum("a,apbq,b->pq", self.c.conj(), inv.reshape(d, n, d, n), self.b)
 
 
 def transfer_residual(
@@ -100,9 +90,10 @@ def transfer_residual(
 
     With xi the structure constants of J and y the image of X under the map
     (xi, sign), returns || pencil_J(y) - (I -/+ pencil_J(X))^{-1} pencil_J(X) ||,
-    the pencil sign matching the map sign.
+    the pencil sign matching the map sign. y is evaluated through xi, since the
+    identity holds by construction for an image read off the pencil of J.
     """
-    image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)(X)
+    image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)._through_xi(X)
     inv, lam = resolvent(J, X, sign.factor, "transfer pencil")
     return operator_norm(pencil_eval(J, image) - inv @ lam)
 

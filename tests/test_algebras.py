@@ -349,17 +349,41 @@ def assert_closure_matches_pairs(A):
 @example(0, ("full", 6))
 @example(0, ("strict", 8))
 def test_closure_by_words_matches_all_pairs(seed, kind_and_d):
-    kind, d = kind_and_d
+    assert_closure_matches_pairs(oracle_input(seed, *kind_and_d))
+
+
+def oracle_input(seed, kind, d):
+    """The closure oracle's inputs: a strictly upper-triangular triple, an
+    upper-triangular pair conjugated by S with cond(S) <= 10, or a pair."""
     rng = np.random.default_rng(seed)
     if kind == "strict":
-        A = MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))
-    elif kind == "similar":
+        return MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))
+    if kind == "similar":
         # S = U diag(s) V with s in [1, 10], so cond(S) <= 10
         s = random_unitary(rng, d) * rng.uniform(1, 10, d) @ random_unitary(rng, d)
-        A = MatrixTuple(np.linalg.solve(s, np.triu(complex_gaussian(rng, 2, d, d)) @ s))
-    else:
-        A = pair(seed, d, kind)
-    assert_closure_matches_pairs(A)
+        return MatrixTuple(np.linalg.solve(s, np.triu(complex_gaussian(rng, 2, d, d)) @ s))
+    return pair(seed, d, kind)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
+        st.tuples(st.just("strict"), st.integers(3, 8)),
+    ),
+)
+@example(0, ("full", 6))
+@example(0, ("strict", 8))
+def test_closure_constants_match_the_rebuilt_span(seed, kind_and_d):
+    # the constants of a closure reuse the span it grew; an equal copy of the
+    # closure rebuilds that span element by element
+    J = algebra_closure(oracle_input(seed, *kind_and_d)).extended
+    reused, rebuilt = structure_constants(J), structure_constants(MatrixTuple(J.data))
+    assert np.max(np.abs(reused.xi.data - rebuilt.xi.data)) <= 1e-12 * max(
+        1.0, np.max(np.abs(rebuilt.xi.data))
+    )
+    assert abs(reused.residual - rebuilt.residual) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -403,16 +427,12 @@ def test_closure_dimension_does_not_depend_on_scale(name):
 
 @pytest.mark.parametrize("name", SCALE_CASES)
 def test_scaled_closure_spans_a_convexotonic_algebra(name):
+    # c-scale generators sit next to unit-norm appended elements; the
+    # constants reuse the span the closure certified element by element
     A = SCALE_CASES[name]
     for c in SCALES:
         J = algebra_closure(MatrixTuple(c * A.data)).extended
-        if c >= 1e-8:
-            assert is_convexotonic(structure_constants(J).xi), c
-        else:
-            # c-scale generators next to unit-norm appended elements fail
-            # the independence floor tol * max_i ||J_i||_F
-            with pytest.raises(DependentInput):
-                structure_constants(J)
+        assert is_convexotonic(structure_constants(J).xi), c
 
 
 @pytest.mark.parametrize("c", SCALES)
@@ -597,7 +617,8 @@ def test_one_tuple_is_certified_once(counts):
 
 
 def test_equal_but_distinct_tuple_is_certified_again(counts):
-    J = algebra_closure(pair(5, 3, "ut")).extended
+    # a copy of the closure, so that neither solve reuses the closure's span
+    J = MatrixTuple(algebra_closure(pair(5, 3, "ut")).extended.data)
     first = structure_constants(J)
     second = structure_constants(MatrixTuple(J.data))
     assert first is not second

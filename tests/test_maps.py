@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,14 +9,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import convexotonic.algebras
+from convexotonic import maps
 from convexotonic import (
     ConvexotonicMap,
     DomainBreach,
     MapSign,
     MatrixTuple,
     NotSquare,
-    Realization,
     Spectrahedron,
+    algebra_closure,
     boundary_scale,
     jacobian_at_zero,
     pencil_eval,
@@ -23,6 +26,7 @@ from convexotonic import (
     type_iv_tuple,
 )
 from conftest import corpus_algebras, random_triangular_algebra
+from convexotonic.algebras import _coordinate_map
 from convexotonic.sampling import complex_gaussian, random_direction, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -150,46 +154,6 @@ def test_composition_is_identity(e_tuple):
         assert tuple_gap(q(p(x)), x) < 1e-9
 
 
-# --- realizations -------------------------------------------------------------
-
-def test_realization_constant():
-    r = Realization(MatrixTuple.zeros(2, 3), b=np.ones(3), c=np.ones(3))
-    rng = np.random.default_rng(2)
-    x = MatrixTuple(complex_gaussian(rng, 2, 2, 2))
-    assert_allclose(r(x), 3.0 * np.eye(2), atol=1e-14)
-
-
-def test_realization_geometric_series():
-    r = Realization(MatrixTuple.scalar([1]), b=np.ones(1), c=np.ones(1))
-    assert r(scalar(0.5))[0, 0] == pytest.approx(2.0)
-
-
-def test_realization_components_assemble_map(e_tuple):
-    rng = np.random.default_rng(3)
-    x = corpus_point(rng, e_tuple, 2)
-    q = ConvexotonicMap(e_tuple, MapSign.MINUS)
-    image = q(x)
-    basis = np.eye(2)
-    for i in range(2):
-        assembled = np.zeros((2, 2), dtype=complex)
-        for s in range(2):
-            r = Realization(e_tuple, b=basis[i], c=basis[s])
-            assembled += x[s] @ r(x)
-        assert np.linalg.norm(assembled - image[i]) < 1e-11
-
-
-def test_realization_rectangular_point_is_refused(e_tuple):
-    r = Realization(e_tuple, b=np.ones(2), c=np.ones(2))
-    with pytest.raises(NotSquare):
-        r(MatrixTuple(np.zeros((2, 2, 3))))
-
-
-def test_realization_breach():
-    r = Realization(MatrixTuple.scalar([1]), b=np.ones(1), c=np.ones(1))
-    with pytest.raises(DomainBreach):
-        r(scalar(1.0))
-
-
 # --- transfer identity ---------------------------------------------------------
 
 def test_transfer_zero_point(f_tuple):
@@ -243,6 +207,144 @@ def test_transfer_across_corpus():
             x = corpus_point(rng, J, n)
             for sign in (MapSign.PLUS, MapSign.MINUS):
                 assert transfer_residual(J, x, sign) < 1e-9
+
+
+# --- the algebra route ----------------------------------------------------------
+
+def closure_of(seed, kind, d):
+    """The closure of a random pair (ut: upper-triangular, full) or of a
+    strictly upper-triangular triple (strict)."""
+    rng = np.random.default_rng(seed)
+    if kind == "strict":
+        return algebra_closure(MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))).extended
+    A = complex_gaussian(rng, 2, d, d)
+    return algebra_closure(MatrixTuple(np.triu(A) if kind == "ut" else A)).extended
+
+
+def refused(f, X):
+    try:
+        f(X)
+    except DomainBreach:
+        return True
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.just("ut"), st.integers(2, 6)),
+        st.tuples(st.just("full"), st.integers(2, 5)),
+        st.tuples(st.just("strict"), st.integers(4, 7)),
+    ),
+    st.integers(1, 4),
+)
+@example(0, ("ut", 6), 4)
+@example(0, ("full", 5), 4)
+@example(0, ("strict", 7), 4)
+def test_algebra_route_matches_xi_route(seed, kind_and_d, n):
+    J = closure_of(seed, *kind_and_d)
+    xi = structure_constants(J).xi
+    assert J.rows < J.g and _coordinate_map(xi) is not None
+    x = MatrixTuple(complex_gaussian(np.random.default_rng(seed), J.g, n, n))
+    # ||pencil_J(X)|| = 1/2 keeps both signs well inside the domain
+    X = MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(J, x), 2))
+    for sign in MapSign:
+        cmap = ConvexotonicMap(xi, sign)
+        expected = cmap._through_xi(X)
+        assert np.linalg.norm(cmap(X).data - expected.data) <= 1e-12 * np.linalg.norm(expected.data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.sampled_from(["ut", "full"]), st.integers(2, 5)),
+    st.integers(1, 4),
+)
+@example(0, ("full", 5), 4)
+def test_routes_refuse_the_same_points_along_rays(seed, kind_and_d, n):
+    # the closures are unital, so I - t pencil_J(X) and I - t pencil_xi(X) are
+    # singular at the same t; scaled by its largest eigenvalue, X puts it at 1.
+    # Measured on such rays, the two refuse differently only for
+    # 1e-12 < |t - 1| <= 1e-9, where the g n x g n pencil of xi is the worse
+    # conditioned one
+    J = closure_of(seed, *kind_and_d)
+    q = ConvexotonicMap(structure_constants(J).xi, MapSign.MINUS)
+    x = complex_gaussian(np.random.default_rng(seed), J.g, n, n)
+    eig = np.linalg.eigvals(pencil_eval(J, MatrixTuple(x)))
+    ray = x / eig[np.argmax(np.abs(eig))]
+    for delta in (-0.1, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.1):
+        point = MatrixTuple((1 + delta) * ray)
+        assert refused(q, point) is refused(q._through_xi, point) is (delta == 0.0), delta
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3))
+def test_algebra_route_domain_check_agrees_with_call(seed, d, n):
+    J = closure_of(seed, "full", d)
+    q = ConvexotonicMap(structure_constants(J).xi, MapSign.MINUS)
+    x = complex_gaussian(np.random.default_rng(seed), J.g, n, n)
+    eig = np.linalg.eigvals(pencil_eval(J, MatrixTuple(x)))
+    ray = x / eig[np.argmax(np.abs(eig))]
+    outcomes = set()
+    for e in range(1, 17):
+        point = MatrixTuple((1 + 10.0**-e) * ray)
+        outcomes.add(q.domain_check(point))
+        assert q.domain_check(point) is not refused(q, point), e
+    assert outcomes == {True, False}
+
+
+def pencil_sizes(monkeypatch):
+    """The size of every pencil that maps inverts while the test runs."""
+    sizes = []
+    original = maps.resolvent
+
+    def counted(coeffs, point, *args, **kwargs):
+        sizes.append(coeffs.rows * point.rows)
+        return original(coeffs, point, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "resolvent", counted)
+    return sizes
+
+
+def test_transfer_inverts_one_pencil_of_xi_and_one_of_j(monkeypatch):
+    J = closure_of(3, "ut", 3)
+    x = MatrixTuple(1e-2 * complex_gaussian(np.random.default_rng(4), J.g, 2, 2))
+    sizes = pencil_sizes(monkeypatch)
+    transfer_residual(J, x, MapSign.PLUS)
+    assert sizes == [J.g * 2, J.rows * 2]
+
+
+def test_algebra_route_outlives_the_algebra_tuple(monkeypatch):
+    J = closure_of(3, "ut", 3)
+    sc = structure_constants(J)
+    ref = weakref.ref(J)
+    del J
+    gc.collect()
+    assert ref() is None
+    q = ConvexotonicMap(sc.xi, MapSign.PLUS)
+    x = MatrixTuple(1e-2 * complex_gaussian(np.random.default_rng(4), q.xi.g, 2, 2))
+    sizes = pencil_sizes(monkeypatch)
+    image = q(x)
+    assert q.domain_check(x)
+    assert sizes == [3 * 2, 3 * 2]
+    expected = q._through_xi(x)
+    assert np.linalg.norm(image.data - expected.data) <= 1e-12 * np.linalg.norm(expected.data)
+
+
+@pytest.mark.parametrize("J", corpus_algebras()[:4], ids=["type-i", "type-ii", "type-iii", "type-iv"])
+def test_tuples_with_g_at_most_d_keep_the_xi_route(J):
+    assert J.g <= J.rows
+    assert _coordinate_map(structure_constants(J).xi) is None
+
+
+def test_constants_not_solved_from_an_algebra_keep_the_xi_route():
+    J = closure_of(3, "ut", 3)
+    xi = structure_constants(J).xi
+    parsed = MatrixTuple(xi.data)  # as eval --xi reads it
+    sandwiched = convexotonic.algebras.pencil_structure_constants(J, np.eye(3)).xi
+    assert _coordinate_map(xi) is not None
+    assert _coordinate_map(parsed) is None and _coordinate_map(sandwiched) is None
 
 
 # --- domain checks --------------------------------------------------------------
