@@ -14,10 +14,10 @@ is_linearly_independent and structure_constants on the closures of an
 upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
 pipeline on the same closures (structure constants, the map, and
 transfer_residual at level 2 with both signs), closure and constants in one
-call on the same pairs (the constants reuse the closure's
-span), structure_constants on the
-closures of full 8x8 and 10x10 pairs (g=64 and 100, where the exact residual
-takes seconds and the associativity bound certifies the constants),
+call on the same pairs (the constants reuse the closure's span),
+structure_constants on the closures of full 8x8 and 10x10 pairs (g=64 and
+100, where the exact residual takes seconds and the associativity bound
+certifies the constants),
 is_nilpotent on strictly upper-triangular triples, the exact
 convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
 pairs (d=3/4), direct sums

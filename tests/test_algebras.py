@@ -338,18 +338,10 @@ def assert_closure_matches_pairs(A):
     assert np.max(np.abs(projector(closure.extended) - projector(reference))) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.one_of(
-        st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
-        st.tuples(st.just("strict"), st.integers(3, 8)),
-    ),
+ORACLE_KINDS = st.one_of(
+    st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
+    st.tuples(st.just("strict"), st.integers(3, 8)),
 )
-@example(0, ("full", 6))
-@example(0, ("strict", 8))
-def test_closure_by_words_matches_all_pairs(seed, kind_and_d):
-    assert_closure_matches_pairs(oracle_input(seed, *kind_and_d))
 
 
 def oracle_input(seed, kind, d):
@@ -365,20 +357,23 @@ def oracle_input(seed, kind, d):
     return pair(seed, d, kind)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), ORACLE_KINDS)
+@example(0, ("full", 6))
+@example(0, ("strict", 8))
+def test_closure_by_words_matches_all_pairs(seed, kind_and_d):
+    assert_closure_matches_pairs(oracle_input(seed, *kind_and_d))
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.one_of(
-        st.tuples(st.sampled_from(["ut", "full", "similar"]), st.integers(2, 6)),
-        st.tuples(st.just("strict"), st.integers(3, 8)),
-    ),
-)
+@given(st.integers(0, 2**32 - 1), ORACLE_KINDS)
 @example(0, ("full", 6))
 @example(0, ("strict", 8))
 def test_closure_constants_match_the_rebuilt_span(seed, kind_and_d):
     # the constants of a closure reuse the span it grew; an equal copy of the
     # closure rebuilds that span element by element
     J = algebra_closure(oracle_input(seed, *kind_and_d)).extended
+    assert J in algebras._SPANS
     reused, rebuilt = structure_constants(J), structure_constants(MatrixTuple(J.data))
     assert np.max(np.abs(reused.xi.data - rebuilt.xi.data)) <= 1e-12 * max(
         1.0, np.max(np.abs(rebuilt.xi.data))

@@ -221,6 +221,14 @@ def closure_of(seed, kind, d):
     return algebra_closure(MatrixTuple(np.triu(A) if kind == "ut" else A)).extended
 
 
+def singular_ray(J, seed, n):
+    """A level-n direction X with I - t pencil_J(X) singular at t = 1: a
+    random one divided by the largest eigenvalue of its pencil."""
+    x = complex_gaussian(np.random.default_rng(seed), J.g, n, n)
+    eig = np.linalg.eigvals(pencil_eval(J, MatrixTuple(x)))
+    return x / eig[np.argmax(np.abs(eig))]
+
+
 def refused(f, X):
     try:
         f(X)
@@ -264,15 +272,12 @@ def test_algebra_route_matches_xi_route(seed, kind_and_d, n):
 @example(0, ("full", 5), 4)
 def test_routes_refuse_the_same_points_along_rays(seed, kind_and_d, n):
     # the closures are unital, so I - t pencil_J(X) and I - t pencil_xi(X) are
-    # singular at the same t; scaled by its largest eigenvalue, X puts it at 1.
-    # Measured on such rays, the two refuse differently only for
-    # 1e-12 < |t - 1| <= 1e-9, where the g n x g n pencil of xi is the worse
-    # conditioned one
+    # singular at the same t. Measured on such rays, the two refuse
+    # differently only for 1e-12 < |t - 1| <= 1e-9, where the g n x g n
+    # pencil of xi is the worse conditioned one
     J = closure_of(seed, *kind_and_d)
     q = ConvexotonicMap(structure_constants(J).xi, MapSign.MINUS)
-    x = complex_gaussian(np.random.default_rng(seed), J.g, n, n)
-    eig = np.linalg.eigvals(pencil_eval(J, MatrixTuple(x)))
-    ray = x / eig[np.argmax(np.abs(eig))]
+    ray = singular_ray(J, seed, n)
     for delta in (-0.1, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.1):
         point = MatrixTuple((1 + delta) * ray)
         assert refused(q, point) is refused(q._through_xi, point) is (delta == 0.0), delta
@@ -283,9 +288,7 @@ def test_routes_refuse_the_same_points_along_rays(seed, kind_and_d, n):
 def test_algebra_route_domain_check_agrees_with_call(seed, d, n):
     J = closure_of(seed, "full", d)
     q = ConvexotonicMap(structure_constants(J).xi, MapSign.MINUS)
-    x = complex_gaussian(np.random.default_rng(seed), J.g, n, n)
-    eig = np.linalg.eigvals(pencil_eval(J, MatrixTuple(x)))
-    ray = x / eig[np.argmax(np.abs(eig))]
+    ray = singular_ray(J, seed, n)
     outcomes = set()
     for e in range(1, 17):
         point = MatrixTuple((1 + 10.0**-e) * ray)
@@ -330,6 +333,21 @@ def test_algebra_route_outlives_the_algebra_tuple(monkeypatch):
     assert sizes == [3 * 2, 3 * 2]
     expected = q._through_xi(x)
     assert np.linalg.norm(image.data - expected.data) <= 1e-12 * np.linalg.norm(expected.data)
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_algebra_route_evaluates_closures_at_every_scale(c):
+    # the closure of c A puts c-scale generators next to unit-norm appended
+    # elements; xi then mixes both scales, and for c far from 1 its pencil is
+    # numerically singular at these points, while the pencil of J is not
+    rng = np.random.default_rng(7)
+    J = algebra_closure(MatrixTuple(c * complex_gaussian(rng, 2, 5, 5))).extended
+    q = ConvexotonicMap(structure_constants(J).xi, MapSign.PLUS)
+    x = MatrixTuple(complex_gaussian(rng, J.g, 3, 3))
+    X = MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(J, x), 2))
+    inv, lam = maps.resolvent(J, X, 1.0, "transfer pencil")
+    expected = inv @ lam
+    assert np.linalg.norm(pencil_eval(J, q(X)) - expected, 2) <= 1e-12 * np.linalg.norm(expected, 2)
 
 
 @pytest.mark.parametrize("J", corpus_algebras()[:4], ids=["type-i", "type-ii", "type-iii", "type-iv"])
