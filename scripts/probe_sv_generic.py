@@ -50,6 +50,8 @@ def main():
         line = f"seed {seed}: {result.status} after {result.trials_used} trials"
         if result.status == "rejected":
             line += f" (reasons: {', '.join(result.conditions.reasons)})"
+        elif result.status == "inconclusive":
+            line += f" ({result.reason})"
         elif result.certificate is not None:
             line += (
                 f" (hyperbasis margin {result.certificate.hyperbasis_margin:.3e},"

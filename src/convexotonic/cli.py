@@ -121,7 +121,7 @@ def _cmd_sv_probe(args) -> int:
     if result.status == "rejected":
         _emit({"result": "rejected", "reasons": list(result.conditions.reasons)})
         return EXIT_FAIL
-    _emit({"result": "inconclusive"})
+    _emit({"result": "inconclusive", "reason": result.reason})
     return EXIT_INCONCLUSIVE
 
 

@@ -20,12 +20,12 @@ from .linalg import (
     OrthonormalSpan,
     is_nilpotent,
     joint_kernel,
-    pencil_eval,
 )
 from .sampling import complex_gaussian
 
 GAP_TOL = 1e-6  # singular-value simplicity gap
 POOL_FACTOR = 4  # candidates kept per required vector on each side
+CHUNK_CAP = 256  # most trials factored in one stacked SVD
 
 
 def hyperbasis_margin(vectors) -> float:
@@ -38,11 +38,8 @@ def hyperbasis_margin(vectors) -> float:
     count, d = mat.shape
     if count != d + 1:
         raise ShapeMismatch(f"a hyperbasis check needs d+1 vectors, got {count} in C^{d}")
-    margin = np.inf
-    for omit in range(count):
-        rest = np.delete(mat, omit, axis=0)
-        margin = min(margin, float(np.linalg.svd(rest.T, compute_uv=False)[-1]))
-    return margin
+    rests = np.array([np.delete(mat, omit, axis=0).T for omit in range(count)])
+    return float(np.linalg.svd(rests, compute_uv=False)[:, -1].min())
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,7 @@ class ProbeResult:
     certificate: GenericityCertificate | None
     conditions: NecessaryConditions
     trials_used: int
+    reason: str | None = None  # inconclusive: "never-simple" | "pools-full" | "trials-exhausted"
 
 
 def sv_probe(
@@ -105,6 +103,10 @@ def sv_probe(
     defect pencil PSD with a kernel), and its kernel vectors are kept when the
     top singular value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when
     d = 1); a test relative to s0 makes the verdict independent of scale.
+    Trials run in chunks of 2d+1 doubling up to CHUNK_CAP, each factored by
+    one stacked SVD and then visited in order, so the result is the
+    sequential one; the draws after a certifying trial in its chunk are
+    computed and discarded, and so is every draw after both pools are full.
     Each side pools POOL_FACTOR candidates per required vector and grows one
     span with those that leave a remainder above tol. The first d beta joiners
     must have a basis margin above tol; each later alpha is tried once as the
@@ -119,26 +121,34 @@ def sv_probe(
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
     alpha_basis, betas = [], []  # the first d span joiners of each side
     alphas, b_margin, pooled = None, 0.0, 0
-    for trial in range(trials):
-        gamma = complex_gaussian(np.random.default_rng(seed + trial), g)
-        u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
-        if (s[0] - s[1] if d > 1 else s[0]) <= GAP_TOL * s[0]:
-            continue  # a multiple top singular value pools nothing
-        point, right, left = gamma / s[0], vh[0].conj(), u[:, 0]
-        pooled += 1
-        if alphas is None and pooled <= POOL_FACTOR * (d + 1):
-            if len(alpha_basis) == d:
-                vectors = [kp.kernel_vector for kp in alpha_basis] + [right]
-                if (h_margin := hyperbasis_margin(vectors)) > tol:
-                    alphas = (*alpha_basis, KernelPoint(point, right))
-            elif alpha_span.add(right, tol) is not None:
-                alpha_basis.append(KernelPoint(point, right))
-        if len(betas) < d and pooled <= POOL_FACTOR * d and beta_span.add(left, tol) is not None:
-            betas.append(KernelPoint(point, left))
-            if len(betas) == d:
-                vectors = [kp.kernel_vector for kp in betas]
-                b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
-        if alphas is not None and b_margin > tol:
-            cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, trial + 1, seed)
-            return ProbeResult("certified", cert, conditions, trial + 1)
-    return ProbeResult("inconclusive", None, conditions, trials)
+    coeffs, start, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
+    while start < trials:
+        stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
+        gammas = [complex_gaussian(np.random.default_rng(seed + t), g) for t in range(start, stop)]
+        u, s, vh = np.linalg.svd(np.array([coeffs @ gamma for gamma in gammas]).reshape(-1, d, d))
+        gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
+        for k in np.flatnonzero(gap > GAP_TOL * s[:, 0]):  # a multiple s0 pools nothing
+            if (pooled := pooled + 1) > POOL_FACTOR * (d + 1):
+                break  # both pools are closed, so no later draw can join them
+            # copies, so that a certificate does not keep the chunk's factors alive
+            point, right, left = gammas[k] / s[k, 0], vh[k, 0].conj(), u[k, :, 0].copy()
+            if alphas is None:
+                if len(alpha_basis) == d:
+                    vectors = [kp.kernel_vector for kp in alpha_basis] + [right]
+                    if (h_margin := hyperbasis_margin(vectors)) > tol:
+                        alphas = (*alpha_basis, KernelPoint(point, right))
+                elif alpha_span.add(right, tol) is not None:
+                    alpha_basis.append(KernelPoint(point, right))
+            if len(betas) < d and pooled <= POOL_FACTOR * d and beta_span.add(left, tol) is not None:
+                betas.append(KernelPoint(point, left))
+                if len(betas) == d:
+                    vectors = [kp.kernel_vector for kp in betas]
+                    b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
+            if alphas is not None and b_margin > tol:
+                used = start + int(k) + 1
+                cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, used, seed)
+                return ProbeResult("certified", cert, conditions, used)
+        start = stop
+    full = pooled >= POOL_FACTOR * (d + 1)
+    reason = "pools-full" if full else "trials-exhausted" if pooled else "never-simple"
+    return ProbeResult("inconclusive", None, conditions, trials, reason)

@@ -230,8 +230,9 @@ class OrthonormalSpan:
         norm = np.linalg.norm(v)
         if norm <= floor:
             return None
-        self.q = np.vstack([self.q, v / norm])
-        return self.q[-1]
+        unit = v / norm  # its own array: callers keep it without pinning q
+        self.q = np.vstack([self.q, unit])
+        return unit
 
     def project(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates q_i^H v of each row v against the span, one row of them

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -305,6 +306,31 @@ def test_closure_of_7x7_pair_makes_g_products_per_element(monkeypatch):
     assert set(floors[2:]) == {1e-8}  # unit factors: the product rule's bound is tol
     assert J.g == 49
     assert structure_constants(J).convexotonic_residual <= 1e-12
+
+
+def test_closure_words_do_not_pin_copies_of_the_span(monkeypatch):
+    # each join rebuilds the span's rows; a word that viewed them would keep
+    # every intermediate copy alive until the closure returns (8 MiB here)
+    A = MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 10, 10))
+    tracemalloc.start()
+    try:
+        assert algebra_closure(A).extended.g == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    shared = []
+    add = OrthonormalSpan.add
+
+    def recorded_add(self, vec, floor):
+        unit = add(self, vec, floor)
+        if unit is not None:
+            shared.append(np.shares_memory(unit, self.q))
+        return unit
+
+    monkeypatch.setattr(OrthonormalSpan, "add", recorded_add)
+    algebra_closure(A)
+    assert len(shared) == 100 and not any(shared)
 
 
 def pairs_closure(A, tol=1e-8):

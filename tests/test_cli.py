@@ -191,7 +191,7 @@ def test_sv_probe_inconclusive_exit_code(capsys, tmp_path):
         capsys, ["sv-probe", "--tuple", path, "--trials", "10", "--seed", "42"]
     )
     assert code == 3
-    assert doc == {"result": "inconclusive"}
+    assert doc == {"result": "inconclusive", "reason": "never-simple"}
 
 
 def test_verify_theorem_pass_and_fail(files, capsys, tmp_path):

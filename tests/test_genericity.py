@@ -22,6 +22,7 @@ from convexotonic import (
     type_iv_tuple,
 )
 from convexotonic import genericity
+from convexotonic.linalg import OrthonormalSpan
 from convexotonic.sampling import complex_gaussian
 
 
@@ -141,6 +142,41 @@ def test_probe_inconclusive_on_scalar_multiples():
     assert result.trials_used == 30
 
 
+# --- why a probe ends inconclusive ----------------------------------------------
+
+def scalar_multiples(seed, d):
+    M = complex_gaussian(np.random.default_rng(seed), d, d)
+    return MatrixTuple(np.array([M, 2 * M]))
+
+
+def near_degenerate(seed, d, eps):
+    G = complex_gaussian(np.random.default_rng(seed), d, d)
+    return MatrixTuple.from_matrices([np.eye(d), eps * G])
+
+
+@pytest.mark.parametrize(
+    "A, trials, reason",
+    [
+        # no draw of eye(2) has a simple top singular value
+        (MatrixTuple.from_matrices([np.eye(2)]), 200, "never-simple"),
+        # scalar multiples fill both pools with one repeated kernel vector
+        (scalar_multiples(4, 3), 200, "pools-full"),
+        # (I_3, 1e-7 G) pools a few draws by trial 100 and certifies at 249
+        (near_degenerate(5, 3, 1e-7), 100, "trials-exhausted"),
+    ],
+    ids=["never-simple", "pools-full", "trials-exhausted"],
+)
+def test_probe_states_why_it_is_inconclusive(A, trials, reason):
+    result = sv_probe(A, trials=trials, seed=42)
+    assert (result.status, result.reason) == ("inconclusive", reason)
+    assert result.trials_used == trials
+
+
+def test_probe_reason_is_none_unless_inconclusive(e_tuple, f_tuple):
+    assert sv_probe(e_tuple, trials=200, seed=42).reason is None
+    assert sv_probe(f_tuple, trials=200, seed=42).reason is None
+
+
 # --- the greedy search against the exhaustive one -------------------------------
 
 def exhaustive_probe(A, trials, seed, tol=1e-8, gap_tol=1e-6, pool_factor=4):
@@ -193,6 +229,105 @@ def exhaustive_probe(A, trials, seed, tol=1e-8, gap_tol=1e-6, pool_factor=4):
             cert = GenericityCertificate(alphas, betas, h_margin, b_margin, trial + 1, seed)
             return "certified", trial + 1, cert
     return "inconclusive", trials, None
+
+
+def sequential_hyperbasis_margin(vectors):
+    """The omit-one margin one SVD at a time, as the probe computed it before
+    it stacked the submatrices."""
+    mat = np.asarray([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    margin = np.inf
+    for omit in range(len(mat)):
+        rest = np.delete(mat, omit, axis=0)
+        margin = min(margin, float(np.linalg.svd(rest.T, compute_uv=False)[-1]))
+    return margin
+
+
+def sequential_probe(A, trials, seed, tol=1e-8):
+    """Reference: the probe one trial at a time, one pencil_eval and one SVD
+    per draw, as it ran before chunking. Returns (status, trials_used,
+    certificate)."""
+    if not necessary_conditions(A, tol).passed:
+        return "rejected", 0, None
+    d, g = A.rows, A.g
+    alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
+    alpha_basis, betas = [], []
+    alphas, b_margin, pooled = None, 0.0, 0
+    for trial in range(trials):
+        gamma = complex_gaussian(np.random.default_rng(seed + trial), g)
+        u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
+        if (s[0] - s[1] if d > 1 else s[0]) <= genericity.GAP_TOL * s[0]:
+            continue
+        point, right, left = gamma / s[0], vh[0].conj(), u[:, 0]
+        pooled += 1
+        if alphas is None and pooled <= genericity.POOL_FACTOR * (d + 1):
+            if len(alpha_basis) == d:
+                vectors = [kp.kernel_vector for kp in alpha_basis] + [right]
+                if (h_margin := sequential_hyperbasis_margin(vectors)) > tol:
+                    alphas = (*alpha_basis, KernelPoint(point, right))
+            elif alpha_span.add(right, tol) is not None:
+                alpha_basis.append(KernelPoint(point, right))
+        if (
+            len(betas) < d
+            and pooled <= genericity.POOL_FACTOR * d
+            and beta_span.add(left, tol) is not None
+        ):
+            betas.append(KernelPoint(point, left))
+            if len(betas) == d:
+                vectors = [kp.kernel_vector for kp in betas]
+                b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
+        if alphas is not None and b_margin > tol:
+            cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, trial + 1, seed)
+            return "certified", trial + 1, cert
+    return "inconclusive", trials, None
+
+
+@st.composite
+def probe_inputs(draw):
+    data_seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["gaussian", "multiples", "sum", "near-degenerate"]))
+    if kind == "gaussian":
+        d = draw(st.integers(1, 5))
+        A = MatrixTuple(complex_gaussian(np.random.default_rng(data_seed), 2, d, d))
+    elif kind == "multiples":
+        A = scalar_multiples(data_seed, draw(st.integers(2, 4)))
+    elif kind == "sum":
+        rng = np.random.default_rng(data_seed)
+        m = draw(st.integers(1, 2))
+        A = MatrixTuple(complex_gaussian(rng, 2, m, m)).direct_sum(
+            MatrixTuple(complex_gaussian(rng, 2, 2, 2))
+        )
+    else:
+        # certificates after tens to hundreds of trials, across chunk boundaries
+        d = draw(st.integers(2, 3))
+        A = near_degenerate(data_seed, d, draw(st.sampled_from([1e-7, 1e-6])))
+    return A, draw(st.integers(1, 300)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_inputs())
+def test_chunked_probe_is_bit_identical_to_the_sequential_loop(inputs):
+    A, trials, seed = inputs
+    status, trials_used, cert = sequential_probe(A, trials, seed)
+    result = sv_probe(A, trials=trials, seed=seed)
+    assert (result.status, result.trials_used) == (status, trials_used)
+    if cert is None:
+        assert result.certificate is None
+        return
+    got = result.certificate
+    assert got.trials_used == cert.trials_used
+    assert got.hyperbasis_margin == cert.hyperbasis_margin
+    assert got.basis_margin == cert.basis_margin
+    for mine, theirs in ((got.alphas, cert.alphas), (got.betas, cert.betas)):
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            assert np.array_equal(a.point, b.point)
+            assert np.array_equal(a.kernel_vector, b.kernel_vector)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_stacked_hyperbasis_margin_is_bit_identical(d):
+    vectors = complex_gaussian(np.random.default_rng(d), d + 1, d)
+    assert hyperbasis_margin(vectors) == sequential_hyperbasis_margin(vectors)
 
 
 def assert_same_certificate(result, expected):
@@ -286,9 +421,9 @@ def test_probe_makes_one_draw_per_trial(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return pencil_eval(*args)
+        return complex_gaussian(*args)
 
-    monkeypatch.setattr(genericity, "pencil_eval", counted)
+    monkeypatch.setattr(genericity, "complex_gaussian", counted)
     result = sv_probe(MatrixTuple.from_matrices([np.eye(2)]), trials=200, seed=42)
     assert result.status == "inconclusive"
     assert result.trials_used == 200
