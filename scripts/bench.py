@@ -3,9 +3,11 @@
 
     python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
-Times pencil_eval, map calls (type IV at levels 32-256, and the closures of
-an upper-triangular 3x3 pair at level 64, of an upper-triangular 6x6 pair at
-level 16 and of a full 7x7 pair at levels 4 and 16), transfer_residual and
+Times pencil_eval, map calls (type IV at levels 16-256, type IV with its
+elements swapped, whose constants are lower triangular, at level 128, and
+the closures of an upper-triangular 3x3 pair at level 64, of an
+upper-triangular 6x6 pair at level 16 and of a full 7x7 pair at levels 4 and
+16), transfer_residual and
 contraction_membership at level 2, spec_membership of the type IV tuple at
 level 128 (the size of the perfbench cli workload's `member` request), JSON
 parse and emit at level 128, algebra_closure of random pairs (full d=6/7/8,
@@ -39,10 +41,12 @@ untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
 for BUDGET_S seconds; cases whose names match --skip are left out (the
 exponential nilpotency test of older commits cannot finish d=16). The package
 is imported from --src (default: the src directory of this checkout), so one
-script can time two checkouts; each invocation adds or replaces the run named
---label in --out and keeps the others, so a parent commit and a change sit
-side by side in one file. BLAS runs on one thread (CONVEXOTONIC_NUM_THREADS=1)
-unless that variable is set.
+script can time two checkouts; each invocation writes the cases it timed into
+the run named --label in --out (replacing only those cases) and keeps
+everything else, so a parent commit and a change sit side by side in one
+file, and the two can alternate case by case: time one case (--skip all the
+others) for each checkout in turn. BLAS runs on one thread
+(CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing, and the
 tier-1 suite does not run it.
@@ -93,15 +97,20 @@ def cases(cx, np):
         point = cx.MatrixTuple(gaussian(rng, g, n, n))
         out[f"pencil_eval.g{g}.d{d}.n{n}"] = lambda c=coeffs, p=point: cx.pencil_eval(c, p)
 
-    xi = cx.structure_constants(cx.type_iv_tuple()).xi
-    q = cx.ConvexotonicMap(xi, cx.MapSign.PLUS)
-    for n in (32, 128, 256):
-        rng = np.random.default_rng(n)
-        x = gaussian(rng, 2, n, n)
-        # ||pencil_xi(X)|| = 1/2 keeps the point well inside the map's domain
-        norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
-        X = cx.MatrixTuple(0.5 * x / norm)
-        out[f"map_call.type_iv.n{n}"] = lambda X=X: q(X)
+    # type IV has xi = (I, E12), whose pencil is block upper triangular; with
+    # its elements swapped, xi = (E21, I) is lower triangular
+    swapped = cx.MatrixTuple(cx.type_iv_tuple().data[::-1])
+    for name, J, levels in (("type_iv", cx.type_iv_tuple(), (16, 20, 32, 128, 256)),
+                            ("type_iv_swapped", swapped, (128,))):
+        xi = cx.structure_constants(J).xi
+        q = cx.ConvexotonicMap(xi, cx.MapSign.PLUS)
+        for n in levels:
+            rng = np.random.default_rng(n)
+            x = gaussian(rng, 2, n, n)
+            # ||pencil_xi(X)|| = 1/2 keeps the point well inside the map's domain
+            norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
+            X = cx.MatrixTuple(0.5 * x / norm)
+            out[f"map_call.{name}.n{n}"] = lambda q=q, X=X: q(X)
     # closures have g > d, so their maps invert the d n x d n pencil of J
     for kind, d, n in (("ut", 3, 64), ("ut", 6, 16), ("full", 7, 4), ("full", 7, 16)):
         J = cx.algebra_closure(pair(cx, np, kind, d)).extended
@@ -270,13 +279,14 @@ def main():
               f"  min {results[name]['min_s'] * 1e3:9.3f} ms", file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    doc["runs"][args.label] = {
-        "git_sha": git(src, "rev-parse", "HEAD") or "unknown",
-        "git_dirty": bool(git(src, "status", "--porcelain", "--untracked-files=no", ".")),
-        "repeat": REPEAT,
-        "machine": machine(np),
-        "cases": results,
-    }
+    run = doc["runs"].setdefault(args.label, {"cases": {}})
+    run.update(
+        git_sha=git(src, "rev-parse", "HEAD") or "unknown",
+        git_dirty=bool(git(src, "status", "--porcelain", "--untracked-files=no", ".")),
+        repeat=REPEAT,
+        machine=machine(np),
+    )
+    run["cases"].update(results)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -15,6 +15,9 @@ from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
 
 DEFAULT_TOL = 1e-8
 COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
+# resolvent inverts a block-triangular pencil block by block from this level
+# n on; below it one dense inverse is faster (README caveats)
+BLOCK_LEVEL = 20
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -40,6 +43,8 @@ class MatrixTuple:
             raise ShapeMismatch(f"expected (g, rows, cols) data, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
             raise ShapeMismatch("a matrix tuple needs at least one entry")
+        if arr.shape[1] < 1 or arr.shape[2] < 1:
+            raise ShapeMismatch(f"matrix tuple entries cannot be empty, got {arr.shape[1:]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix tuple entries must be finite")
         object.__setattr__(self, "data", np.asarray(memoryview(arr).toreadonly()))
@@ -140,8 +145,32 @@ def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=
     """Inverse of m, refused with `error` unless the 1-norm condition number
     ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below limit.
     """
+    return _certified_block_inverse(m, [0, len(m)], what, limit, error)
+
+
+def _certified_block_inverse(m, cuts, what, limit, error):
+    """certified_inverse of an m that is block upper triangular on the diagonal
+    blocks m[a:b, a:b] of consecutive cuts a < b. Block back-substitution from
+    the last block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i;
+    a diagonal block equal to one already inverted reuses its inverse. One
+    block is one np.linalg.inv(m). An exactly singular diagonal block counts
+    as infinite condition, since m is singular exactly when one of them is.
+    """
     try:
-        inv = np.linalg.inv(m)
+        if len(cuts) == 2:
+            inv = np.linalg.inv(m)
+        else:
+            inv = np.zeros_like(m)
+            known = []  # (diagonal block, its inverse)
+            for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):
+                block = m[a:b, a:b]
+                block_inv = next((v for u, v in known if np.array_equal(u, block)), None)
+                if block_inv is None:
+                    block_inv = np.linalg.inv(block)
+                    known.append((block, block_inv))
+                inv[a:b, a:b] = block_inv
+                if b < len(m):
+                    inv[a:b, b:] = block_inv @ -(m[a:b, b:] @ inv[b:, b:])
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
@@ -149,6 +178,15 @@ def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=
     if not np.isfinite(cond) or cond >= limit:
         raise error(f"{what} is numerically singular (cond {cond:.3e})")
     return inv
+
+
+def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
+    """Cuts 0 < ... < d of the finest block upper-triangular partition shared
+    by a tuple of square d x d coefficients: k is a cut when every
+    coeffs[j][k:, :k] is exactly zero."""
+    nonzero = np.any(coeffs.data != 0, axis=0)
+    d = len(nonzero)
+    return [0, *(k for k in range(1, d) if not nonzero[k:, :k].any()), d]
 
 
 def resolvent(
@@ -162,7 +200,10 @@ def resolvent(
     """The certified inverse of the monic pencil I + factor * lam, with
     lam = pencil_eval(coeffs, point), and lam itself.
 
-    Raises NotSquare for a rectangular point and `error` (see
+    At levels n >= BLOCK_LEVEL the pencil is block upper triangular on the
+    n-fold _diagonal_cuts of the coefficients, and it is inverted block by
+    block; the certificate is the same condition number of the assembled
+    inverse. Raises NotSquare for a rectangular point and `error` (see
     certified_inverse) when the pencil's condition number reaches limit.
     """
     if not point.is_square:
@@ -170,7 +211,9 @@ def resolvent(
     lam = pencil_eval(coeffs, point)
     m = factor * lam
     m += np.eye(len(m))  # a real identity: one complex temporary fewer
-    return certified_inverse(m, what, limit, error), lam
+    n = point.rows
+    cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, len(m)]
+    return _certified_block_inverse(m, cuts, what, limit, error), lam
 
 
 def operator_norm(m) -> float:

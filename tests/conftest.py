@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from convexotonic import linalg
 from convexotonic import (
     MatrixTuple,
     algebra_closure,
+    pencil_eval,
     type_i_tuple,
     type_ii_tuple,
     type_iii_tuple,
@@ -51,3 +55,27 @@ def corpus_algebras(seed=1234):
         random_triangular_algebra(rng, 4, 3),
     ]
     return tuples
+
+
+def half_norm_point(rng, coeffs, n):
+    """A level-n point whose pencil has operator norm 1/2."""
+    x = MatrixTuple(complex_gaussian(rng, coeffs.g, n, n))
+    return MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(coeffs, x), 2))
+
+
+def dense_path():
+    """Every level below the gate: resolvent takes one dense inverse."""
+    return mock.patch.object(linalg, "BLOCK_LEVEL", np.inf)
+
+
+def inv_calls(monkeypatch):
+    """The shape of every matrix np.linalg.inv inverts while the test runs."""
+    shapes = []
+    original = np.linalg.inv
+
+    def counted(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return shapes

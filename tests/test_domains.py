@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from convexotonic import (
+    ConvexotonicMap,
     MatrixTuple,
+    ShapeMismatch,
     SingularPencil,
     Spectraball,
     Spectrahedron,
@@ -18,8 +20,11 @@ from convexotonic import (
     boundedness_probe,
     contraction_membership,
     spec_membership,
+    structure_constants,
+    type_iv_tuple,
 )
 from convexotonic.errors import NotSquare
+from convexotonic.linalg import BLOCK_LEVEL
 from convexotonic.sampling import random_direction, random_tuple, random_unitary
 
 
@@ -145,6 +150,47 @@ def test_contraction_singular_pencil():
     one = MatrixTuple.from_matrices([np.eye(1)])
     with pytest.raises(SingularPencil):
         contraction_membership(one, scalar(-1))
+
+
+@pytest.mark.parametrize("tol, refused", [(1e-8, True), (1e-11, False)])
+def test_contraction_keeps_its_limit_on_the_block_path(e_tuple, tol, refused):
+    # I + pencil_E(X) = [[D, Y], [0, D]], D = diag(1e-9, 1, ..., 1): cond near
+    # 3e9, at or above 1/tol = 1e8 and below 1e11
+    n = BLOCK_LEVEL
+    x1 = np.zeros((n, n), dtype=complex)
+    x1[0, 0] = 1e-9 - 1.0
+    y = 0.1 * random_tuple(np.random.default_rng(8), 1, n).data[0]
+    y[0, :] = y[:, 0] = 0.0
+    X = MatrixTuple.from_matrices([x1, y])
+    if refused:
+        with pytest.raises(SingularPencil, match="numerically singular"):
+            contraction_membership(e_tuple, X, tol)
+    else:
+        contraction_membership(e_tuple, X, tol)
+
+
+# --- level-0 points ----------------------------------------------------------
+
+def _map_of(e):
+    return ConvexotonicMap(structure_constants(e).xi)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda e, X: _map_of(e)(X),
+        lambda e, X: _map_of(e).domain_check(X),
+        lambda e, X: contraction_membership(e, X),
+        lambda e, X: boundary_scale(Spectrahedron(e), X),
+        lambda e, X: spec_membership(Spectrahedron(e), X),
+        lambda e, X: ball_membership(Spectraball(e), X),
+    ],
+    ids=["map", "domain_check", "contraction", "boundary_scale", "spec", "ball"],
+)
+def test_level_zero_points_are_refused_as_shape_mismatch(entry):
+    # the empty point of each entry point is refused where it is built
+    with pytest.raises(ShapeMismatch, match="cannot be empty"):
+        entry(type_iv_tuple(), MatrixTuple(np.zeros((2, 0, 0))))
 
 
 # --- boundary scales -------------------------------------------------------

@@ -1,9 +1,13 @@
+import re
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import dense_path, half_norm_point, inv_calls
 from convexotonic import (
     DomainBreach,
     MatrixTuple,
@@ -11,6 +15,7 @@ from convexotonic import (
     ShapeMismatch,
     SingularPencil,
     TupleLengthMismatch,
+    algebra_closure,
     hermitian_pencil,
     is_nilpotent,
     joint_kernel,
@@ -18,7 +23,7 @@ from convexotonic import (
     operator_norm,
     pencil_eval,
 )
-from convexotonic.linalg import OrthonormalSpan, resolvent
+from convexotonic.linalg import BLOCK_LEVEL, OrthonormalSpan, _diagonal_cuts, resolvent
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -42,6 +47,19 @@ def test_tuple_rejects_ragged_and_empty():
         MatrixTuple.from_matrices([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeMismatch):
         MatrixTuple.from_matrices([])
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 0), (2, 3, 0), (2, 0, 3)])
+def test_tuple_rejects_empty_matrices(shape):
+    with pytest.raises(ShapeMismatch, match="cannot be empty"):
+        MatrixTuple(np.zeros(shape))
+
+
+def test_tuple_constructors_reject_empty_matrices():
+    with pytest.raises(ShapeMismatch):
+        MatrixTuple.zeros(2, 0)
+    with pytest.raises(ShapeMismatch):
+        MatrixTuple.from_matrices([np.zeros((0, 0)), np.zeros((0, 0))])
 
 
 def test_tuple_rejects_nonfinite():
@@ -239,6 +257,128 @@ def test_resolvent_refusals(e_tuple):
     resolvent(e_tuple, X, -1.0, "pencil")
     with pytest.raises(SingularPencil, match="cond 2.601e"):
         resolvent(e_tuple, X, -1.0, "pencil", 1e3, SingularPencil)
+
+
+# --- block-triangular resolvents ------------------------------------------
+
+def monic(coeffs, X, factor):
+    """I + factor * pencil, formed as resolvent forms it."""
+    m = factor * pencil_eval(coeffs, X)
+    m += np.eye(len(m))
+    return m
+
+
+def test_diagonal_cuts_read_the_exact_zero_pattern(e_tuple, f_tuple):
+    assert _diagonal_cuts(e_tuple) == [0, 1, 2]
+    assert _diagonal_cuts(f_tuple) == [0, 1, 2, 3]
+    assert _diagonal_cuts(MatrixTuple(e_tuple.data[::-1].transpose(0, 2, 1))) == [0, 2]
+    full = MatrixTuple(np.ones((2, 4, 4)))
+    assert _diagonal_cuts(full) == [0, 4]
+    # blocks of sizes 1, 2 and 1: entry (2, 1) joins rows 1 and 2
+    data = np.triu(np.ones((2, 4, 4)))
+    data[1, 2, 1] = 1e-300
+    assert _diagonal_cuts(MatrixTuple(data)) == [0, 1, 3, 4]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ut", "ut-closure", "strict"]),
+    st.integers(2, 4),
+    st.sampled_from([BLOCK_LEVEL, BLOCK_LEVEL + 3, 2 * BLOCK_LEVEL]),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_block_resolvent_matches_the_dense_inverse(seed, kind, d, n, factor):
+    rng = np.random.default_rng(seed)
+    if kind == "ut-closure":
+        coeffs = algebra_closure(MatrixTuple(np.triu(complex_gaussian(rng, 2, d, d)))).extended
+    else:
+        coeffs = MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1 if kind == "strict" else 0))
+    assert len(_diagonal_cuts(coeffs)) == d + 1
+    X = half_norm_point(rng, coeffs, n)
+    inv, lam = resolvent(coeffs, X, factor, "pencil")
+    dense = np.linalg.inv(monic(coeffs, X, factor))
+    assert np.array_equal(lam, pencil_eval(coeffs, X))
+    assert np.linalg.norm(inv - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert not inv[n:, :n].any()  # block upper triangular, exactly
+
+
+@pytest.mark.parametrize("n", [BLOCK_LEVEL, 2 * BLOCK_LEVEL])
+def test_non_triangular_resolvent_is_the_dense_inverse_bit_for_bit(e_tuple, n):
+    rng = np.random.default_rng(n)
+    lower = MatrixTuple(e_tuple.data.transpose(0, 2, 1))
+    full = MatrixTuple(complex_gaussian(rng, 3, 3, 3))
+    for coeffs in (lower, full):
+        X = half_norm_point(rng, coeffs, n)
+        for factor in (1.0, -1.0):
+            inv = resolvent(coeffs, X, factor, "pencil")[0]
+            assert inv.tobytes() == np.linalg.inv(monic(coeffs, X, factor)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_LEVEL - 1])
+def test_resolvent_below_the_gate_is_the_dense_inverse_bit_for_bit(e_tuple, f_tuple, n):
+    rng = np.random.default_rng(n)
+    for coeffs in (e_tuple, f_tuple):
+        X = half_norm_point(rng, coeffs, n)
+        inv = resolvent(coeffs, X, 1.0, "pencil")[0]
+        assert inv.tobytes() == np.linalg.inv(monic(coeffs, X, 1.0)).tobytes()
+
+
+def test_equal_diagonal_blocks_are_inverted_once(monkeypatch, e_tuple, f_tuple):
+    n = BLOCK_LEVEL
+    rng = np.random.default_rng(1)
+    X, Y = half_norm_point(rng, e_tuple, n), half_norm_point(rng, f_tuple, n)
+    calls = inv_calls(monkeypatch)
+    # type IV: both diagonal blocks are I + X_1; the shift pair: all three are I
+    resolvent(e_tuple, X, 1.0, "pencil")
+    resolvent(f_tuple, Y, -1.0, "pencil")
+    assert calls == [(n, n), (n, n)]
+
+
+def test_block_path_refuses_an_exactly_singular_pencil(e_tuple):
+    # I + pencil_E(-I, Y) = [[0, Y], [0, 0]]
+    n = BLOCK_LEVEL
+    y = complex_gaussian(np.random.default_rng(2), n, n)
+    X = MatrixTuple.from_matrices([-np.eye(n), y])
+    with pytest.raises(DomainBreach) as block:
+        resolvent(e_tuple, X, 1.0, "pencil")
+    with dense_path(), pytest.raises(DomainBreach) as dense:
+        resolvent(e_tuple, X, 1.0, "pencil")
+    assert str(block.value) == str(dense.value) == "pencil is numerically singular (cond inf)"
+
+
+def test_block_path_certifies_the_assembled_inverse(e_tuple):
+    # a limit of 1 refuses every pencil and reports its condition number,
+    # ||M||_1 ||M^-1||_1 over the whole assembled inverse
+    n = BLOCK_LEVEL
+    rng = np.random.default_rng(4)
+    J = random_tuple(rng, 1, 3).data[0]
+    coeffs = MatrixTuple.from_matrices([np.triu(J), np.triu(J, 1)])
+    X = half_norm_point(rng, coeffs, n)
+    m = monic(coeffs, X, 1.0)
+    cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
+    for path in (nullcontext(), dense_path()):
+        with path, pytest.raises(DomainBreach, match=re.escape(f"(cond {cond:.3e})")):
+            resolvent(coeffs, X, 1.0, "pencil", limit=1.0)
+
+
+@pytest.mark.parametrize("gap, refused", [(1e-13, True), (1e-10, False)])
+def test_block_path_keeps_the_condition_limit(e_tuple, gap, refused):
+    # the diagonal blocks I + X_1 = diag(gap, 1, ..., 1), and a Y without
+    # first row and column, put cond near 1/gap
+    n = BLOCK_LEVEL
+    x1 = np.zeros((n, n), dtype=complex)
+    x1[0, 0] = gap - 1.0
+    y = 0.1 * complex_gaussian(np.random.default_rng(3), n, n)
+    y[0, :] = y[:, 0] = 0.0
+    X = MatrixTuple.from_matrices([x1, y])
+    for path in (nullcontext(), dense_path()):
+        with path:
+            if refused:
+                with pytest.raises(DomainBreach, match="numerically singular"):
+                    resolvent(e_tuple, X, 1.0, "pencil")
+            else:
+                resolvent(e_tuple, X, 1.0, "pencil")
 
 
 # --- norms and eigenvalues -------------------------------------------------

@@ -25,8 +25,15 @@ from convexotonic import (
     transfer_residual,
     type_iv_tuple,
 )
-from conftest import corpus_algebras, random_triangular_algebra
+from conftest import (
+    corpus_algebras,
+    dense_path,
+    half_norm_point,
+    inv_calls,
+    random_triangular_algebra,
+)
 from convexotonic.algebras import _coordinate_map
+from convexotonic.linalg import BLOCK_LEVEL
 from convexotonic.sampling import complex_gaussian, random_direction, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -426,3 +433,68 @@ def test_derivative_at_zero_is_identity():
         for sign in (MapSign.PLUS, MapSign.MINUS):
             jac = jacobian_at_zero(ConvexotonicMap(xi, sign))
             assert np.max(np.abs(jac - np.eye(J.g))) < 1e-8
+
+
+# --- block-triangular pencils -------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.just("iv"), st.just(2)),
+        st.tuples(st.just("ut"), st.integers(2, 4)),
+        st.tuples(st.just("strict"), st.integers(3, 5)),
+    ),
+    st.sampled_from([BLOCK_LEVEL, 2 * BLOCK_LEVEL]),
+    st.sampled_from(list(MapSign)),
+)
+def test_triangular_images_match_the_dense_inverse(seed, kind_d, n, sign):
+    # type IV goes through its upper-triangular xi, the closures with g > d
+    # through their upper-triangular J; the point halves the inverted pencil
+    kind, d = kind_d
+    J = type_iv_tuple() if kind == "iv" else closure_of(seed, kind, d)
+    q = ConvexotonicMap(structure_constants(J).xi, sign)
+    route = _coordinate_map(q.xi)
+    X = half_norm_point(np.random.default_rng(seed), route[0] if route else q.xi, n)
+    image = q(X)
+    with dense_path():
+        expected = q(X)
+    assert np.linalg.norm(image.data - expected.data) <= 1e-12 * np.linalg.norm(expected.data)
+
+
+@pytest.mark.parametrize("n", [BLOCK_LEVEL, 2 * BLOCK_LEVEL])
+def test_non_triangular_images_are_unchanged_bit_for_bit(n):
+    # with its elements swapped, type IV has the lower-triangular xi = (E21, I)
+    J = MatrixTuple(type_iv_tuple().data[::-1])
+    q = ConvexotonicMap(structure_constants(J).xi, MapSign.PLUS)
+    assert not np.triu(q.xi[0], 1).any() and np.tril(q.xi[0], -1).any()
+    X = half_norm_point(np.random.default_rng(n), q.xi, n)
+    image = q(X)
+    with dense_path():
+        assert image.data.tobytes() == q(X).data.tobytes()
+
+
+def test_type_iv_inverts_one_block_per_resolvent(monkeypatch):
+    n = 32
+    assert n >= BLOCK_LEVEL
+    q = ConvexotonicMap(structure_constants(type_iv_tuple()).xi, MapSign.PLUS)
+    X = half_norm_point(np.random.default_rng(5), q.xi, n)
+    shapes = inv_calls(monkeypatch)
+    q(X)
+    assert q.domain_check(X)
+    assert shapes == [(n, n), (n, n)]
+
+
+def test_block_path_refuses_the_singular_type_iv_point_as_before():
+    # xi = (I, E12): I + pencil_xi(-I, Y) = [[0, Y], [0, 0]]
+    n = 32
+    q = ConvexotonicMap(structure_constants(type_iv_tuple()).xi, MapSign.PLUS)
+    y = complex_gaussian(np.random.default_rng(6), n, n)
+    X = MatrixTuple.from_matrices([-np.eye(n), y])
+    message = "defining pencil is numerically singular (cond inf)"
+    with pytest.raises(DomainBreach) as block:
+        q(X)
+    with dense_path(), pytest.raises(DomainBreach) as dense:
+        q(X)
+    assert str(block.value) == str(dense.value) == message
+    assert not q.domain_check(X)
