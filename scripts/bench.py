@@ -11,7 +11,8 @@ upper-triangular 6x6 pair at level 16 and of a full 7x7 pair at levels 4 and
 contraction_membership at level 2, spec_membership of the type IV tuple at
 level 128 (the size of the perfbench cli workload's `member` request), JSON
 parse and emit at level 128, algebra_closure of random pairs (full d=6/7/8,
-upper-triangular d=6) and of a strictly upper-triangular 8x8 triple,
+upper-triangular d=6) and of a strictly upper-triangular 8x8 triple, the
+structure constants of that triple's closure,
 is_linearly_independent and structure_constants on the closures of an
 upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
 pipeline on the same closures (structure constants, the map, and
@@ -20,7 +21,8 @@ call on the same pairs (the constants reuse the closure's span),
 structure_constants on the closures of full 8x8 and 10x10 pairs (g=64 and
 100, where the exact residual takes seconds and the associativity bound
 certifies the constants),
-is_nilpotent on strictly upper-triangular triples, the exact
+is_nilpotent on strictly upper-triangular triples (d=8, the algebra
+workload's size, and d=10/12/16), the exact
 convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
 pairs (d=3/4), direct sums
 of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
@@ -150,6 +152,10 @@ def cases(cx, np):
     # the algebra workload's most frequent closure: a strictly upper-triangular triple
     A = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([8, 3]), 3, 8, 8), 1))
     out["algebra_closure.nil.g3.d8"] = lambda A=A: cx.algebra_closure(A)
+    B = cx.algebra_closure(A).extended
+    out["structure_constants.nil.g3.d8"] = lambda B=B: cx.structure_constants(
+        cx.MatrixTuple(B.data)
+    )
 
     for kind, d in (("ut", 6), ("full", 7)):
         B = cx.algebra_closure(pair(cx, np, kind, d)).extended
@@ -173,7 +179,7 @@ def cases(cx, np):
             cx.MatrixTuple(B.data)
         )
 
-    for d in (10, 12, 16):
+    for d in (8, 10, 12, 16):  # d=8 is the triple of algebra_closure.nil.g3.d8
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
         out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
 

@@ -186,7 +186,7 @@ def _solve_constants(
     span = closed[1] if tol <= closed[0] else _independent_span(basis, tol, what)
     left = basis.data
     right = left if middle is None else middle @ left
-    products = np.einsum("kab,jbc->kjac", left, right).reshape(g * g, -1)  # row k * g + j
+    products = (left[:, None] @ right[None, :]).reshape(g * g, -1)  # row k * g + j
     coords, residuals = span.project(products)
     factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
     bad = residuals > tol * factors.reshape(-1)
@@ -199,9 +199,9 @@ def _solve_constants(
             residual=worst,
         )
     r, _ = span.project(basis.flatten())
-    # solve(...)[s, k * g + j] is xi[j][k, s]
-    xi = MatrixTuple(np.linalg.solve(r.T, coords.T).reshape(g, g, g).transpose(2, 1, 0))
-    del coords
+    solved = np.linalg.solve(r.T, coords.T)  # [s, k * g + j] is xi[j][k, s]
+    del coords  # before xi copies solved: the span solve's memory peak
+    xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
     if middle is None:
         bound = _associativity_bound(basis, xi, products, r)
         _RESIDUALS[xi] = [bound, None, basis.data if basis.rows < g else None]

@@ -7,6 +7,7 @@ function of its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +222,7 @@ def operator_norm(m) -> float:
     m = _as_complex_matrix(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])  # np.linalg.norm(m, 2), bit for bit
 
 
 def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -256,25 +257,32 @@ class OrthonormalSpan:
     """A growing span in C^dim kept as orthonormal rows q. Vectors join by
     classical Gram-Schmidt run twice, which keeps q orthonormal to working
     precision ("twice is enough"; Giraud, Langou and Rozloznik, Comput. Math.
-    Appl. 50 (2005))."""
+    Appl. 50 (2005)). The rows live in a buffer that doubles when full, up to
+    dim rows; q views its filled rows, so later joins leave an earlier q as it was."""
 
     def __init__(self, dim: int):
-        self.q = np.empty((0, dim), dtype=complex)
+        self.q = self._rows = np.empty((0, dim), dtype=complex)
 
     def add(self, vec, floor: float) -> np.ndarray | None:
         """Append and return the unit remainder of vec against the span, or
         return None when the remainder's norm is at or below floor or the span
         is already the whole space (its remainder is rounding noise)."""
         v = np.array(vec, dtype=complex).reshape(-1)
-        if len(self.q) == v.size:
+        q = self.q
+        if len(q) == v.size:
             return None
         for _ in range(2):
-            v -= (self.q @ v.conj()).conj() @ self.q  # coefficients q_i^H v
-        norm = np.linalg.norm(v)
+            v -= (q @ v.conj()).conj() @ q  # coefficients q_i^H v
+        norm = math.sqrt(v.real @ v.real + v.imag @ v.imag)  # np.linalg.norm's formula
         if norm <= floor:
             return None
-        unit = v / norm  # its own array: callers keep it without pinning q
-        self.q = np.vstack([self.q, unit])
+        unit = v / norm  # its own array: callers keep it without pinning the buffer
+        n = len(q)
+        if n == len(self._rows):
+            self._rows = np.empty((min(v.size, max(1, 2 * n)), v.size), dtype=complex)
+            self._rows[:n] = q
+        self._rows[n] = unit
+        self.q = self._rows[: n + 1]
         return unit
 
     def project(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +290,9 @@ class OrthonormalSpan:
         per input row, and the norm of what is left of each row."""
         rows = np.asarray(rows, dtype=complex)
         coords = rows @ self.q.conj().T
-        return coords, np.linalg.norm(rows - coords @ self.q, axis=1)
+        rest = coords @ self.q
+        np.subtract(rows, rest, out=rest)  # one temporary the size of rows, not two
+        return coords, np.sqrt(np.einsum("ij,ij->i", rest.view(float), rest.view(float)))
 
 
 def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
@@ -295,19 +305,20 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     those at most tol times the largest generator norm count as zero. A
     nilpotent algebra is similar to a strictly upper-triangular one, whose
     k-th power has dimension (d - k)(d - k + 1)/2; a larger V_k rejects early.
+    Each level's products, generator-major, come from one batched matmul.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
     d = B.rows
-    norms = [operator_norm(mat) for mat in B]
-    gens = [mat / norm for mat, norm in zip(B, norms) if norm > tol * max(norms)]
-    level = [np.eye(d)]  # V_0: the empty word
+    norms = np.linalg.svd(B.data, compute_uv=False)[:, 0]  # operator_norm of each
+    keep = norms > tol * np.max(norms)
+    gens = B.data[keep] / norms[keep, None, None]
+    level = np.eye(d, dtype=complex)[None]  # V_0: the empty word
     for k in range(1, d + 1):
         cap = (d - k) * (d - k + 1) // 2
         span = OrthonormalSpan(d * d)
-        for gen in gens:
-            for word in level:
-                if span.add(gen @ word, tol) is not None and len(span.q) > cap:
-                    return False
-        level = [row.reshape(d, d) for row in span.q]
-    return not level
+        for product in (gens[:, None] @ level[None]).reshape(-1, d * d):
+            if span.add(product, tol) is not None and len(span.q) > cap:
+                return False
+        level = span.q.reshape(-1, d, d)
+    return not len(level)

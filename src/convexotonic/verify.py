@@ -127,7 +127,8 @@ def quadratic_shift(X: MatrixTuple, sign: float = 1.0) -> MatrixTuple:
 
 
 def _tuple_distance(a: MatrixTuple, b: MatrixTuple) -> float:
-    return max(operator_norm(a[j] - b[j]) for j in range(a.g))
+    """Largest operator_norm of a slot difference, from one stacked SVD."""
+    return float(np.max(np.linalg.svd(a.data - b.data, compute_uv=False)[:, 0]))
 
 
 # ---------------------------------------------------------------------------

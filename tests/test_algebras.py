@@ -309,8 +309,8 @@ def test_closure_of_7x7_pair_makes_g_products_per_element(monkeypatch):
 
 
 def test_closure_words_do_not_pin_copies_of_the_span(monkeypatch):
-    # each join rebuilds the span's rows; a word that viewed them would keep
-    # every intermediate copy alive until the closure returns (8 MiB here)
+    # a word that viewed the span's rows would keep every outgrown buffer
+    # alive until the closure returns
     A = MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 10, 10))
     tracemalloc.start()
     try:
@@ -556,6 +556,48 @@ def test_constants_reshape_matches_loop():
             loop[j, k, :] = coeff[:, k * g + j]
     xi, _ = _solve_constants(J, 1e-8, "test")
     assert np.max(np.abs(xi.data - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def solved_products(call, *args):
+    """The product rows that _solve_constants projects onto the span (its
+    first project call), and the constants it returns."""
+    seen = []
+    project = OrthonormalSpan.project
+
+    def recorded(self, rows):
+        seen.append(np.array(rows))
+        return project(self, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OrthonormalSpan, "project", recorded)
+        sc = call(*args)
+    return seen[0], sc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.tuples(st.sampled_from(["ut", "full"]), st.integers(2, 6)),
+        st.tuples(st.just("strict"), st.integers(3, 6)),
+    ),
+    st.booleans(),
+)
+def test_batched_products_match_an_einsum_reference(seed, kind_and_d, middle):
+    # matmul sums in another order than einsum, so the two agree to rounding:
+    # within 1e-15 times the Frobenius norms of the two factors
+    J = MatrixTuple(algebra_closure(oracle_input(seed, *kind_and_d)).extended.data)
+    if middle:  # an element of the algebra keeps the sandwiched products in it
+        C = np.tensordot(complex_gaussian(np.random.default_rng(seed), J.g), J.data, axes=1)
+        rows, sc = solved_products(pencil_structure_constants, J, C)
+        right = C @ J.data
+    else:
+        rows, sc = solved_products(structure_constants, J)
+        right = J.data
+    reference = np.einsum("kab,jbc->kjac", J.data, right).reshape(J.g**2, -1)
+    factors = np.outer(np.linalg.norm(J.data, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
+    assert np.all(np.max(np.abs(rows - reference), axis=1) <= 1e-15 * factors.reshape(-1))
+    assert sc.residual <= 1e-12 * np.max(factors)
 
 
 def double_loop_residual(xi):

@@ -25,6 +25,7 @@ from convexotonic import (
 )
 from convexotonic.linalg import BLOCK_LEVEL, OrthonormalSpan, _diagonal_cuts, resolvent
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
+from convexotonic.verify import _tuple_distance
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -404,6 +405,25 @@ def test_operator_norm_unitary_invariance(seed):
     assert abs(operator_norm(u @ m @ v) - operator_norm(m)) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.floats(-8, 8),
+)
+def test_norms_match_numpy_bit_for_bit(seed, rows, cols, g, exponent):
+    # operator_norm and _tuple_distance skip np.linalg.norm's axis handling
+    # but take the same largest singular value
+    rng = np.random.default_rng(seed)
+    a, b = (10.0**exponent * complex_gaussian(rng, g, rows, cols) for _ in range(2))
+    for m in (*a, a[0][:, :1], a[0][:1]):
+        assert operator_norm(m) == np.linalg.norm(m, 2)
+    per_slot = max(np.linalg.norm(a[j] - b[j], 2) for j in range(g))
+    assert _tuple_distance(MatrixTuple(a), MatrixTuple(b)) == per_slot
+
+
 # --- kernels and rank ------------------------------------------------------
 
 def test_kernel_basis_trivial():
@@ -505,6 +525,16 @@ def test_nilpotent_chain_large(d):
     assert not is_nilpotent(MatrixTuple(complex_gaussian(rng, 3, d, d)))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_nilpotent_all_zero_generators(d):
+    # no generator survives the scale test, so every power of the chain is empty
+    assert is_nilpotent(MatrixTuple.zeros(1, d))
+    assert is_nilpotent(MatrixTuple.zeros(3, d))
+    some = np.zeros((2, d, d), dtype=complex)
+    some[1, 0, 0] = 1e-3
+    assert not is_nilpotent(MatrixTuple(some))
+
+
 def test_nilpotent_shift_needs_full_chain():
     # the d x d shift has index exactly d: words of length d - 1 survive
     d = 7
@@ -528,6 +558,28 @@ def test_span_keeps_orthonormal_rows():
     q = span.q
     assert q.shape == (9, 12)
     assert np.max(np.abs(q @ q.conj().T - np.eye(9))) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 8, 9, 64])
+def test_span_rows_survive_buffer_growth(dim):
+    rng = np.random.default_rng(dim)
+    span = OrthonormalSpan(dim)
+    views = []
+    for v in complex_gaussian(rng, dim, dim):
+        unit = span.add(v, 0.0)
+        assert unit is not None
+        kept = unit.copy()
+        unit[:] = 0  # the caller's own array: the span keeps its row
+        assert np.array_equal(span.q[-1], kept)
+        views.append((span.q, span.q.copy()))
+    q = span.q
+    assert q.shape == (dim, dim)
+    assert np.max(np.abs(q @ q.conj().T - np.eye(dim))) < 1e-13
+    assert span.add(complex_gaussian(rng, dim), 0.0) is None
+    assert span.q.shape == (dim, dim)
+    # a q read earlier is not changed by later joins or by the buffer growing
+    for view, copy in views:
+        assert np.array_equal(view, copy)
 
 
 def test_span_rejects_members_at_floor():
