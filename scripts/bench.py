@@ -27,8 +27,9 @@ convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
 pairs (d=3/4), direct sums
 of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
 (U, 2U) for a 3x3 unitary U, whose top singular value is never simple, and at
-2,000 trials on the near-degenerate (I_3, 1e-7 G), sv_probe of eye(2) at the
-CLI default of 10,000 trials, hyperbasis_margin of d+1 Gaussian vectors at
+2,000 trials on the near-degenerate (I_3, 1e-7 G), sv_probe of eye(2) and of
+the type IV tuple (certified; the perfbench cli workload's sv-probe request)
+at the CLI default of 10,000 trials, hyperbasis_margin of d+1 Gaussian vectors at
 d=3 and d=8, and the
 verification harnesses: the example catalog at seed 42, properness of the type
 IV tuple and the corollary on the single 3x3 shift, both at 25 samples per
@@ -208,6 +209,8 @@ def cases(cx, np):
     out["sv_probe.near_degenerate.d3"] = lambda A=A: cx.sv_probe(A, trials=2000, seed=42)
     eye2 = cx.MatrixTuple.from_matrices([np.eye(2)])
     out["sv_probe.never_simple.eye2.t10000"] = lambda: cx.sv_probe(eye2, trials=10_000, seed=42)
+    E = cx.type_iv_tuple()
+    out["sv_probe.type_iv"] = lambda E=E: cx.sv_probe(E, seed=42)
     for d in (3, 8):
         vectors = complex_gaussian(np.random.default_rng([d, 9]), d + 1, d)
         out[f"hyperbasis_margin.d{d}"] = lambda v=vectors: cx.hyperbasis_margin(v)

@@ -156,6 +156,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """Argparse type of --seed: a non-negative integer, as numpy's generators need."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_tol(parser) -> None:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
 
@@ -202,7 +209,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sv-probe", help="probe a tuple for sv-genericity")
     p.add_argument("--tuple", required=True)
     p.add_argument("--trials", type=_count, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     _add_tol(p)
     p.set_defaults(func=_cmd_sv_probe)
 
@@ -212,12 +219,12 @@ def build_parser() -> _Parser:
     p.add_argument("--z", required=True, help="twist unitary matrix")
     p.add_argument("--m", required=True, help="change-of-basis unitary matrix")
     p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     _add_tol(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("examples", help="run the worked-example catalog")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--samples", type=_count, default=25)
     p.set_defaults(func=_cmd_examples)
 

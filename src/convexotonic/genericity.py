@@ -21,7 +21,6 @@ from .linalg import (
     is_nilpotent,
     joint_kernel,
 )
-from .sampling import complex_gaussian
 
 GAP_TOL = 1e-6  # singular-value simplicity gap
 POOL_FACTOR = 4  # candidates kept per required vector on each side
@@ -98,13 +97,17 @@ def sv_probe(
 ) -> ProbeResult:
     """Search for an sv-genericity certificate by seeded sampling.
 
-    Each trial makes one Gaussian draw, seeded seed + trial, so trials bounds
-    the work. The draw is scaled so the pencil has unit norm (making the
-    defect pencil PSD with a kernel), and its kernel vectors are kept when the
-    top singular value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when
-    d = 1); a test relative to s0 makes the verdict independent of scale.
-    Trials run in chunks of 2d+1 doubling up to CHUNK_CAP, each factored by
-    one stacked SVD and then visited in order, so the result is the
+    Each trial makes one complex Gaussian draw, so trials bounds the work.
+    One generator, default_rng(seed), serves the whole probe: trial t takes
+    normals 2g*t .. 2g*t + 2g - 1 of its stream, the g real parts first and
+    then the g imaginary parts, so the result depends only on (A, trials,
+    seed, tol). A negative seed raises ValueError whatever the tuple. The
+    draw is scaled so the pencil has unit norm (making the defect pencil PSD
+    with a kernel), and its kernel vectors are kept when the top singular
+    value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when d = 1); a test
+    relative to s0 makes the verdict independent of scale. Trials run in
+    chunks of 2d+1 doubling up to CHUNK_CAP, each drawn in one call, factored
+    by one stacked SVD and then visited in order, so the result is the
     sequential one; the draws after a certifying trial in its chunk are
     computed and discarded, and so is every draw after both pools are full.
     Each side pools POOL_FACTOR candidates per required vector and grows one
@@ -114,6 +117,7 @@ def sv_probe(
     search finds every hyperbasis (a spanning circuit), so a pool whose
     hyperbases all avoid the greedy basis ends inconclusive.
     """
+    rng = np.random.default_rng(seed)  # first, so that a bad seed raises for every tuple
     conditions = necessary_conditions(A, tol)
     if not conditions.passed:
         return ProbeResult("rejected", None, conditions, 0)
@@ -124,7 +128,8 @@ def sv_probe(
     coeffs, start, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
     while start < trials:
         stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
-        gammas = [complex_gaussian(np.random.default_rng(seed + t), g) for t in range(start, stop)]
+        normals = rng.standard_normal((stop - start, 2, g))
+        gammas = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
         u, s, vh = np.linalg.svd(np.array([coeffs @ gamma for gamma in gammas]).reshape(-1, d, d))
         gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
         for k in np.flatnonzero(gap > GAP_TOL * s[:, 0]):  # a multiple s0 pools nothing

@@ -340,6 +340,26 @@ def test_counts_below_one_are_usage_errors(files, capsys, argv):
     assert "usage:" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sv-probe", "--tuple", "f", "--seed", "-1"],
+        ["verify-theorem", "--e", "e", "--b", "e", "--z", "eye", "--m", "eye", "--seed", "-1"],
+        ["examples", "--seed", "-1"],
+        ["examples", "--seed", "one"],
+    ],
+)
+def test_negative_seeds_are_usage_errors(files, capsys, argv):
+    # the nilpotent f would be rejected (exit 2) if the seed reached the probe
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "usage:" in out.err
+
+
 def test_no_command_usage(capsys):
     assert run([]) == 1
 

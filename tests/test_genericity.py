@@ -161,7 +161,7 @@ def near_degenerate(seed, d, eps):
         (MatrixTuple.from_matrices([np.eye(2)]), 200, "never-simple"),
         # scalar multiples fill both pools with one repeated kernel vector
         (scalar_multiples(4, 3), 200, "pools-full"),
-        # (I_3, 1e-7 G) pools a few draws by trial 100 and certifies at 249
+        # (I_3, 1e-7 G) pools a few draws by trial 100 and certifies at 369
         (near_degenerate(5, 3, 1e-7), 100, "trials-exhausted"),
     ],
     ids=["never-simple", "pools-full", "trials-exhausted"],
@@ -188,16 +188,18 @@ def exhaustive_probe(A, trials, seed, tol=1e-8, gap_tol=1e-6, pool_factor=4):
         return "rejected", 0, None
     d, g = A.rows, A.g
     alpha_pool, beta_pool = [], []
+    rng = np.random.default_rng(seed)
 
-    def draw(rng):
-        for _ in range(100):
-            gamma = complex_gaussian(rng, g)
-            norm = np.linalg.norm(pencil_eval(A, MatrixTuple.scalar(gamma)), 2)
-            if norm > 1e-12:
-                point = gamma / norm
-                u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(point)))
-                if (s[0] - s[1] if d > 1 else s[0]) > gap_tol:
-                    return point, vh[0].conj(), u[:, 0]
+    def draw():
+        # one draw per trial from the probe's one stream, never redrawn
+        normals = rng.standard_normal((2, g))
+        gamma = (normals[0] + 1j * normals[1]) / np.sqrt(2)
+        norm = np.linalg.norm(pencil_eval(A, MatrixTuple.scalar(gamma)), 2)
+        if norm > 1e-12:
+            point = gamma / norm
+            u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(point)))
+            if (s[0] - s[1] if d > 1 else s[0]) > gap_tol:
+                return point, vh[0].conj(), u[:, 0]
         return None
 
     def first_subset(pool, size, margin):
@@ -210,7 +212,7 @@ def exhaustive_probe(A, trials, seed, tol=1e-8, gap_tol=1e-6, pool_factor=4):
         return np.linalg.svd(np.array(vectors).T, compute_uv=False)[-1]
 
     for trial in range(trials):
-        drawn = draw(np.random.default_rng(seed + trial))
+        drawn = draw()
         if drawn is None:
             continue
         point, right, left = drawn
@@ -243,17 +245,19 @@ def sequential_hyperbasis_margin(vectors):
 
 
 def sequential_probe(A, trials, seed, tol=1e-8):
-    """Reference: the probe one trial at a time, one pencil_eval and one SVD
-    per draw, as it ran before chunking. Returns (status, trials_used,
-    certificate)."""
+    """Reference: the probe one trial at a time, one draw of 2g normals from
+    one generator, one pencil_eval and one SVD per trial, as it ran before
+    chunking. Returns (status, trials_used, certificate)."""
     if not necessary_conditions(A, tol).passed:
         return "rejected", 0, None
     d, g = A.rows, A.g
+    rng = np.random.default_rng(seed)
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
     alpha_basis, betas = [], []
     alphas, b_margin, pooled = None, 0.0, 0
     for trial in range(trials):
-        gamma = complex_gaussian(np.random.default_rng(seed + trial), g)
+        normals = rng.standard_normal((2, g))
+        gamma = (normals[0] + 1j * normals[1]) / np.sqrt(2)
         u, s, vh = np.linalg.svd(pencil_eval(A, MatrixTuple.scalar(gamma)))
         if (s[0] - s[1] if d > 1 else s[0]) <= genericity.GAP_TOL * s[0]:
             continue
@@ -417,17 +421,69 @@ def test_probe_greedy_basis_misses_other_hyperbases():
 def test_probe_makes_one_draw_per_trial(monkeypatch):
     # the top singular value of eye(2) is never simple, so every draw is
     # rejected; the trial count alone bounds the work
-    calls = []
+    drawn = []
+    default_rng = np.random.default_rng
 
-    def counted(*args):
-        calls.append(args)
-        return complex_gaussian(*args)
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
 
-    monkeypatch.setattr(genericity, "complex_gaussian", counted)
-    result = sv_probe(MatrixTuple.from_matrices([np.eye(2)]), trials=200, seed=42)
+        def standard_normal(self, shape):
+            out = self.rng.standard_normal(shape)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    A = MatrixTuple.from_matrices([np.eye(2)])
+    result = sv_probe(A, trials=200, seed=42)
     assert result.status == "inconclusive"
     assert result.trials_used == 200
-    assert len(calls) == 200
+    assert sum(drawn) == 2 * A.g * 200
+
+
+# --- one generator per probe ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "A, trials, status",
+    [
+        (near_degenerate(5, 3, 1e-7), 2000, "certified"),
+        (scalar_multiples(4, 3), 200, "inconclusive"),
+        (near_degenerate(5, 3, 1e-7), 100, "inconclusive"),
+    ],
+    ids=["certified", "pools-full", "trials-exhausted"],
+)
+@pytest.mark.parametrize("cap", [1, 5])
+def test_probe_result_does_not_depend_on_the_chunk_size(monkeypatch, A, trials, status, cap):
+    expected = sv_probe(A, trials=trials, seed=42)
+    assert expected.status == status
+    monkeypatch.setattr(genericity, "CHUNK_CAP", cap)
+    result = sv_probe(A, trials=trials, seed=42)
+    assert (result.status, result.reason, result.trials_used) == (
+        expected.status, expected.reason, expected.trials_used
+    )
+    if expected.certificate is None:
+        assert result.certificate is None
+        return
+    got, want = result.certificate, expected.certificate
+    assert (got.hyperbasis_margin, got.basis_margin) == (want.hyperbasis_margin, want.basis_margin)
+    for mine, theirs in ((got.alphas, want.alphas), (got.betas, want.betas)):
+        for a, b in zip(mine, theirs, strict=True):
+            assert np.array_equal(a.point, b.point)
+            assert np.array_equal(a.kernel_vector, b.kernel_vector)
+
+
+def test_consecutive_seeds_draw_independent_points():
+    # seeding each trial by seed + trial made trial t of seed s trial t-1 of
+    # seed s+1, so certificates at consecutive seeds shared points
+    first, second = (sv_probe(type_iv_tuple(), seed=seed).certificate for seed in (42, 43))
+    for a in first.alphas:
+        assert not any(np.array_equal(a.point, b.point) for b in second.alphas)
+
+
+@pytest.mark.parametrize("A", [type_i_tuple(), type_iv_tuple()], ids=["rejected", "certified"])
+def test_probe_refuses_a_negative_seed_for_every_tuple(A):
+    with pytest.raises(ValueError):
+        sv_probe(A, trials=10, seed=-1)
 
 
 def test_probe_near_degenerate_tuple_needs_more_trials():
