@@ -149,18 +149,13 @@ def _cmd_examples(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _count(text: str) -> int:
-    """Argparse type of --trials and --samples: an integer of at least 1."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """Argparse type of --seed: a non-negative integer, as numpy's generators need."""
-    if (value := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _at_least(low: int):
+    """Argparse type: an integer of at least low (1 for counts, 0 for seeds)."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _add_tol(parser) -> None:
@@ -208,8 +203,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sv-probe", help="probe a tuple for sv-genericity")
     p.add_argument("--tuple", required=True)
-    p.add_argument("--trials", type=_count, default=10_000)
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--trials", type=_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     _add_tol(p)
     p.set_defaults(func=_cmd_sv_probe)
 
@@ -218,14 +213,14 @@ def build_parser() -> _Parser:
     p.add_argument("--b", required=True, help="target spectrahedron tuple")
     p.add_argument("--z", required=True, help="twist unitary matrix")
     p.add_argument("--m", required=True, help="change-of-basis unitary matrix")
-    p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     _add_tol(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("examples", help="run the worked-example catalog")
-    p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--seed", type=_at_least(0), default=42)
+    p.add_argument("--samples", type=_at_least(1), default=25)
     p.set_defaults(func=_cmd_examples)
 
     return parser

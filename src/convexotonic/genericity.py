@@ -9,6 +9,7 @@ the fast necessary conditions (joint kernel, joint cokernel, nilpotency).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,19 +98,15 @@ def sv_probe(
 ) -> ProbeResult:
     """Search for an sv-genericity certificate by seeded sampling.
 
-    Each trial makes one complex Gaussian draw, so trials bounds the work.
-    One generator, default_rng(seed), serves the whole probe: trial t takes
-    normals 2g*t .. 2g*t + 2g - 1 of its stream, the g real parts first and
-    then the g imaginary parts, so the result depends only on (A, trials,
-    seed, tol). A negative seed raises ValueError whatever the tuple. The
-    draw is scaled so the pencil has unit norm (making the defect pencil PSD
-    with a kernel), and its kernel vectors are kept when the top singular
-    value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when d = 1); a test
-    relative to s0 makes the verdict independent of scale. Trials run in
-    chunks of 2d+1 doubling up to CHUNK_CAP, each drawn in one call, factored
-    by one stacked SVD and then visited in order, so the result is the
-    sequential one; the draws after a certifying trial in its chunk are
-    computed and discarded, and so is every draw after both pools are full.
+    Each trial makes one complex Gaussian draw, so trials bounds the work;
+    trial t takes normals 2g*t .. 2g*t + 2g - 1 (real parts first) of one
+    default_rng(seed). The draw is scaled so the pencil has unit norm (making
+    the defect pencil PSD with a kernel), and its kernel vectors are kept when
+    the top singular value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when
+    d = 1), a test relative to s0 that makes the verdict independent of scale.
+    Chunks of 2d+1 trials, doubling up to CHUNK_CAP, are each drawn in one
+    call, factored by one stacked SVD and visited in order, so the chunks do
+    not change the result; draws past a certificate or full pools are wasted.
     Each side pools POOL_FACTOR candidates per required vector and grows one
     span with those that leave a remainder above tol. The first d beta joiners
     must have a basis margin above tol; each later alpha is tried once as the
@@ -117,7 +114,7 @@ def sv_probe(
     search finds every hyperbasis (a spanning circuit), so a pool whose
     hyperbases all avoid the greedy basis ends inconclusive.
     """
-    rng = np.random.default_rng(seed)  # first, so that a bad seed raises for every tuple
+    rng = np.random.default_rng(operator.index(seed))  # first: every tuple checks the seed
     conditions = necessary_conditions(A, tol)
     if not conditions.passed:
         return ProbeResult("rejected", None, conditions, 0)

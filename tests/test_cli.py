@@ -349,7 +349,7 @@ def test_counts_below_one_are_usage_errors(files, capsys, argv):
         ["examples", "--seed", "one"],
     ],
 )
-def test_negative_seeds_are_usage_errors(files, capsys, argv):
+def test_bad_seeds_are_usage_errors(files, capsys, argv):
     # the nilpotent f would be rejected (exit 2) if the seed reached the probe
     argv = [files.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as exc:

@@ -480,10 +480,11 @@ def test_consecutive_seeds_draw_independent_points():
         assert not any(np.array_equal(a.point, b.point) for b in second.alphas)
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (None, TypeError), (1.5, TypeError)])
 @pytest.mark.parametrize("A", [type_i_tuple(), type_iv_tuple()], ids=["rejected", "certified"])
-def test_probe_refuses_a_negative_seed_for_every_tuple(A):
-    with pytest.raises(ValueError):
-        sv_probe(A, trials=10, seed=-1)
+def test_probe_refuses_a_bad_seed_for_every_tuple(A, seed, error):
+    with pytest.raises(error):
+        sv_probe(A, trials=10, seed=seed)
 
 
 def test_probe_near_degenerate_tuple_needs_more_trials():
