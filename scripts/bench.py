@@ -22,7 +22,8 @@ structure_constants on the closures of full 8x8 and 10x10 pairs (g=64 and
 100, where the exact residual takes seconds and the associativity bound
 certifies the constants),
 is_nilpotent on strictly upper-triangular triples (d=8, the algebra
-workload's size, and d=10/12/16), the exact
+workload's size, and d=10/12/16/32) and on a generic 8x8 pair (no joint
+kernel, so the kernel flag stops at its first step), the exact
 convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
 pairs (d=3/4), direct sums
 of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
@@ -42,7 +43,8 @@ warm-up call derives.
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
 for BUDGET_S seconds; cases whose names match --skip are left out (the
-exponential nilpotency test of older commits cannot finish d=16). The package
+exponential nilpotency test of older commits cannot finish d=16, and their
+word-span chain takes seconds a call at d=32). The package
 is imported from --src (default: the src directory of this checkout), so one
 script can time two checkouts; each invocation writes the cases it timed into
 the run named --label in --out (replacing only those cases) and keeps
@@ -180,9 +182,11 @@ def cases(cx, np):
             cx.MatrixTuple(B.data)
         )
 
-    for d in (8, 10, 12, 16):  # d=8 is the triple of algebra_closure.nil.g3.d8
+    for d in (8, 10, 12, 16, 32):  # d=8 is the triple of algebra_closure.nil.g3.d8
         B = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([d, 3]), 3, d, d), 1))
         out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
+    G = cx.MatrixTuple(gaussian(np.random.default_rng([8, 2]), 2, 8, 8))
+    out["is_nilpotent.generic.g2.d8"] = lambda: cx.is_nilpotent(G)
 
     # sv_probe at 200 trials: scalar multiples and direct sums pass every
     # necessary condition but have no certificate, so the search runs to the end

@@ -9,6 +9,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 
@@ -149,17 +150,18 @@ def _cmd_examples(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _at_least(low: int):
-    """Argparse type: an integer of at least low (1 for counts, 0 for seeds)."""
-    def integer(text: str) -> int:
-        if (value := int(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _at_least(low, kind=int):
+    """Argparse type: a finite number of type kind, at least low (1 for counts,
+    0 for seeds and, with kind float, for tolerances)."""
+    def number(text: str):
+        if not low <= (value := kind(text)) < math.inf:  # nan fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
         return value
-    return integer
+    return number
 
 
 def _add_tol(parser) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
+    parser.add_argument("--tol", type=_at_least(0, float), default=DEFAULT_TOL, help="tolerance")
 
 
 def build_parser() -> _Parser:

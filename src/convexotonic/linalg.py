@@ -298,14 +298,12 @@ class OrthonormalSpan:
 def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     """Whether the multiplicative algebra generated by B is nilpotent.
 
-    Runs the power chain V_1 = span B, V_{k+1} = span(B V_k) of the spans of
-    all words of length k; a nilpotent subalgebra of d x d matrices has index
-    at most d, so it is nilpotent iff V_d = 0. Generators are scaled to unit
-    operator norm, which makes the floor tol on each remainder scale-free;
-    those at most tol times the largest generator norm count as zero. A
-    nilpotent algebra is similar to a strictly upper-triangular one, whose
-    k-th power has dimension (d - k)(d - k + 1)/2; a larger V_k rejects early.
-    Each level's products, generator-major, come from one batched matmul.
+    Grows the flag K_0 = 0, K_{k+1} = ker [(I - P_k P_k*) B_j]_j (P_k an
+    orthonormal basis of K_k) of the vectors that all words of length k + 1
+    kill, one SVD of the stacked gd x d matrix a step, until it reaches C^d
+    (nilpotent) or stops growing (not). Generators are scaled to unit
+    operator norm, so tol, the largest singular value counted as kernel, is
+    scale-free; those at most tol times the largest norm count as zero.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
@@ -313,12 +311,11 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     norms = np.linalg.svd(B.data, compute_uv=False)[:, 0]  # operator_norm of each
     keep = norms > tol * np.max(norms)
     gens = B.data[keep] / norms[keep, None, None]
-    level = np.eye(d, dtype=complex)[None]  # V_0: the empty word
-    for k in range(1, d + 1):
-        cap = (d - k) * (d - k + 1) // 2
-        span = OrthonormalSpan(d * d)
-        for product in (gens[:, None] @ level[None]).reshape(-1, d * d):
-            if span.add(product, tol) is not None and len(span.q) > cap:
-                return False
-        level = span.q.reshape(-1, d, d)
-    return not len(level)
+    basis = np.zeros((d, 0), dtype=complex)  # P_k: orthonormal columns spanning K_k
+    while True:
+        rest = gens - basis @ (basis.conj().T @ gens)
+        _, s, vh = np.linalg.svd(rest.reshape(-1, d), full_matrices=False)
+        rank = int(np.count_nonzero(s > tol))
+        if rank == 0 or d - rank <= basis.shape[1]:  # <=: a kernel shrunk in rounding stops too
+            return rank == 0
+        basis = vh[rank:].conj().T

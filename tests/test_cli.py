@@ -7,6 +7,7 @@ from convexotonic import MatrixTuple, type_i_tuple, type_iv_tuple
 from convexotonic.cli import run
 from convexotonic import jsonio
 from convexotonic.jsonio import JsonFormatError, matrix_to_obj, obj_to_tuple, tuple_to_obj
+from convexotonic.sampling import complex_gaussian
 
 
 def write_tuple(path, t):
@@ -358,6 +359,42 @@ def test_bad_seeds_are_usage_errors(files, capsys, argv):
     assert exc.value.code == 1
     assert out.out == ""
     assert "usage:" in out.err
+
+
+TOL_COMMANDS = [
+    ["member", "--kind", "ball", "--tuple", "e", "--point", "small"],
+    ["xi", "--tuple", "e"],
+    ["pencil-xi", "--tuple", "e", "--middle", "eye"],
+    ["sv-probe", "--tuple", "g", "--trials", "10"],
+    ["verify-theorem", "--e", "e", "--b", "e", "--z", "eye", "--m", "eye", "--samples", "1"],
+]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=[argv[0] for argv in TOL_COMMANDS])
+def test_bad_tolerances_are_usage_errors(files, capsys, argv, tol):
+    # parsed as a float, nan rejected a Gaussian 3x3 pair as nilpotent and inf
+    # gave every necessary-condition reason
+    files["g"] = write_tuple(
+        files["tmp"] / "g.json", MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 3, 3))
+    )
+    argv = [files.get(arg, arg) for arg in argv] + ["--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "usage:" in out.err
+    assert f"--tol: must be finite and at least 0, got {tol}" in out.err
+
+
+@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=[argv[0] for argv in TOL_COMMANDS])
+def test_zero_tolerance_is_accepted(files, capsys, argv):
+    files["g"] = write_tuple(
+        files["tmp"] / "g.json", MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 3, 3))
+    )
+    code, doc, _ = run_json(capsys, [files.get(arg, arg) for arg in argv] + ["--tol", "0"])
+    assert doc is not None and code in (0, 2, 3)
 
 
 def test_no_command_usage(capsys):

@@ -477,11 +477,18 @@ def test_nilpotent_scale_free(f_tuple):
     assert is_nilpotent(MatrixTuple(1e-6 * f_tuple.data))
 
 
+def unit_generators(B, tol):
+    """The generators at unit operator norm, less those at most tol times the
+    largest norm: the rule of is_nilpotent."""
+    norms = [operator_norm(m) for m in B]
+    return [m / n for m, n in zip(B, norms) if n > tol * max(norms)]
+
+
 def word_tree_is_nilpotent(B, tol=1e-8):
     """Reference: every word of length d in the unit-norm generators has
     operator norm at most tol (word norms never grow, so subtrees prune)."""
     d = B.rows
-    gens = [m / operator_norm(m) for m in B if operator_norm(m) > tol]
+    gens = unit_generators(B, tol)
 
     def extend(prod, depth):
         if operator_norm(prod) <= tol:
@@ -493,28 +500,54 @@ def word_tree_is_nilpotent(B, tol=1e-8):
     return all(extend(gen, 1) for gen in gens)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 6),
-    st.integers(1, 3),
-    st.sampled_from(["strict", "similar", "generic"]),
-)
-def test_nilpotent_chain_matches_word_tree(seed, d, g, kind):
-    rng = np.random.default_rng(seed)
+def chain_is_nilpotent(B, tol=1e-8):
+    """Reference: the power chain V_1 = span B, V_{k+1} = span(B V_k) of the
+    spans in C^{d^2} of all words of length k in the unit-norm generators; a
+    nilpotent algebra of d x d matrices has index at most d, so it is
+    nilpotent iff V_d = 0. A product joins when its remainder exceeds tol."""
+    d = B.rows
+    gens = np.array(unit_generators(B, tol)).reshape(-1, d, d)
+    level = np.eye(d, dtype=complex)[None]  # V_0: the empty word
+    for _ in range(d):
+        span = OrthonormalSpan(d * d)
+        for product in (gens[:, None] @ level[None]).reshape(-1, d * d):
+            span.add(product, tol)
+        level = span.q.reshape(-1, d, d)
+    return not len(level)
+
+
+def nilpotency_draw(rng, kind, g, d):
+    """A strict (strictly upper-triangular), similar (a strict tuple under a
+    similarity), diagonal (strict plus the entry 1e-3 at (d, d) of its first
+    element) or generic complex Gaussian tuple."""
     data = complex_gaussian(rng, g, d, d)
     if kind != "generic":
         data = np.triu(data, 1)
     if kind == "similar":
         s = np.eye(d) + 0.3 * rand_matrix(rng, d)
         data = np.stack([np.linalg.solve(s, m @ s) for m in data])
-    B = MatrixTuple(data)
-    expected = kind != "generic"
+    if kind == "diagonal":
+        data[0, d - 1, d - 1] = 1e-3
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from(["strict", "similar", "diagonal", "generic"]),
+    st.sampled_from([1e-13, 1.0, 1e8]),
+)
+def test_nilpotent_chain_matches_word_tree(seed, d, g, kind, scale):
+    B = MatrixTuple(scale * nilpotency_draw(np.random.default_rng(seed), kind, g, d))
+    expected = kind in ("strict", "similar")
     assert word_tree_is_nilpotent(B) is expected
+    assert chain_is_nilpotent(B) is expected
     assert is_nilpotent(B) is expected
 
 
-@pytest.mark.parametrize("d", [10, 12, 16])
+@pytest.mark.parametrize("d", [10, 12, 16, 32])
 def test_nilpotent_chain_large(d):
     rng = np.random.default_rng(d)
     strict = np.triu(complex_gaussian(rng, 3, d, d), 1)
@@ -523,6 +556,61 @@ def test_nilpotent_chain_large(d):
     strict[0, d - 1, d - 1] = 1.0
     assert not is_nilpotent(MatrixTuple(strict))
     assert not is_nilpotent(MatrixTuple(complex_gaussian(rng, 3, d, d)))
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_nilpotent_flag_takes_at_most_d_plus_one_svds(monkeypatch, d):
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng([d, 18])
+    # the shift grows its flag by one dimension a step: the most steps there are
+    for B, verdict in (
+        (MatrixTuple.from_matrices([np.eye(d, k=1)]), True),
+        (MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1)), True),
+        (MatrixTuple(complex_gaussian(rng, 2, d, d)), False),
+    ):
+        calls.clear()
+        assert is_nilpotent(B) is verdict
+        assert len(calls) <= d + 1
+    assert len(calls) == 2  # the generic pair has no kernel: the first step stops
+    assert calls[1] == (2 * d, d)
+
+
+@pytest.mark.parametrize(
+    "eps, nilpotent", [(1e-6, 0), (1e-7, 0), (1e-9, 30), (1e-10, 30)]
+)
+def test_nilpotent_threshold_band(eps, nilpotent):
+    # strict tuples plus one diagonal entry eps: at least ten times tol away
+    # from tol the verdict is fixed; between 1e-9 and 1e-7 it depends on the draw
+    rng = np.random.default_rng(2024)
+    count = 0
+    for _ in range(30):
+        g, d = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        data = np.triu(complex_gaussian(rng, g, d, d), 1)
+        data[0, d - 1, d - 1] = eps
+        count += is_nilpotent(MatrixTuple(data))
+    assert count == nilpotent
+
+
+@pytest.mark.parametrize("kappa", [1e1, 1e3])
+def test_nilpotent_flag_and_chain_under_similarity(kappa):
+    # S = U diag(1 .. kappa) V: both tell strict tuples from ones with the
+    # eigenvalue 1e-3, on every draw
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        g, d = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        s = random_unitary(rng, d) @ np.diag(np.geomspace(1, kappa, d)) @ random_unitary(rng, d)
+        for kind, expected in (("strict", True), ("diagonal", False)):
+            data = nilpotency_draw(rng, kind, g, d)
+            B = MatrixTuple(np.stack([np.linalg.solve(s, m @ s) for m in data]))
+            assert is_nilpotent(B) is expected
+            assert chain_is_nilpotent(B) is expected
 
 
 @pytest.mark.parametrize("d", [1, 3])
