@@ -7,7 +7,7 @@ from convexotonic import MatrixTuple, type_i_tuple, type_iv_tuple
 from convexotonic.cli import run
 from convexotonic import jsonio
 from convexotonic.jsonio import JsonFormatError, matrix_to_obj, obj_to_tuple, tuple_to_obj
-from convexotonic.sampling import complex_gaussian
+from convexotonic.sampling import random_tuple
 
 
 def write_tuple(path, t):
@@ -33,6 +33,7 @@ def files(tmp_path):
         "m11": write_tuple(tmp_path / "m11.json", scalar_point(-1, -1)),
         "small": write_tuple(tmp_path / "small.json", scalar_point(0.2, 0.3)),
         "eye": write_matrix(tmp_path / "eye.json", np.eye(2)),
+        "g": write_tuple(tmp_path / "g.json", random_tuple(np.random.default_rng(0), 2, 3)),
         "tmp": tmp_path,
     }
 
@@ -375,9 +376,6 @@ TOL_COMMANDS = [
 def test_bad_tolerances_are_usage_errors(files, capsys, argv, tol):
     # parsed as a float, nan rejected a Gaussian 3x3 pair as nilpotent and inf
     # gave every necessary-condition reason
-    files["g"] = write_tuple(
-        files["tmp"] / "g.json", MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 3, 3))
-    )
     argv = [files.get(arg, arg) for arg in argv] + ["--tol", tol]
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -390,9 +388,6 @@ def test_bad_tolerances_are_usage_errors(files, capsys, argv, tol):
 
 @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=[argv[0] for argv in TOL_COMMANDS])
 def test_zero_tolerance_is_accepted(files, capsys, argv):
-    files["g"] = write_tuple(
-        files["tmp"] / "g.json", MatrixTuple(complex_gaussian(np.random.default_rng(0), 2, 3, 3))
-    )
     code, doc, _ = run_json(capsys, [files.get(arg, arg) for arg in argv] + ["--tol", "0"])
     assert doc is not None and code in (0, 2, 3)
 

@@ -615,7 +615,7 @@ def test_nilpotent_flag_and_chain_under_similarity(kappa):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_nilpotent_all_zero_generators(d):
-    # no generator survives the scale test, so every power of the chain is empty
+    # no generator survives the scale test, so the first kernel is all of C^d
     assert is_nilpotent(MatrixTuple.zeros(1, d))
     assert is_nilpotent(MatrixTuple.zeros(3, d))
     some = np.zeros((2, d, d), dtype=complex)
