@@ -3,42 +3,21 @@
 
     python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
-Times pencil_eval, map calls (type IV at levels 16-256, type IV with its
-elements swapped, whose constants are lower triangular, at level 128, and
-the closures of an upper-triangular 3x3 pair at level 64, of an
-upper-triangular 6x6 pair at level 16 and of a full 7x7 pair at levels 4 and
-16), transfer_residual and
-contraction_membership at level 2, spec_membership of the type IV tuple at
-level 128 (the size of the perfbench cli workload's `member` request), JSON
-parse and emit at level 128, algebra_closure of random pairs (full d=6/7/8,
-upper-triangular d=6) and of a strictly upper-triangular 8x8 triple, the
-structure constants of that triple's closure,
-is_linearly_independent and structure_constants on the closures of an
-upper-triangular 6x6 pair (g=21) and a full 7x7 pair (g=49), the algebra
-pipeline on the same closures (structure constants, the map, and
-transfer_residual at level 2 with both signs), closure and constants in one
-call on the same pairs (the constants reuse the closure's span),
-structure_constants on the closures of full 8x8 and 10x10 pairs (g=64 and
-100, where the exact residual takes seconds and the associativity bound
-certifies the constants),
-is_nilpotent on strictly upper-triangular triples (d=8, the algebra
-workload's size, and d=10/12/16/32) and on a generic 8x8 pair (no joint
-kernel, so the kernel flag stops at its first step), the exact
-convexotonic_residual at g=49, and sv_probe at 200 trials on scalar-multiple
-pairs (d=3/4), direct sums
-of a 1x1 or a 2x2 pair with a 2x2 pair, a generic 5x5 pair, and eye(2) and
-(U, 2U) for a 3x3 unitary U, whose top singular value is never simple, and at
-2,000 trials on the near-degenerate (I_3, 1e-7 G), sv_probe of eye(2) and of
-the type IV tuple (certified; the perfbench cli workload's sv-probe request)
-at the CLI default of 10,000 trials, hyperbasis_margin of d+1 Gaussian vectors at
-d=3 and d=8, and the
-verification harnesses: the example catalog at seed 42, properness of the type
-IV tuple and the corollary on the single 3x3 shift, both at 25 samples per
-level. Certificates are stored per tuple object, so the certifying cases
-(structure constants, residual, transfer, pipeline) get a fresh copy of their
-tuple on every call: they time the computation, not a stored result. A
-map-call case calls one map, whose coordinate map (closures only) the
-warm-up call derives.
+cases() is the list of cases. Each times one public call of a layer of
+ROADMAP item 1, or one verification harness, on inputs drawn there once at
+fixed seeds. The sizes are those a perfbench workload or a CLI default uses,
+so a case shows where an end-to-end op spends its time, plus larger ones
+where a layer's cost grows fastest (nilpotency at d=32, the constants of
+g=64 and g=100 closures). The inputs are chosen to reach each layer's
+distinct paths: block-triangular and lower-triangular pencils, closures
+whose maps go through the d n x d n pencil, the exact convexotonic residual
+where no associativity bound exists, and sv-probes that certify, run out of
+trials, or never see a simple top singular value.
+
+Certificates are stored per tuple object, so the certifying cases (structure
+constants, residual, transfer, pipeline) get a fresh copy of their tuple on
+every call: they time the computation, not a stored result. A map-call case
+calls one map, whose coordinate map (closures only) the warm-up call derives.
 
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run

@@ -75,19 +75,12 @@ def is_linearly_independent(T: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Coefficient tuple xi with the residuals certifying it.
-
-    residual: max distance of a product from the span of the tuple.
-    convexotonic_residual: max defect of xi multiplying against itself,
-    computed on first read.
-    """
+    """Coefficient tuple xi with the residual certifying it: the max distance
+    of a product from the span of the tuple. The exact defect of xi
+    multiplying against itself is convexotonic_residual(xi)."""
 
     xi: MatrixTuple
     residual: float
-
-    @property
-    def convexotonic_residual(self) -> float:
-        return convexotonic_residual(self.xi)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import sys
 from importlib import resources
 
 from . import jsonio
-from .algebras import algebra_closure, pencil_structure_constants, structure_constants
+from .algebras import (
+    algebra_closure, convexotonic_residual, pencil_structure_constants, structure_constants
+)
 from .domains import Spectraball, Spectrahedron, ball_membership, spec_membership
 from .errors import (
     DependentInput, DomainBreach, PencilError, SingularPencil, SpanViolation, ZeroDirection
@@ -64,7 +66,7 @@ def _cmd_member(args) -> int:
 
 def _emit_constants(sc, **payload) -> int:
     """Emit xi with its residuals (the convexotonic one exact) and payload."""
-    residuals = {"residual": sc.residual, "convexotonic_residual": sc.convexotonic_residual}
+    residuals = {"residual": sc.residual, "convexotonic_residual": convexotonic_residual(sc.xi)}
     _emit({"xi": jsonio.tuple_to_obj(sc.xi), **residuals, **payload})
     return EXIT_OK
 
@@ -127,16 +129,12 @@ def _cmd_sv_probe(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    try:
-        data = TheoremData(
-            ball_tuple=_load_tuple(args.e),
-            target_tuple=_load_tuple(args.b),
-            twist=_load_matrix(args.z),
-            change_of_basis=_load_matrix(args.m),
-        )
-    except ValueError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
+    data = TheoremData(
+        ball_tuple=_load_tuple(args.e),
+        target_tuple=_load_tuple(args.b),
+        twist=_load_matrix(args.z),
+        change_of_basis=_load_matrix(args.m),
+    )
     report = verify_theorem(data, samples=args.samples, seed=args.seed, tol=args.tol)
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_FAIL

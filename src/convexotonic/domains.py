@@ -136,8 +136,6 @@ class BoundednessEvidence:
     witness_level: int | None
     max_scale: float
     directions_tested: int
-    levels: tuple[int, ...]
-    seed: int
 
 
 def _skew_candidates(g: int, n: int) -> list[MatrixTuple]:
@@ -180,8 +178,6 @@ def boundedness_probe(
             tested += 1
             scale = boundary_scale(spec, direction)
             if math.isinf(scale):
-                return BoundednessEvidence(
-                    True, direction, n, math.inf, tested, tuple(levels), seed
-                )
+                return BoundednessEvidence(True, direction, n, math.inf, tested)
             max_scale = max(max_scale, scale)
-    return BoundednessEvidence(False, None, None, max_scale, tested, tuple(levels), seed)
+    return BoundednessEvidence(False, None, None, max_scale, tested)

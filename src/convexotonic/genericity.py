@@ -127,7 +127,7 @@ def sv_probe(
         stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
         normals = rng.standard_normal((stop - start, 2, g))
         gammas = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
-        u, s, vh = np.linalg.svd(np.array([coeffs @ gamma for gamma in gammas]).reshape(-1, d, d))
+        u, s, vh = np.linalg.svd((coeffs @ gammas[:, :, None]).reshape(-1, d, d))
         gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
         for k in np.flatnonzero(gap > GAP_TOL * s[:, 0]):  # a multiple s0 pools nothing
             if (pooled := pooled + 1) > POOL_FACTOR * (d + 1):

@@ -67,8 +67,8 @@ class MatrixTuple:
         return cls(values.reshape(-1, 1, 1))
 
     @classmethod
-    def zeros(cls, g: int, rows: int, cols: int | None = None) -> "MatrixTuple":
-        return cls(np.zeros((g, rows, rows if cols is None else cols), dtype=complex))
+    def zeros(cls, g: int, rows: int) -> "MatrixTuple":
+        return cls(np.zeros((g, rows, rows), dtype=complex))
 
     @property
     def g(self) -> int:
@@ -142,20 +142,21 @@ def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
     return np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
 
 
-def certified_inverse(m, what: str = "matrix", limit: float = COND_LIMIT, error=DomainBreach):
-    """Inverse of m, refused with `error` unless the 1-norm condition number
-    ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below limit.
+def certified_inverse(m):
+    """Inverse of m, refused with DomainBreach unless the 1-norm condition
+    number ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below COND_LIMIT.
     """
-    return _certified_block_inverse(m, [0, len(m)], what, limit, error)
+    return _certified_block_inverse(m, [0, len(m)], "matrix", COND_LIMIT, DomainBreach)
 
 
 def _certified_block_inverse(m, cuts, what, limit, error):
-    """certified_inverse of an m that is block upper triangular on the diagonal
-    blocks m[a:b, a:b] of consecutive cuts a < b. Block back-substitution from
-    the last block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i;
-    a diagonal block equal to one already inverted reuses its inverse. One
-    block is one np.linalg.inv(m). An exactly singular diagonal block counts
-    as infinite condition, since m is singular exactly when one of them is.
+    """Inverse of an m that is block upper triangular on the diagonal blocks
+    m[a:b, a:b] of consecutive cuts a < b, refused as in certified_inverse but
+    with error(what ...) and limit. Block back-substitution from the last
+    block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i; a diagonal
+    block equal to one already inverted reuses its inverse. One block is one
+    np.linalg.inv(m). An exactly singular diagonal block counts as infinite
+    condition, since m is singular exactly when one of them is.
     """
     try:
         if len(cuts) == 2:
@@ -204,8 +205,8 @@ def resolvent(
     At levels n >= BLOCK_LEVEL the pencil is block upper triangular on the
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
     block; the certificate is the same condition number of the assembled
-    inverse. Raises NotSquare for a rectangular point and `error` (see
-    certified_inverse) when the pencil's condition number reaches limit.
+    inverse. Raises NotSquare for a rectangular point and `error` when the
+    pencil's 1-norm condition number (see certified_inverse) reaches limit.
     """
     if not point.is_square:
         raise NotSquare("maps are evaluated at square matrix tuples")
@@ -229,8 +230,10 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel.
 
     Right singular vectors whose singular value is at most tol * sigma_max;
-    sigma_max = 0 yields the full space.
+    sigma_max = 0 yields the full space. tol must be finite and at least 0.
     """
+    if not 0 <= tol < math.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
     m = _as_complex_matrix(m)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
@@ -304,9 +307,12 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     (nilpotent) or stops growing (not). Generators are scaled to unit
     operator norm, so tol, the largest singular value counted as kernel, is
     scale-free; those at most tol times the largest norm count as zero.
+    Raises ValueError unless tol is finite and at least 0.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
+    if not 0 <= tol < math.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
     d = B.rows
     norms = np.linalg.svd(B.data, compute_uv=False)[:, 0]  # operator_norm of each
     keep = norms > tol * np.max(norms)

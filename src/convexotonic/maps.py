@@ -40,21 +40,15 @@ class ConvexotonicMap:
 
     def __post_init__(self):
         if not is_convexotonic(self.xi, self.construction_tol):
-            raise ValueError(f"tuple is not convexotonic (residual {self.residual:.3e})")
-
-    @property
-    def residual(self) -> float:
-        """The exact convexotonic residual of xi, computed on first read."""
-        return convexotonic_residual(self.xi)
+            raise ValueError(f"tuple is not convexotonic (residual {convexotonic_residual(self.xi):.3e})")
 
     def inverse(self) -> "ConvexotonicMap":
         return replace(self, sign=self.sign.flipped())
 
     def domain_check(self, X: MatrixTuple) -> bool:
         """True iff the map is defined at X, i.e. calling it raises no DomainBreach."""
-        route = _coordinate_map(self.xi)
         try:
-            resolvent(route[0] if route else self.xi, X, self.sign.factor, "defining pencil")
+            self(X)
         except DomainBreach:
             return False
         return True

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebras import (
     algebra_closure,
+    convexotonic_residual,
     is_convexotonic,
     pencil_structure_constants,
     structure_constants,
@@ -30,7 +31,7 @@ from .domains import (
     boundedness_probe,
     spec_membership,
 )
-from .errors import DomainBreach, SpanViolation
+from .errors import DomainBreach, ShapeMismatch, SpanViolation, TupleLengthMismatch
 from .genericity import necessary_conditions, sv_probe
 from .linalg import DEFAULT_TOL, MatrixTuple, certified_inverse, operator_norm, pencil_eval
 from .maps import ConvexotonicMap, MapSign
@@ -144,8 +145,15 @@ class TheoremData:
     change_of_basis: np.ndarray
 
     def __post_init__(self):
+        e, b = self.ball_tuple, self.target_tuple
+        if e.g != b.g:
+            raise TupleLengthMismatch(f"ball and target tuple lengths differ: {e.g} vs {b.g}")
         z = np.asarray(self.twist, dtype=complex)
         m = np.asarray(self.change_of_basis, dtype=complex)
+        shapes = {"ball_tuple": e.data.shape[1:], "target_tuple": b.data.shape[1:]}
+        for label, shape in {**shapes, "twist": z.shape, "change_of_basis": m.shape}.items():
+            if shape != (e.rows, e.rows):
+                raise ShapeMismatch(f"E, B, Z and M need d x d matrices, got {shape} for {label}")
         for label, u in (("twist", z), ("change_of_basis", m)):
             defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
             if defect > UNITARY_TOL:
@@ -229,7 +237,7 @@ def verify_theorem(
     if sc is None:
         report.add("convexotonic", False, detail="not evaluated: constants missing")
     else:
-        report.add("convexotonic", convexotonic, sc.convexotonic_residual)
+        report.add("convexotonic", convexotonic, convexotonic_residual(sc.xi))
 
     if convexotonic:
         p_map = ConvexotonicMap(sc.xi, MapSign.MINUS, tol)

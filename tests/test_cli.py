@@ -6,7 +6,9 @@ import pytest
 from convexotonic import MatrixTuple, type_i_tuple, type_iv_tuple
 from convexotonic.cli import run
 from convexotonic import jsonio
-from convexotonic.jsonio import JsonFormatError, matrix_to_obj, obj_to_tuple, tuple_to_obj
+from convexotonic.jsonio import (
+    JsonFormatError, matrix_to_obj, obj_to_matrix, obj_to_tuple, tuple_to_obj
+)
 from convexotonic.sampling import random_tuple
 
 
@@ -242,6 +244,36 @@ def test_verify_theorem_tol_governs_map_acceptance(files, capsys, tmp_path):
     assert doc["passed"] is (code == 0)
 
 
+THEOREM_DEFECTS = {
+    # the file given in place of one of (E, B, Z, M), and the stderr line's start
+    "b-shorter": ("--b", "e1", "error: TupleLengthMismatch: "),
+    "b-3x3": ("--b", "g", "error: ShapeMismatch: "),
+    "z-3x3": ("--z", "eye3", "error: ShapeMismatch: "),
+    "z-not-unitary": ("--z", "twice", "error: ValueError: twist is not unitary"),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, name, start", THEOREM_DEFECTS.values(), ids=THEOREM_DEFECTS.keys()
+)
+def test_verify_theorem_malformed_data_is_a_usage_error(
+    files, capsys, tmp_path, flag, name, start
+):
+    paths = {
+        "e1": write_tuple(tmp_path / "e1.json", MatrixTuple(type_iv_tuple().data[:1])),
+        "eye3": write_matrix(tmp_path / "eye3.json", np.eye(3)),
+        "twice": write_matrix(tmp_path / "twice.json", 2 * np.eye(2)),
+    }
+    argv = {"--e": files["e"], "--b": files["e"], "--z": files["eye"], "--m": files["eye"]}
+    argv[flag] = paths.get(name) or files[name]
+    code = run(["verify-theorem", *[word for pair in argv.items() for word in pair]])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith(start)
+    assert "Traceback" not in out.err
+
+
 def test_examples_catalog(files, capsys):
     code, doc, err = run_json(capsys, ["examples", "--seed", "42", "--samples", "10"])
     assert code == 0
@@ -434,6 +466,40 @@ def test_non_number_entries_rejected(bad):
     payload = {"g": 1, "rows": 1, "cols": 2, "matrices": [[[[0.5, 0], [bad, 1.0]]]]}
     with pytest.raises(JsonFormatError, match=r"\[0\]\[1\]: complex entries must be"):
         obj_to_tuple(payload)
+
+
+JSON_DEFECTS = {
+    "matrix-not-object": (obj_to_matrix, [[[1, 0]]], "matrix: expected an object"),
+    "tuple-not-object": (obj_to_tuple, [[[[1, 0]]]], "tuple: expected an object"),
+    "g-zero": (obj_to_tuple, {"g": 0, "rows": 1, "cols": 1, "matrices": []}, "'g' must be"),
+    "rows-bool": (obj_to_matrix, {"rows": True, "cols": 1, "entries": [[[0, 0]]]}, "'rows' must"),
+    "cols-missing": (obj_to_matrix, {"rows": 1, "entries": [[[0, 0]]]}, "'cols' must be"),
+    "matrices-short": (
+        obj_to_tuple, {"g": 2, "rows": 1, "cols": 1, "matrices": [[[[0, 0]]]]}, "exactly g=2"
+    ),
+    "entries-not-list": (obj_to_matrix, {"rows": 1, "cols": 1, "entries": "0"}, "expected 1 rows"),
+    "row-not-list": (obj_to_matrix, {"rows": 1, "cols": 1, "entries": [5]}, "row 0 must have"),
+    "entry-not-pair": (
+        obj_to_matrix, {"rows": 1, "cols": 1, "entries": [[[1, 2, 3]]]}, r"\[0\]\[0\]: complex"
+    ),
+    "entry-a-number": (
+        obj_to_matrix, {"rows": 1, "cols": 1, "entries": [[5]]}, r"\[0\]\[0\]: complex"
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, payload, message", JSON_DEFECTS.values(), ids=JSON_DEFECTS.keys())
+def test_payload_defects_are_named(parse, payload, message):
+    with pytest.raises(JsonFormatError, match=message):
+        parse(payload)
+
+
+def test_float64_entries_take_the_entry_walk():
+    # the fast parse accepts only int and float, so np.float64 entries are read one by one
+    entries = [[[np.float64(0.5), 0], [1, np.float64(-2.0)]]]
+    assert jsonio._well_formed(1, 2, entries) is None
+    parsed = obj_to_matrix({"rows": 1, "cols": 2, "entries": entries})
+    assert np.array_equal(parsed, np.array([[0.5, 1 - 2j]]))
 
 
 def test_stdout_byte_determinism(files, capsys):

@@ -206,6 +206,11 @@ def test_boundary_scale_examples(e_tuple, f_tuple, r2_tuple):
     assert math.isinf(boundary_scale(Spectrahedron(r2_tuple), skew))
 
 
+def test_boundary_scale_refuses_a_non_domain(e_tuple):
+    with pytest.raises(TypeError, match="not a domain: MatrixTuple"):
+        boundary_scale(e_tuple, scalar(1, 0))
+
+
 def test_boundary_scale_zero_direction(e_tuple):
     with pytest.raises(ZeroDirection):
         boundary_scale(Spectraball(e_tuple), MatrixTuple.zeros(2, 2))

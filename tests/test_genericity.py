@@ -14,6 +14,7 @@ from convexotonic import (
     ball_to_spectrahedron,
     hyperbasis_margin,
     is_nilpotent,
+    joint_kernel,
     kernel_basis,
     necessary_conditions,
     pencil_eval,
@@ -23,7 +24,7 @@ from convexotonic import (
 )
 from convexotonic import genericity
 from convexotonic.linalg import OrthonormalSpan
-from convexotonic.sampling import complex_gaussian
+from convexotonic.sampling import complex_gaussian, random_tuple
 
 
 # --- hyperbasis check ---------------------------------------------------------
@@ -69,6 +70,35 @@ def test_necessary_conditions_cokernel(r2_tuple):
     out = necessary_conditions(r2_tuple)
     assert not out.passed
     assert "joint-cokernel" in out.reasons
+
+
+TOL_CALLS = {
+    "kernel_basis": lambda A, tol: kernel_basis(A[0], tol),
+    "joint_kernel": joint_kernel,
+    "is_nilpotent": is_nilpotent,
+    "necessary_conditions": necessary_conditions,
+    "sv_probe": lambda A, tol: sv_probe(A, trials=10, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_tol_must_be_finite_and_non_negative(call, tol):
+    # on this Gaussian pair nan reported "nilpotent", inf all three reasons,
+    # and -1 certified
+    A = random_tuple(np.random.default_rng(0), 2, 3)
+    with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+        call(A, tol)
+
+
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_zero_tol_is_accepted(call):
+    call(random_tuple(np.random.default_rng(0), 2, 3), 0.0)
+
+
+def test_probe_checks_the_seed_before_the_tol():
+    with pytest.raises(TypeError):
+        sv_probe(type_iv_tuple(), trials=10, seed=None, tol=np.nan)
 
 
 # --- the probe -----------------------------------------------------------------

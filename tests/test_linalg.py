@@ -16,12 +16,15 @@ from convexotonic import (
     SingularPencil,
     TupleLengthMismatch,
     algebra_closure,
+    contraction_membership,
     hermitian_pencil,
     is_nilpotent,
     joint_kernel,
     kernel_basis,
+    necessary_conditions,
     operator_norm,
     pencil_eval,
+    structure_constants,
 )
 from convexotonic.linalg import BLOCK_LEVEL, OrthonormalSpan, _diagonal_cuts, resolvent
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
@@ -63,6 +66,16 @@ def test_tuple_constructors_reject_empty_matrices():
         MatrixTuple.from_matrices([np.zeros((0, 0)), np.zeros((0, 0))])
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 2), "got ndim=2"), ((1, 2, 2, 2), "got ndim=4"), ((0, 2, 2), "at least one entry")],
+    ids=["ndim-2", "ndim-4", "no-entries"],
+)
+def test_tuple_rejects_other_shapes(shape, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        MatrixTuple(np.zeros(shape))
+
+
 def test_tuple_rejects_nonfinite():
     with pytest.raises(ValueError):
         MatrixTuple(np.array([[[np.nan]]]))
@@ -85,6 +98,11 @@ def test_direct_sum_shapes(e_tuple):
     assert both.rows == 4
     assert_allclose(both[1][:2, :2], E12)
     assert_allclose(both[1][2:, 2:], E12)
+
+
+def test_direct_sum_refuses_different_lengths(e_tuple):
+    with pytest.raises(TupleLengthMismatch, match="2 vs 1"):
+        e_tuple.direct_sum(MatrixTuple.scalar([1.0]))
 
 
 # --- np.kron ---------------------------------------------------------------
@@ -388,6 +406,15 @@ def test_operator_norm_identity():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0)
 
 
+def test_operator_norm_of_an_empty_matrix_is_zero():
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_operator_norm_refuses_a_3d_array():
+    with pytest.raises(ShapeMismatch, match="ndim=3"):
+        operator_norm(np.zeros((2, 2, 2)))
+
+
 def test_operator_norm_jordan_closed_form():
     # sigma_max^2 of [[a, b], [0, a]] is (2a^2 + b^2 + b sqrt(b^2 + 4a^2)) / 2
     a, b = 1 / np.sqrt(2), 0.5
@@ -461,6 +488,23 @@ def test_joint_kernel_requires_square():
     rect = MatrixTuple(complex_gaussian(np.random.default_rng(0), 1, 2, 3))
     with pytest.raises(NotSquare):
         joint_kernel(rect)
+
+
+NOT_SQUARE = {
+    "structure_constants": (structure_constants, "structure constants need"),
+    "algebra_closure": (algebra_closure, "algebra closure needs"),
+    "contraction_membership": (
+        lambda F: contraction_membership(F, MatrixTuple.zeros(2, 2)), "contraction membership needs"
+    ),
+    "necessary_conditions": (necessary_conditions, "sv-genericity is defined"),
+    "is_nilpotent": (is_nilpotent, "nilpotency is defined"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_SQUARE.values(), ids=NOT_SQUARE.keys())
+def test_rectangular_tuples_are_refused(call, message):
+    with pytest.raises(NotSquare, match=message):
+        call(MatrixTuple(np.ones((2, 2, 3))))
 
 
 # --- nilpotency ------------------------------------------------------------

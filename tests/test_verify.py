@@ -23,6 +23,7 @@ from convexotonic import (
     verify_properness,
     verify_theorem,
 )
+from convexotonic.errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
 from convexotonic.jsonio import dumps
 from convexotonic.sampling import random_unitary
 
@@ -123,6 +124,37 @@ def test_sampled_check_without_samples_fails():
     assert not report.passed
 
 
+@pytest.fixture
+def breach_once(monkeypatch):
+    """The first map evaluation raises DomainBreach; later ones run as before."""
+    original = ConvexotonicMap.__call__
+    calls = []
+
+    def call(self, X):
+        calls.append(X)
+        if len(calls) == 1:
+            raise DomainBreach("refused once")
+        return original(self, X)
+
+    monkeypatch.setattr(ConvexotonicMap, "__call__", call)
+
+
+def test_theorem_transport_counts_a_domain_breach(e_tuple, breach_once):
+    report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=5)
+    checks = check_map(report)
+    transport = checks.pop("ball-to-spectrahedron-transport")
+    assert not transport.passed and transport.samples == 15
+    assert transport.detail.endswith("domain breaches 1")
+    assert all(check.passed for check in checks.values())
+
+
+def test_properness_counts_a_domain_breach(e_tuple, breach_once):
+    checks = check_map(verify_properness(e_tuple, samples=5))
+    assert checks["boundary-to-boundary"].detail.endswith("domain breaches 1")
+    for name in ("boundary-to-boundary", "interior-to-interior", "round-trip-identity"):
+        assert not checks[name].passed and checks[name].samples > 0, name
+
+
 def test_theorem_without_samples_fails_transport(e_tuple):
     report = verify_theorem(TheoremData(e_tuple, e_tuple, np.eye(2), np.eye(2)), samples=0)
     transport = check_map(report)["ball-to-spectrahedron-transport"]
@@ -137,6 +169,28 @@ def test_theorem_without_samples_fails_transport(e_tuple):
 def test_theorem_rejects_non_unitary(e_tuple):
     with pytest.raises(ValueError):
         TheoremData(e_tuple, e_tuple, 2 * np.eye(2), np.eye(2))
+
+
+E = type_iv_tuple()
+MALFORMED_THEOREM_DATA = {
+    # (E, B, Z, M) and the refusal; a one-element B used to end in an IndexError
+    "b-shorter": ((E, MatrixTuple(E.data[:1]), np.eye(2), np.eye(2)), TupleLengthMismatch),
+    "b-longer": ((E, MatrixTuple(E.data[[0, 1, 1]]), np.eye(2), np.eye(2)), TupleLengthMismatch),
+    "b-3x3": ((E, MatrixTuple(np.ones((2, 3, 3))), np.eye(2), np.eye(2)), ShapeMismatch),
+    "e-2x3": ((MatrixTuple(np.ones((2, 2, 3))), E, np.eye(2), np.eye(2)), ShapeMismatch),
+    "z-3x3": ((E, E, np.eye(3), np.eye(2)), ShapeMismatch),
+    "m-3x3": ((E, E, np.eye(2), np.eye(3)), ShapeMismatch),
+    "z-vector": ((E, E, np.ones(2), np.eye(2)), ShapeMismatch),
+    "m-not-unitary": ((E, E, np.eye(2), 2 * np.eye(2)), ValueError),
+}
+
+
+@pytest.mark.parametrize(
+    "data, error", MALFORMED_THEOREM_DATA.values(), ids=MALFORMED_THEOREM_DATA.keys()
+)
+def test_theorem_data_refuses_malformed_data(data, error):
+    with pytest.raises(error):
+        TheoremData(*data)
 
 
 def test_theorem_conjugated_data(e_tuple):
