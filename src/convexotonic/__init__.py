@@ -42,7 +42,6 @@ from .errors import (
     NotSquare,
     PencilError,
     ShapeMismatch,
-    SingularPencil,
     SpanViolation,
     TupleLengthMismatch,
     ZeroDirection,

@@ -33,7 +33,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
-from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, operator_norm
+from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, check_tol, operator_norm
 
 # Certificates computed once per MatrixTuple object (hashed by identity) and
 # freed with it; failures raise and are never stored.
@@ -51,6 +51,7 @@ def _independent_span(T: MatrixTuple, tol: float, what: str) -> OrthonormalSpan:
     Raises DependentInput unless every element joins with a remainder above
     tol * max_i ||T[i]||_F, a floor that scales with the data.
     """
+    check_tol(tol)
     rows = T.flatten()
     floor = tol * float(np.max(np.linalg.norm(rows, axis=1)))
     span = OrthonormalSpan(rows.shape[1])
@@ -130,6 +131,7 @@ def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
     """The largest accepted convexotonic residual, tol * max(1, max_j ||xi[j]||_F^2):
     the defect is quadratic in xi, so the bound grows with large xi, and it
     stays at tol for small xi, whose defect may be rounding noise alone."""
+    check_tol(tol)
     return tol * max(1.0, float(np.max(np.sum(np.abs(xi.data) ** 2, axis=(1, 2)))))
 
 
@@ -174,6 +176,7 @@ def _solve_constants(
     so the coefficients x solve x @ r = (their coordinates on q). Without a
     middle, the associativity bound of xi goes into its _RESIDUALS entry.
     """
+    check_tol(tol)  # before a closure's span is reused at any tol below its own
     g = basis.g
     closed = _SPANS.get(basis, (-math.inf, None))
     span = closed[1] if tol <= closed[0] else _independent_span(basis, tol, what)

@@ -18,9 +18,7 @@ from .algebras import (
     algebra_closure, convexotonic_residual, pencil_structure_constants, structure_constants
 )
 from .domains import Spectraball, Spectrahedron, ball_membership, spec_membership
-from .errors import (
-    DependentInput, DomainBreach, PencilError, SingularPencil, SpanViolation, ZeroDirection
-)
+from .errors import DependentInput, DomainBreach, PencilError, SpanViolation, ZeroDirection
 from .genericity import sv_probe
 from .linalg import DEFAULT_TOL
 from .maps import ConvexotonicMap, MapSign
@@ -31,7 +29,7 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 
-_NUMERICAL_ERRORS = (DomainBreach, SpanViolation, SingularPencil, DependentInput, ZeroDirection)
+_NUMERICAL_ERRORS = (DomainBreach, SpanViolation, DependentInput, ZeroDirection)
 
 
 class _Parser(argparse.ArgumentParser):

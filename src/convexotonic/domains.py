@@ -13,10 +13,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotSquare, SingularPencil, ZeroDirection
+from .errors import NotSquare, ZeroDirection
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
+    check_tol,
     hermitian_pencil,
     operator_norm,
     pencil_eval,
@@ -40,6 +41,7 @@ class MembershipVerdict:
 
 
 def _classify(margin: float, tol: float) -> MembershipVerdict:
+    check_tol(tol)
     if margin > tol:
         loc = Location.INTERIOR
     elif margin < -tol:
@@ -91,13 +93,13 @@ def ball_to_spectrahedron(ball: Spectraball) -> Spectrahedron:
 def contraction_membership(F: MatrixTuple, X: MatrixTuple, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Spectrahedron membership via the contraction (I + T)^{-1} T, T = pencil(X).
 
-    Agrees in location with spec_membership whenever I + T is well conditioned;
-    an I + T whose 1-norm condition number reaches 1/tol signals an exterior
-    point and is raised as SingularPencil.
+    In exact arithmetic its margin has the sign of spec_membership's, but it
+    tends to 0 as T grows, so a far interior point can read as boundary.
+    Raises DomainBreach, as resolvent does, where I + T is not certified.
     """
     if not F.is_square:
         raise NotSquare("contraction membership needs a square tuple")
-    inv, t = resolvent(F, X, 1.0, "exterior point: I + pencil(X)", 1.0 / tol, SingularPencil)
+    inv, t = resolvent(F, X, 1.0, "I + pencil(X)")
     return _classify(1.0 - operator_norm(inv @ t), tol)
 
 

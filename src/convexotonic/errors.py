@@ -29,10 +29,6 @@ class SpanViolation(PencilError):
         self.residual = residual
 
 
-class SingularPencil(PencilError):
-    """A pencil that must be invertible is numerically singular."""
-
-
 class DomainBreach(PencilError):
     """A map was evaluated at a point outside its numerical domain."""
 

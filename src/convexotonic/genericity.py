@@ -112,9 +112,12 @@ def sv_probe(
     must have a basis margin above tol; each later alpha is tried once as the
     completion of the first d alpha joiners to a hyperbasis. No polynomial
     search finds every hyperbasis (a spanning circuit), so a pool whose
-    hyperbases all avoid the greedy basis ends inconclusive.
+    hyperbases all avoid the greedy basis ends inconclusive. Raises TypeError
+    for a trials that is not an integer and ValueError for one below 1.
     """
     rng = np.random.default_rng(operator.index(seed))  # first: every tuple checks the seed
+    if (trials := operator.index(trials)) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     conditions = necessary_conditions(A, tol)
     if not conditions.passed:
         return ProbeResult("rejected", None, conditions, 0)

@@ -28,6 +28,12 @@ def _as_complex_matrix(m) -> np.ndarray:
     return m
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and at least 0."""
+    if not 0 <= tol < math.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """A g-tuple of same-shape complex matrices, stored as a (g, rows, cols) array.
@@ -146,13 +152,13 @@ def certified_inverse(m):
     """Inverse of m, refused with DomainBreach unless the 1-norm condition
     number ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below COND_LIMIT.
     """
-    return _certified_block_inverse(m, [0, len(m)], "matrix", COND_LIMIT, DomainBreach)
+    return _certified_block_inverse(m, [0, len(m)], "matrix")
 
 
-def _certified_block_inverse(m, cuts, what, limit, error):
+def _certified_block_inverse(m, cuts, what):
     """Inverse of an m that is block upper triangular on the diagonal blocks
-    m[a:b, a:b] of consecutive cuts a < b, refused as in certified_inverse but
-    with error(what ...) and limit. Block back-substitution from the last
+    m[a:b, a:b] of consecutive cuts a < b, refused as in certified_inverse with
+    a message naming what. Block back-substitution from the last
     block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i; a diagonal
     block equal to one already inverted reuses its inverse. One block is one
     np.linalg.inv(m). An exactly singular diagonal block counts as infinite
@@ -177,8 +183,8 @@ def _certified_block_inverse(m, cuts, what, limit, error):
         cond = np.inf
     else:
         cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if not np.isfinite(cond) or cond >= limit:
-        raise error(f"{what} is numerically singular (cond {cond:.3e})")
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
+        raise DomainBreach(f"{what} is numerically singular (cond {cond:.3e})")
     return inv
 
 
@@ -192,12 +198,7 @@ def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
 
 
 def resolvent(
-    coeffs: MatrixTuple,
-    point: MatrixTuple,
-    factor: float,
-    what: str,
-    limit: float = COND_LIMIT,
-    error=DomainBreach,
+    coeffs: MatrixTuple, point: MatrixTuple, factor: float, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The certified inverse of the monic pencil I + factor * lam, with
     lam = pencil_eval(coeffs, point), and lam itself.
@@ -205,8 +206,8 @@ def resolvent(
     At levels n >= BLOCK_LEVEL the pencil is block upper triangular on the
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
     block; the certificate is the same condition number of the assembled
-    inverse. Raises NotSquare for a rectangular point and `error` when the
-    pencil's 1-norm condition number (see certified_inverse) reaches limit.
+    inverse. Raises NotSquare for a rectangular point and DomainBreach when
+    its 1-norm condition number (see certified_inverse) reaches COND_LIMIT.
     """
     if not point.is_square:
         raise NotSquare("maps are evaluated at square matrix tuples")
@@ -215,7 +216,7 @@ def resolvent(
     m += np.eye(len(m))  # a real identity: one complex temporary fewer
     n = point.rows
     cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, len(m)]
-    return _certified_block_inverse(m, cuts, what, limit, error), lam
+    return _certified_block_inverse(m, cuts, what), lam
 
 
 def operator_norm(m) -> float:
@@ -232,17 +233,12 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     Right singular vectors whose singular value is at most tol * sigma_max;
     sigma_max = 0 yields the full space. tol must be finite and at least 0.
     """
-    if not 0 <= tol < math.inf:  # nan fails both comparisons
-        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    check_tol(tol)
     m = _as_complex_matrix(m)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    vectors = []
-    for i in range(vh.shape[0]):
-        sigma = s[i] if i < s.size else 0.0
-        if sigma <= tol * smax:
-            vectors.append(vh[i].conj())
-    return vectors
+    sigma = np.pad(s, (0, len(vh) - s.size))  # the rows of vh past s span ker too
+    return list(vh[sigma <= tol * smax].conj())
 
 
 def joint_kernel(B: MatrixTuple, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -311,8 +307,7 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
-    if not 0 <= tol < math.inf:  # nan fails both comparisons
-        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    check_tol(tol)
     d = B.rows
     norms = np.linalg.svd(B.data, compute_uv=False)[:, 0]  # operator_norm of each
     keep = norms > tol * np.max(norms)

@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import dense_path
 from convexotonic import (
     ConvexotonicMap,
+    DomainBreach,
     MatrixTuple,
     ShapeMismatch,
-    SingularPencil,
     Spectraball,
     Spectrahedron,
     ZeroDirection,
@@ -132,7 +134,7 @@ def test_contraction_agrees_with_eigenvalue_route(f_tuple):
             x = MatrixTuple(1.2 * random_direction(rng, 2, n).data)
             try:
                 via_contraction = contraction_membership(f_tuple, x)
-            except SingularPencil:
+            except DomainBreach:
                 continue
             via_eig = spec_membership(spec, x)
             # skip points that straddle the tolerance band
@@ -148,25 +150,40 @@ def test_contraction_agrees_with_eigenvalue_route(f_tuple):
 
 def test_contraction_singular_pencil():
     one = MatrixTuple.from_matrices([np.eye(1)])
-    with pytest.raises(SingularPencil):
+    with pytest.raises(DomainBreach):
         contraction_membership(one, scalar(-1))
 
 
-@pytest.mark.parametrize("tol, refused", [(1e-8, True), (1e-11, False)])
-def test_contraction_keeps_its_limit_on_the_block_path(e_tuple, tol, refused):
-    # I + pencil_E(X) = [[D, Y], [0, D]], D = diag(1e-9, 1, ..., 1): cond near
-    # 3e9, at or above 1/tol = 1e8 and below 1e11
+@pytest.mark.parametrize("gap, refused", [(1e-9, False), (1e-13, True)])
+def test_contraction_refuses_at_the_cond_limit(e_tuple, gap, refused):
+    # I + pencil_E(X) = [[D, Y], [0, D]], D = diag(gap, 1, ..., 1): cond near
+    # 3 / gap, below COND_LIMIT = 1e12 at 1e-9 and above it at 1e-13
     n = BLOCK_LEVEL
     x1 = np.zeros((n, n), dtype=complex)
-    x1[0, 0] = 1e-9 - 1.0
+    x1[0, 0] = gap - 1.0
     y = 0.1 * random_tuple(np.random.default_rng(8), 1, n).data[0]
     y[0, :] = y[:, 0] = 0.0
     X = MatrixTuple.from_matrices([x1, y])
-    if refused:
-        with pytest.raises(SingularPencil, match="numerically singular"):
-            contraction_membership(e_tuple, X, tol)
-    else:
-        contraction_membership(e_tuple, X, tol)
+    for path in (nullcontext(), dense_path()):
+        with path:
+            if refused:
+                with pytest.raises(DomainBreach, match="numerically singular"):
+                    contraction_membership(e_tuple, X)
+            else:
+                assert contraction_membership(e_tuple, X).location.value == "exterior"
+                assert spec_membership(Spectrahedron(e_tuple), X).location.value == "exterior"
+
+
+def test_contraction_reads_a_far_interior_point_as_boundary():
+    # I + T = diag(1 + s, 1) at the point s: I + T + T* is positive definite,
+    # the contraction margin is 1 / (1 + s) and the 1-norm condition 1 + s
+    F = MatrixTuple.from_matrices([np.diag([1.0, 0.0])])
+    assert spec_membership(Spectrahedron(F), scalar(1e9)).location.value == "interior"
+    v = contraction_membership(F, scalar(1e9))
+    assert v.location.value == "boundary"
+    assert v.margin == pytest.approx(1e-9)
+    with pytest.raises(DomainBreach, match="numerically singular"):
+        contraction_membership(F, scalar(1e13))
 
 
 # --- level-0 points ----------------------------------------------------------

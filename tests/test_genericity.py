@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations
 
 import numpy as np
@@ -5,22 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexotonic
 from convexotonic import (
+    ConvexotonicMap,
     GenericityCertificate,
     KernelPoint,
+    MapSign,
     MatrixTuple,
     ShapeMismatch,
     Spectraball,
+    Spectrahedron,
+    TheoremData,
+    algebra_closure,
+    ball_membership,
     ball_to_spectrahedron,
+    contraction_membership,
     hyperbasis_margin,
+    is_convexotonic,
+    is_linearly_independent,
     is_nilpotent,
     joint_kernel,
     kernel_basis,
     necessary_conditions,
     pencil_eval,
+    pencil_structure_constants,
+    spec_membership,
+    structure_constants,
     sv_probe,
+    transfer_residual,
     type_i_tuple,
     type_iv_tuple,
+    verify_corollary,
+    verify_properness,
+    verify_theorem,
 )
 from convexotonic import genericity
 from convexotonic.linalg import OrthonormalSpan
@@ -72,33 +90,87 @@ def test_necessary_conditions_cokernel(r2_tuple):
     assert "joint-cokernel" in out.reasons
 
 
+# every callable of the package's API that takes a tol, on inputs valid at
+# tol = 0: a Gaussian pair, which spans no algebra, and a pair of diagonal
+# idempotents, whose products and constants are exact
+GAUSS = random_tuple(np.random.default_rng(0), 2, 3)
+IDEMPOTENTS = MatrixTuple.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+IDEMPOTENT_XI = structure_constants(IDEMPOTENTS).xi
+NEAR_ZERO = MatrixTuple.scalar([0.1, 0.2])
+
 TOL_CALLS = {
-    "kernel_basis": lambda A, tol: kernel_basis(A[0], tol),
-    "joint_kernel": joint_kernel,
-    "is_nilpotent": is_nilpotent,
-    "necessary_conditions": necessary_conditions,
-    "sv_probe": lambda A, tol: sv_probe(A, trials=10, tol=tol),
+    "kernel_basis": lambda tol: kernel_basis(GAUSS[0], tol),
+    "joint_kernel": lambda tol: joint_kernel(GAUSS, tol),
+    "is_nilpotent": lambda tol: is_nilpotent(GAUSS, tol),
+    "necessary_conditions": lambda tol: necessary_conditions(GAUSS, tol),
+    "sv_probe": lambda tol: sv_probe(GAUSS, trials=10, tol=tol),
+    "ball_membership": lambda tol: ball_membership(Spectraball(GAUSS), NEAR_ZERO, tol),
+    "spec_membership": lambda tol: spec_membership(
+        Spectrahedron(GAUSS), MatrixTuple.scalar([5, 5]), tol
+    ),
+    "contraction_membership": lambda tol: contraction_membership(GAUSS, NEAR_ZERO, tol),
+    "is_linearly_independent": lambda tol: is_linearly_independent(
+        MatrixTuple.from_matrices([GAUSS[0], 2 * GAUSS[0]]), tol
+    ),
+    "structure_constants": lambda tol: structure_constants(IDEMPOTENTS, tol),
+    "pencil_structure_constants": lambda tol: pencil_structure_constants(
+        IDEMPOTENTS, np.eye(2), tol
+    ),
+    "algebra_closure": lambda tol: algebra_closure(type_i_tuple(), tol),
+    "is_convexotonic": lambda tol: is_convexotonic(IDEMPOTENT_XI, tol),
+    "ConvexotonicMap": lambda tol: ConvexotonicMap(IDEMPOTENT_XI, construction_tol=tol),
+    "transfer_residual": lambda tol: transfer_residual(IDEMPOTENTS, NEAR_ZERO, MapSign.PLUS, tol),
+    "verify_theorem": lambda tol: verify_theorem(
+        TheoremData(IDEMPOTENTS, IDEMPOTENTS, np.eye(2), np.eye(2)), samples=2, tol=tol
+    ),
+    "verify_properness": lambda tol: verify_properness(IDEMPOTENTS, samples=2, tol=tol),
+    "verify_corollary": lambda tol: verify_corollary(IDEMPOTENTS, samples=2, tol=tol),
 }
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
 def test_tol_must_be_finite_and_non_negative(call, tol):
-    # on this Gaussian pair nan reported "nilpotent", inf all three reasons,
-    # and -1 certified
-    A = random_tuple(np.random.default_rng(0), 2, 3)
+    # without the check, on the Gaussian pair nan reported "nilpotent", inf all
+    # three reasons and -1 certified; nan read (5, 5) as boundary at margin
+    # -18.1 and called (X, 2X) independent; nan and -1 closed type I by
+    # dividing by a zero remainder
     with pytest.raises(ValueError, match="tol must be finite and at least 0"):
-        call(A, tol)
+        call(tol)
 
 
 @pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
 def test_zero_tol_is_accepted(call):
-    call(random_tuple(np.random.default_rng(0), 2, 3), 0.0)
+    # contraction_membership used to divide by it for its conditioning limit
+    call(0.0)
+
+
+def test_every_tol_of_the_api_is_in_the_table():
+    taking_tol = set()
+    for name in dir(convexotonic):
+        obj = getattr(convexotonic, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # the exception classes have no signature
+            continue
+        if {"tol", "construction_tol"} & params.keys():
+            taking_tol.add(name)
+    assert taking_tol == TOL_CALLS.keys()
 
 
 def test_probe_checks_the_seed_before_the_tol():
     with pytest.raises(TypeError):
         sv_probe(type_iv_tuple(), trials=10, seed=None, tol=np.nan)
+
+
+@pytest.mark.parametrize("trials, error", [(-5, ValueError), (0, ValueError), (2.5, TypeError)])
+def test_probe_refuses_a_bad_trials_before_the_conditions(trials, error):
+    # type I fails the necessary conditions, which used to return "rejected"
+    # first; -5 used to report trials_used=-5 on a tuple that passes them
+    with pytest.raises(error):
+        sv_probe(type_i_tuple(), trials=trials)
 
 
 # --- the probe -----------------------------------------------------------------

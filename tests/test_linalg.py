@@ -13,7 +13,6 @@ from convexotonic import (
     MatrixTuple,
     NotSquare,
     ShapeMismatch,
-    SingularPencil,
     TupleLengthMismatch,
     algebra_closure,
     contraction_membership,
@@ -26,6 +25,7 @@ from convexotonic import (
     pencil_eval,
     structure_constants,
 )
+from convexotonic import linalg
 from convexotonic.linalg import BLOCK_LEVEL, OrthonormalSpan, _diagonal_cuts, resolvent
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 from convexotonic.verify import _tuple_distance
@@ -263,7 +263,7 @@ def test_resolvent_inverts_the_monic_pencil(e_tuple):
         assert_allclose(inv @ (np.eye(6) + factor * lam), np.eye(6), atol=1e-13)
 
 
-def test_resolvent_refusals(e_tuple):
+def test_resolvent_refusals(monkeypatch, e_tuple):
     with pytest.raises(NotSquare):
         resolvent(e_tuple, MatrixTuple(np.ones((2, 2, 3))), 1.0, "pencil")
     with pytest.raises(TupleLengthMismatch):
@@ -274,8 +274,9 @@ def test_resolvent_refusals(e_tuple):
     # I - pencil_E(0.99, 0.5) = [[0.01, -0.5], [0, 0.01]] has 1-norm condition number 2601
     X = MatrixTuple.scalar([0.99, 0.5])
     resolvent(e_tuple, X, -1.0, "pencil")
-    with pytest.raises(SingularPencil, match="cond 2.601e"):
-        resolvent(e_tuple, X, -1.0, "pencil", 1e3, SingularPencil)
+    monkeypatch.setattr(linalg, "COND_LIMIT", 1e3)
+    with pytest.raises(DomainBreach, match="cond 2.601e"):
+        resolvent(e_tuple, X, -1.0, "pencil")
 
 
 # --- block-triangular resolvents ------------------------------------------
@@ -366,8 +367,8 @@ def test_block_path_refuses_an_exactly_singular_pencil(e_tuple):
     assert str(block.value) == str(dense.value) == "pencil is numerically singular (cond inf)"
 
 
-def test_block_path_certifies_the_assembled_inverse(e_tuple):
-    # a limit of 1 refuses every pencil and reports its condition number,
+def test_block_path_certifies_the_assembled_inverse(monkeypatch, e_tuple):
+    # a COND_LIMIT of 1 refuses every pencil and reports its condition number,
     # ||M||_1 ||M^-1||_1 over the whole assembled inverse
     n = BLOCK_LEVEL
     rng = np.random.default_rng(4)
@@ -376,9 +377,10 @@ def test_block_path_certifies_the_assembled_inverse(e_tuple):
     X = half_norm_point(rng, coeffs, n)
     m = monic(coeffs, X, 1.0)
     cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
+    monkeypatch.setattr(linalg, "COND_LIMIT", 1.0)
     for path in (nullcontext(), dense_path()):
         with path, pytest.raises(DomainBreach, match=re.escape(f"(cond {cond:.3e})")):
-            resolvent(coeffs, X, 1.0, "pencil", limit=1.0)
+            resolvent(coeffs, X, 1.0, "pencil")
 
 
 @pytest.mark.parametrize("gap, refused", [(1e-13, True), (1e-10, False)])
