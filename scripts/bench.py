@@ -112,9 +112,6 @@ def cases(cx, np):
     out[f"transfer_residual.ut3.g{J.g}.n2"] = lambda J=J, X=X: cx.transfer_residual(
         cx.MatrixTuple(J.data), X, cx.MapSign.PLUS
     )
-    out[f"contraction_membership.ut3.g{J.g}.n2"] = lambda J=J, X=X: cx.contraction_membership(
-        J, X
-    )
 
     spec = cx.Spectrahedron(cx.type_iv_tuple())
     x = cx.MatrixTuple(gaussian(np.random.default_rng([128, 6]), 2, 128, 128))

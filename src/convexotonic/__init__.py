@@ -33,7 +33,6 @@ from .domains import (
     ball_to_spectrahedron,
     boundary_scale,
     boundedness_probe,
-    contraction_membership,
     spec_membership,
 )
 from .errors import (

@@ -237,7 +237,7 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (jsonio.JsonFormatError, FileNotFoundError) as err:
+    except (jsonio.JsonFormatError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except _NUMERICAL_ERRORS as err:

@@ -21,7 +21,6 @@ from .linalg import (
     hermitian_pencil,
     operator_norm,
     pencil_eval,
-    resolvent,
 )
 from .sampling import random_direction
 
@@ -90,19 +89,6 @@ def ball_to_spectrahedron(ball: Spectraball) -> Spectrahedron:
     return Spectrahedron(MatrixTuple(out))
 
 
-def contraction_membership(F: MatrixTuple, X: MatrixTuple, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Spectrahedron membership via the contraction (I + T)^{-1} T, T = pencil(X).
-
-    In exact arithmetic its margin has the sign of spec_membership's, but it
-    tends to 0 as T grows, so a far interior point can read as boundary.
-    Raises DomainBreach, as resolvent does, where I + T is not certified.
-    """
-    if not F.is_square:
-        raise NotSquare("contraction membership needs a square tuple")
-    inv, t = resolvent(F, X, 1.0, "I + pencil(X)")
-    return _classify(1.0 - operator_norm(inv @ t), tol)
-
-
 def boundary_scale(domain, X: MatrixTuple) -> float:
     """Largest t >= 0 with t*X inside the domain; may be math.inf.
 
@@ -167,8 +153,11 @@ def boundedness_probe(
 
     Deterministic skew coordinate directions are tried first (they witness
     unboundedness whenever a slot admits a pencil with vanishing Hermitian
-    part), then `trials` random Gaussian directions per level.
+    part), then `trials` random Gaussian directions per level. Raises
+    ValueError for a level below 1.
     """
+    if min(levels, default=1) < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     g = spec.coeffs.g
     rng = np.random.default_rng(seed)
     max_scale = 0.0

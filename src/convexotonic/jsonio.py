@@ -67,13 +67,13 @@ def _entries(rows: int, cols: int, payload, where: str) -> np.ndarray:
     # walk the payload entry by entry to name the first defect
     if not isinstance(payload, list) or len(payload) != rows:
         raise JsonFormatError(f"{where}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
+    # allocate from the rows read, not from the declared shape, which may be huge
+    walked = []
     for r, row in enumerate(payload):
         if not isinstance(row, list) or len(row) != cols:
             raise JsonFormatError(f"{where}: row {r} must have {cols} entries")
-        for c, value in enumerate(row):
-            out[r, c] = _entry(value, f"{where}[{r}][{c}]")
-    return out
+        walked.append([_entry(value, f"{where}[{r}][{c}]") for c, value in enumerate(row)])
+    return np.array(walked, dtype=complex)
 
 
 def _dim(obj, key: str, where: str) -> int:

@@ -161,25 +161,18 @@ class TheoremData:
         object.__setattr__(self, "change_of_basis", m)
 
 
-class _Rays:
-    """Random rays of a domain, `count` per level: yields (level, direction,
-    boundary scale) for each ray with a finite boundary point at most SCALE_CAP
-    out, and counts those rays in `used` and the others in `skipped`."""
-
-    def __init__(self, rng, domain, levels, count):
-        self.rng, self.domain, self.levels, self.count = rng, domain, levels, count
-        self.used = self.skipped = 0
-
-    def __iter__(self):
-        for n in self.levels:
-            for _ in range(self.count):
-                x = random_direction(self.rng, self.domain.coeffs.g, n)
-                scale = boundary_scale(self.domain, x)
-                if not math.isfinite(scale) or scale > SCALE_CAP:
-                    self.skipped += 1
-                    continue
-                self.used += 1
-                yield n, x, scale
+def _rays(rng, domain, levels, count):
+    """Random rays of a domain, `count` per level: the list of (level,
+    direction, boundary scale) of each ray with a finite boundary point at most
+    SCALE_CAP out, and the number of the other rays, which are skipped."""
+    rays = []
+    for n in levels:
+        for _ in range(count):
+            x = random_direction(rng, domain.coeffs.g, n)
+            scale = boundary_scale(domain, x)
+            if math.isfinite(scale) and scale <= SCALE_CAP:
+                rays.append((n, x, scale))
+    return rays, len(levels) * count - len(rays)
 
 
 def _points(rng, g, levels, count, scale=1.0):
@@ -189,6 +182,18 @@ def _points(rng, g, levels, count, scale=1.0):
         for n in levels
         for _ in range(count)
     ]
+
+
+def _constants(report, name, solve, *args):
+    """Add the check that solve(*args) finds structure constants; return them,
+    or None where the solve raises SpanViolation."""
+    try:
+        sc = solve(*args)
+    except SpanViolation as err:
+        report.add(name, False, err.residual or 0.0, detail=str(err))
+        return None
+    report.add(name, True, sc.residual)
+    return sc
 
 
 def verify_theorem(
@@ -209,21 +214,8 @@ def verify_theorem(
     conj = max(operator_norm(b[j] - m.conj().T @ z @ e[j] @ m) for j in range(e.g))
     report.add("conjugation-identity", conj < tol * max(1.0, *map(operator_norm, b)), conj)
 
-    sc = None
-    try:
-        sc = pencil_structure_constants(e, z, tol)
-        report.add("twisted-product-constants", True, sc.residual)
-    except SpanViolation as err:
-        report.add(
-            "twisted-product-constants", False, err.residual or 0.0, detail=str(err)
-        )
-
-    sc_b = None
-    try:
-        sc_b = structure_constants(b, tol)
-        report.add("target-spans-algebra", True, sc_b.residual)
-    except SpanViolation as err:
-        report.add("target-spans-algebra", False, err.residual or 0.0, detail=str(err))
+    sc = _constants(report, "twisted-product-constants", pencil_structure_constants, e, z, tol)
+    sc_b = _constants(report, "target-spans-algebra", structure_constants, b, tol)
 
     if sc is not None and sc_b is not None:
         gap = _tuple_distance(sc.xi, sc_b.xi)
@@ -241,7 +233,7 @@ def verify_theorem(
     if convexotonic:
         p_map = ConvexotonicMap(sc.xi, MapSign.MINUS, tol)
         target = Spectrahedron(b)
-        rays = _Rays(np.random.default_rng(seed), Spectraball(e), (1, 2, 3), samples)
+        rays, _ = _rays(np.random.default_rng(seed), Spectraball(e), (1, 2, 3), samples)
         worst = math.inf
         breaches = 0
         for _, x, scale in rays:
@@ -254,7 +246,7 @@ def verify_theorem(
             "ball-to-spectrahedron-transport",
             breaches == 0 and worst > -tol,
             max(0.0, -worst),
-            samples=rays.used,
+            samples=len(rays),
             detail=f"min margin {worst:.3e}; domain breaches {breaches}",
         )
     else:
@@ -305,7 +297,7 @@ def _transport(report, spec, q_map, j, samples, seed, then=lambda inside, image:
     the breach count, the number of rays used, and (level, image, then-value)
     for each interior image.
     """
-    rays = _Rays(np.random.default_rng(seed), spec, (1, 2, 3), samples)
+    rays, skipped = _rays(np.random.default_rng(seed), spec, (1, 2, 3), samples)
     boundary_defect = 0.0
     boundary_within = True
     interior_worst = 0.0
@@ -328,17 +320,17 @@ def _transport(report, spec, q_map, j, samples, seed, then=lambda inside, image:
         "boundary-to-boundary",
         breaches == 0 and boundary_within,
         boundary_defect,
-        samples=rays.used,
-        detail=f"skipped {rays.skipped} infinite rays; domain breaches {breaches}",
+        samples=len(rays),
+        detail=f"skipped {skipped} infinite rays; domain breaches {breaches}",
     )
     report.add(
         "interior-to-interior",
         breaches == 0 and interior_worst < 1.0,
         max(0.0, interior_worst - 1.0),
-        samples=rays.used,
+        samples=len(rays),
         detail=f"max interior image norm {interior_worst:.6f}",
     )
-    return breaches, rays.used, interior
+    return breaches, len(rays), interior
 
 
 def verify_properness(
@@ -407,8 +399,10 @@ def verify_corollary(
 # ---------------------------------------------------------------------------
 # the worked-example catalog
 
-def _check_oracle(report, name, cmap, oracle, points, tol):
-    """Add the check that cmap agrees with its closed form at the points."""
+def _check_oracle(report, name, cmap, oracle, rng, levels, count, scale, tol):
+    """Add the check that cmap agrees with its closed form at `count` random
+    points per level, scaled by `scale` (every catalog example has g = 2)."""
+    points = _points(rng, 2, levels, count, scale)
     worst = max((_tuple_distance(cmap(x), oracle(x)) for x in points), default=0.0)
     report.add(name, worst < tol, worst, samples=len(points))
 
@@ -456,7 +450,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     # two candidate quadratic-shift maps; exactly one transports the boundary
     ball_e = Spectraball(e_tuple)
     defects = {1.0: 0.0, -1.0: 0.0}
-    rays = _Rays(rng, spec_f, (1, 2, 3), samples)
+    rays, _ = _rays(rng, spec_f, (1, 2, 3), samples)
     for _, x, scale in rays:
         on_boundary = MatrixTuple(scale * x.data)
         for sgn in (1.0, -1.0):
@@ -468,7 +462,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         "type-i/candidate-map-transport",
         minus_ok and plus_fails,
         defects[-1.0],
-        samples=rays.used,
+        samples=len(rays),
         detail=(
             f"boundary defect: (x1, x2 - x1^2) -> {defects[-1.0]:.3e}, "
             f"(x1, x2 + x1^2) -> {defects[1.0]:.3e}"
@@ -483,9 +477,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     )
 
     q_f = ConvexotonicMap(sc_f.xi, MapSign.PLUS)
-    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     shift = partial(quadratic_shift, sign=-1.0)
-    _check_oracle(report, "type-i/map-equals-quadratic-shift", q_f, shift, points, 1e-12)
+    name = "type-i/map-equals-quadratic-shift"
+    _check_oracle(report, name, q_f, shift, rng, (1, 2, 3), samples, 0.3, 1e-12)
 
     cond_f = necessary_conditions(f_tuple)
     report.add(
@@ -505,8 +499,8 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         return MatrixTuple.from_matrices([res @ x[0], res @ x[1]])
 
     q_r2 = ConvexotonicMap(sc_r2.xi, MapSign.PLUS)
-    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
-    _check_oracle(report, "type-ii/closed-form", q_r2, type_ii_oracle, points, 1e-10)
+    name = "type-ii/closed-form"
+    _check_oracle(report, name, q_r2, type_ii_oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
     skew = np.zeros((2, 2, 2), dtype=complex)
     skew[0, 0, 1] = -1.0
@@ -539,16 +533,15 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         return MatrixTuple.from_matrices([x[0] @ res, x[1] @ res])
 
     q_r3 = ConvexotonicMap(sc_r3.xi, MapSign.PLUS)
-    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
-    _check_oracle(report, "type-iii/closed-form", q_r3, type_iii_oracle, points, 1e-10)
+    name = "type-iii/closed-form"
+    _check_oracle(report, name, q_r3, type_iii_oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
     # --- type IV ------------------------------------------------------------
     sc_e = structure_constants(e_tuple)
 
     q_e = ConvexotonicMap(sc_e.xi, MapSign.PLUS)
-    points = _points(rng, 2, (1, 2, 3), samples, 0.3)
     oracle = partial(mobius_conjugate, -1.0)
-    _check_oracle(report, "type-iv/closed-form", q_e, oracle, points, 1e-10)
+    _check_oracle(report, "type-iv/closed-form", q_e, oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
     probe_e = sv_probe(e_tuple, trials=2000, seed=seed)
     report.add(
@@ -571,9 +564,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     labels = ["1", "i", "-1", "seeded"]
     for alpha, label in zip(alphas, labels):
         p_alpha = ConvexotonicMap(MatrixTuple(alpha * e_tuple.data), MapSign.MINUS)
-        points = _points(rng, 2, (3,), 50, 0.3)
         name = f"mobius-conjugate/closed-form-alpha-{label}"
-        _check_oracle(report, name, p_alpha, partial(mobius_conjugate, alpha), points, 1e-10)
+        oracle = partial(mobius_conjugate, alpha)
+        _check_oracle(report, name, p_alpha, oracle, rng, (3,), 50, 0.3, 1e-10)
 
     spot = ConvexotonicMap(e_tuple, MapSign.MINUS)(MatrixTuple.scalar([0.25, 0.125]))
     spot_gap = max(
@@ -589,9 +582,8 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     for alpha, label in zip(alphas, labels):
         xi_comp = MatrixTuple.from_matrices([alpha * np.eye(2) + e2, alpha * e2])
         p_comp = ConvexotonicMap(xi_comp, MapSign.MINUS)
-        points = _points(rng, 2, (3,), 50, 0.25)
         name = f"composed-quadratic/constants-map-alpha-{label}"
-        _check_oracle(report, name, p_comp, partial(composed, alpha), points, 1e-9)
+        _check_oracle(report, name, p_comp, partial(composed, alpha), rng, (3,), 50, 0.25, 1e-9)
 
     def composed_closed(alpha, x):
         # (x1 r, r x2 r + (x1 r)^2) with r = (I - alpha x1)^-1, which commutes with x1
@@ -599,15 +591,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         head = x[0] @ res
         return MatrixTuple.from_matrices([head, res @ x[1] @ res + head @ head])
 
-    alpha = alphas[3]
-    points = _points(rng, 2, (3,), 50, 0.25)
-    _check_oracle(
-        report,
-        "composed-quadratic/closed-form",
-        partial(composed, alpha),
-        partial(composed_closed, alpha),
-        points,
-        1e-10,
-    )
+    lhs, rhs = partial(composed, alphas[3]), partial(composed_closed, alphas[3])
+    _check_oracle(report, "composed-quadratic/closed-form", lhs, rhs, rng, (3,), 50, 0.25, 1e-10)
 
     return report

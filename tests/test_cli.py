@@ -339,11 +339,13 @@ def test_integer_beyond_float_range_rejected(files, capsys, tmp_path):
 
 
 def test_missing_file(files, capsys):
-    code, doc, err = run_json(
-        capsys,
-        ["member", "--kind", "ball", "--tuple", "nope.json", "--point", files["small"]],
-    )
-    assert code == 1
+    # a directory used to escape as an IsADirectoryError traceback
+    for path in ("nope.json", str(files["tmp"])):
+        code, doc, err = run_json(
+            capsys, ["member", "--kind", "ball", "--tuple", path, "--point", files["small"]]
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -484,6 +486,15 @@ JSON_DEFECTS = {
     ),
     "entry-a-number": (
         obj_to_matrix, {"rows": 1, "cols": 1, "entries": [[5]]}, r"\[0\]\[0\]: complex"
+    ),
+    # a huge declared shape used to be allocated before any row was checked
+    "matrix-cols-huge": (
+        obj_to_matrix, {"rows": 1, "cols": 10**12, "entries": [[[1, 0]]]}, "row 0 must have"
+    ),
+    "tuple-cols-huge": (
+        obj_to_tuple,
+        {"g": 1, "rows": 1, "cols": 10**12, "matrices": [[[[1, 0]]]]},
+        "row 0 must have",
     ),
 }
 

@@ -1,5 +1,4 @@
 import math
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -7,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import dense_path
 from convexotonic import (
     ConvexotonicMap,
-    DomainBreach,
     MatrixTuple,
     ShapeMismatch,
     Spectraball,
@@ -20,13 +17,11 @@ from convexotonic import (
     ball_to_spectrahedron,
     boundary_scale,
     boundedness_probe,
-    contraction_membership,
     spec_membership,
     structure_constants,
     type_iv_tuple,
 )
 from convexotonic.errors import NotSquare
-from convexotonic.linalg import BLOCK_LEVEL
 from convexotonic.sampling import random_direction, random_tuple, random_unitary
 
 
@@ -76,8 +71,6 @@ def test_spectrahedron_routes_refuse_rectangular_points(f_tuple):
         spec_membership(spec, rect)
     with pytest.raises(NotSquare):
         boundary_scale(spec, rect)
-    with pytest.raises(NotSquare):
-        contraction_membership(f_tuple, rect)
     # balls keep accepting rectangular points
     assert ball_membership(Spectraball(f_tuple), rect).location.value == "exterior"
     assert boundary_scale(Spectraball(f_tuple), rect) > 0
@@ -111,81 +104,6 @@ def test_scalar_ball_is_unit_disk():
     assert spec_membership(spec, scalar(1.1)).location.value == "exterior"
 
 
-# --- contraction route -----------------------------------------------------
-
-def test_contraction_interior_at_zero(f_tuple):
-    v = contraction_membership(f_tuple, MatrixTuple.zeros(2, 2))
-    assert v.location.value == "interior"
-    assert v.margin == pytest.approx(1.0)
-
-
-def test_contraction_boundary_closed_form(f_tuple):
-    v = contraction_membership(f_tuple, scalar(1 / np.sqrt(2), 0))
-    assert v.location.value == "boundary"
-    assert abs(v.margin) < 1e-10
-
-
-def test_contraction_agrees_with_eigenvalue_route(f_tuple):
-    spec = Spectrahedron(f_tuple)
-    rng = np.random.default_rng(29)
-    checked = 0
-    for n in (1, 2, 3):
-        for _ in range(167):
-            x = MatrixTuple(1.2 * random_direction(rng, 2, n).data)
-            try:
-                via_contraction = contraction_membership(f_tuple, x)
-            except DomainBreach:
-                continue
-            via_eig = spec_membership(spec, x)
-            # skip points that straddle the tolerance band
-            if (
-                abs(via_contraction.margin) < 1e-6
-                or abs(via_eig.margin) < 1e-6
-            ):
-                continue
-            assert via_contraction.location == via_eig.location
-            checked += 1
-    assert checked >= 400
-
-
-def test_contraction_singular_pencil():
-    one = MatrixTuple.from_matrices([np.eye(1)])
-    with pytest.raises(DomainBreach):
-        contraction_membership(one, scalar(-1))
-
-
-@pytest.mark.parametrize("gap, refused", [(1e-9, False), (1e-13, True)])
-def test_contraction_refuses_at_the_cond_limit(e_tuple, gap, refused):
-    # I + pencil_E(X) = [[D, Y], [0, D]], D = diag(gap, 1, ..., 1): cond near
-    # 3 / gap, below COND_LIMIT = 1e12 at 1e-9 and above it at 1e-13
-    n = BLOCK_LEVEL
-    x1 = np.zeros((n, n), dtype=complex)
-    x1[0, 0] = gap - 1.0
-    y = 0.1 * random_tuple(np.random.default_rng(8), 1, n).data[0]
-    y[0, :] = y[:, 0] = 0.0
-    X = MatrixTuple.from_matrices([x1, y])
-    for path in (nullcontext(), dense_path()):
-        with path:
-            if refused:
-                with pytest.raises(DomainBreach, match="numerically singular"):
-                    contraction_membership(e_tuple, X)
-            else:
-                assert contraction_membership(e_tuple, X).location.value == "exterior"
-                assert spec_membership(Spectrahedron(e_tuple), X).location.value == "exterior"
-
-
-def test_contraction_reads_a_far_interior_point_as_boundary():
-    # I + T = diag(1 + s, 1) at the point s: I + T + T* is positive definite,
-    # the contraction margin is 1 / (1 + s) and the 1-norm condition 1 + s
-    F = MatrixTuple.from_matrices([np.diag([1.0, 0.0])])
-    assert spec_membership(Spectrahedron(F), scalar(1e9)).location.value == "interior"
-    v = contraction_membership(F, scalar(1e9))
-    assert v.location.value == "boundary"
-    assert v.margin == pytest.approx(1e-9)
-    with pytest.raises(DomainBreach, match="numerically singular"):
-        contraction_membership(F, scalar(1e13))
-
-
 # --- level-0 points ----------------------------------------------------------
 
 def _map_of(e):
@@ -197,12 +115,11 @@ def _map_of(e):
     [
         lambda e, X: _map_of(e)(X),
         lambda e, X: _map_of(e).domain_check(X),
-        lambda e, X: contraction_membership(e, X),
         lambda e, X: boundary_scale(Spectrahedron(e), X),
         lambda e, X: spec_membership(Spectrahedron(e), X),
         lambda e, X: ball_membership(Spectraball(e), X),
     ],
-    ids=["map", "domain_check", "contraction", "boundary_scale", "spec", "ball"],
+    ids=["map", "domain_check", "boundary_scale", "spec", "ball"],
 )
 def test_level_zero_points_are_refused_as_shape_mismatch(entry):
     # the empty point of each entry point is refused where it is built
@@ -300,6 +217,13 @@ def test_probe_ball_embedding_bounded(e_tuple):
     )
     assert not ev.unbounded
     assert math.isfinite(ev.max_scale)
+
+
+@pytest.mark.parametrize("levels", [(0,), (1, 0)])
+def test_probe_refuses_a_level_below_one(e_tuple, levels):
+    # level 0 used to raise IndexError from the skew candidates
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        boundedness_probe(Spectrahedron(e_tuple), levels=levels)
 
 
 def test_probe_single_nilpotent_slot():

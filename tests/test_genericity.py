@@ -20,7 +20,6 @@ from convexotonic import (
     algebra_closure,
     ball_membership,
     ball_to_spectrahedron,
-    contraction_membership,
     hyperbasis_margin,
     is_convexotonic,
     is_linearly_independent,
@@ -108,7 +107,6 @@ TOL_CALLS = {
     "spec_membership": lambda tol: spec_membership(
         Spectrahedron(GAUSS), MatrixTuple.scalar([5, 5]), tol
     ),
-    "contraction_membership": lambda tol: contraction_membership(GAUSS, NEAR_ZERO, tol),
     "is_linearly_independent": lambda tol: is_linearly_independent(
         MatrixTuple.from_matrices([GAUSS[0], 2 * GAUSS[0]]), tol
     ),
@@ -141,7 +139,6 @@ def test_tol_must_be_finite_and_non_negative(call, tol):
 
 @pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
 def test_zero_tol_is_accepted(call):
-    # contraction_membership used to divide by it for its conditioning limit
     call(0.0)
 
 

@@ -15,7 +15,6 @@ from convexotonic import (
     ShapeMismatch,
     TupleLengthMismatch,
     algebra_closure,
-    contraction_membership,
     hermitian_pencil,
     is_nilpotent,
     joint_kernel,
@@ -495,9 +494,6 @@ def test_joint_kernel_requires_square():
 NOT_SQUARE = {
     "structure_constants": (structure_constants, "structure constants need"),
     "algebra_closure": (algebra_closure, "algebra closure needs"),
-    "contraction_membership": (
-        lambda F: contraction_membership(F, MatrixTuple.zeros(2, 2)), "contraction membership needs"
-    ),
     "necessary_conditions": (necessary_conditions, "sv-genericity is defined"),
     "is_nilpotent": (is_nilpotent, "nilpotency is defined"),
 }

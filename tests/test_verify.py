@@ -340,6 +340,34 @@ def test_catalog_passes_and_warns():
     assert "type-i/candidate-map-transport" in names
     assert "type-ii/unbounded-witness" in names
     assert "mobius-conjugate/spot-value" in names
+    # the full order pins the draws: each sampled check takes its points from
+    # one generator in turn, and type IV skips 5 of its 75 properness rays
+    properness = ["boundary-to-boundary", "interior-to-interior", "round-trip-identity"]
+    alphas = ["1", "i", "-1", "seeded"]
+    assert [(c.name, c.samples) for c in report.checks] == [
+        ("type-i/structure-constants", 0),
+        ("type-i/membership-boundary", 0),
+        ("type-i/membership-exterior", 0),
+        ("type-i/boundary-scale", 0),
+        ("type-i/candidate-map-transport", 75),
+        ("type-i/map-equals-quadratic-shift", 75),
+        ("type-i/not-sv-generic", 0),
+        *[(f"type-i/{name}", 75) for name in properness],
+        ("type-ii/structure-constants", 0),
+        ("type-ii/closed-form", 75),
+        ("type-ii/unbounded-witness", 0),
+        *[(f"type-ii/{name}", 75) for name in properness],
+        ("type-iii/structure-constants", 0),
+        ("type-iii/closed-form", 75),
+        ("type-iv/closed-form", 75),
+        ("type-iv/sv-generic", 0),
+        *[(f"type-iv/{name}", 70) for name in properness],
+        ("ball-embedding/nilpotent-rejection", 0),
+        *[(f"mobius-conjugate/closed-form-alpha-{a}", 50) for a in alphas],
+        ("mobius-conjugate/spot-value", 0),
+        *[(f"composed-quadratic/constants-map-alpha-{a}", 50) for a in alphas],
+        ("composed-quadratic/closed-form", 50),
+    ]
 
 
 def test_catalog_composed_closed_form_is_an_independent_expansion():
