@@ -165,11 +165,13 @@ def cases(cx, np):
     out["is_nilpotent.generic.g2.d8"] = lambda: cx.is_nilpotent(G)
 
     # sv_probe at 200 trials: scalar multiples and direct sums pass every
-    # necessary condition but have no certificate, so the search runs to the end
+    # necessary condition but have no certificate; the d=4 multiples also run
+    # at the CLI default of 10,000 trials
     for d in (3, 4):
         M = gaussian(np.random.default_rng([d, 4]), d, d)
         A = cx.MatrixTuple(np.array([M, 2 * M]))
         out[f"sv_probe.scalar.d{d}"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
+    out["sv_probe.scalar.d4.t10000"] = lambda A=A: cx.sv_probe(A, trials=10_000, seed=42)
     for m in (1, 2):
         rng = np.random.default_rng([m, 2, 4])
         A = cx.MatrixTuple(gaussian(rng, 2, m, m)).direct_sum(cx.MatrixTuple(gaussian(rng, 2, 2, 2)))

@@ -18,13 +18,14 @@ from convexotonic import (
     type_iii_tuple,
     type_iv_tuple,
 )
+from convexotonic.cli import _at_least
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--levels", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--trials", type=_at_least(0), default=100)  # 0: axes only
+    parser.add_argument("--levels", type=_at_least(1), nargs="+", default=[1, 2, 3])
+    parser.add_argument("--seed", type=_at_least(0), default=42)
     args = parser.parse_args()
 
     cases = {

@@ -106,14 +106,17 @@ def sv_probe(
     d = 1), a test relative to s0 that makes the verdict independent of scale.
     Chunks of 2d+1 trials, doubling up to CHUNK_CAP, are each drawn in one
     call, factored by one stacked SVD and visited in order, so the chunks do
-    not change the result; draws past a certificate or full pools are wasted.
+    not change the result; the rest of a chunk is wasted once the probe ends.
     Each side pools POOL_FACTOR candidates per required vector and grows one
     span with those that leave a remainder above tol. The first d beta joiners
     must have a basis margin above tol; each later alpha is tried once as the
     completion of the first d alpha joiners to a hyperbasis. No polynomial
     search finds every hyperbasis (a spanning circuit), so a pool whose
-    hyperbases all avoid the greedy basis ends inconclusive. Raises TypeError
-    for a trials that is not an integer and ValueError for one below 1.
+    hyperbases all avoid the greedy basis ends inconclusive. No later draw
+    can join a closed pool, so the probe stops drawing once both pools are
+    closed; its inconclusive verdict covers all trials, and trials_used says
+    so. Raises TypeError for a trials that is not an integer and ValueError
+    for one below 1.
     """
     rng = np.random.default_rng(operator.index(seed))  # first: every tuple checks the seed
     if (trials := operator.index(trials)) < 1:
@@ -126,7 +129,7 @@ def sv_probe(
     alpha_basis, betas = [], []  # the first d span joiners of each side
     alphas, b_margin, pooled = None, 0.0, 0
     coeffs, start, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
-    while start < trials:
+    while start < trials and pooled < POOL_FACTOR * (d + 1):  # until both pools are full
         stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
         normals = rng.standard_normal((stop - start, 2, g))
         gammas = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)

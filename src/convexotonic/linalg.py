@@ -237,8 +237,9 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     m = _as_complex_matrix(m)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    sigma = np.pad(s, (0, len(vh) - s.size))  # the rows of vh past s span ker too
-    return list(vh[sigma <= tol * smax].conj())
+    kept = np.ones(len(vh), dtype=bool)  # the rows of vh past s span ker too
+    kept[: s.size] = s <= tol * smax
+    return list(vh[kept].conj())
 
 
 def joint_kernel(B: MatrixTuple, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

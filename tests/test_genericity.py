@@ -346,9 +346,10 @@ def sequential_hyperbasis_margin(vectors):
 def sequential_probe(A, trials, seed, tol=1e-8):
     """Reference: the probe one trial at a time, one draw of 2g normals from
     one generator, one pencil_eval and one SVD per trial, as it ran before
-    chunking. Returns (status, trials_used, certificate)."""
+    chunking, and with no early stop. Returns (status, reason, trials_used,
+    certificate)."""
     if not necessary_conditions(A, tol).passed:
-        return "rejected", 0, None
+        return "rejected", None, 0, None
     d, g = A.rows, A.g
     rng = np.random.default_rng(seed)
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
@@ -380,8 +381,10 @@ def sequential_probe(A, trials, seed, tol=1e-8):
                 b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
         if alphas is not None and b_margin > tol:
             cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, trial + 1, seed)
-            return "certified", trial + 1, cert
-    return "inconclusive", trials, None
+            return "certified", None, trial + 1, cert
+    full = pooled >= genericity.POOL_FACTOR * (d + 1)
+    reason = "pools-full" if full else "trials-exhausted" if pooled else "never-simple"
+    return "inconclusive", reason, trials, None
 
 
 @st.composite
@@ -410,9 +413,9 @@ def probe_inputs(draw):
 @given(probe_inputs())
 def test_chunked_probe_is_bit_identical_to_the_sequential_loop(inputs):
     A, trials, seed = inputs
-    status, trials_used, cert = sequential_probe(A, trials, seed)
+    status, reason, trials_used, cert = sequential_probe(A, trials, seed)
     result = sv_probe(A, trials=trials, seed=seed)
-    assert (result.status, result.trials_used) == (status, trials_used)
+    assert (result.status, result.reason, result.trials_used) == (status, reason, trials_used)
     if cert is None:
         assert result.certificate is None
         return
@@ -517,9 +520,9 @@ def test_probe_greedy_basis_misses_other_hyperbases():
 
 # --- one draw per trial ---------------------------------------------------------
 
-def test_probe_makes_one_draw_per_trial(monkeypatch):
-    # the top singular value of eye(2) is never simple, so every draw is
-    # rejected; the trial count alone bounds the work
+def count_draws(monkeypatch):
+    """Patch np.random.default_rng so that every standard_normal call appends
+    the number of normals it drew to the returned list."""
     drawn = []
     default_rng = np.random.default_rng
 
@@ -533,11 +536,41 @@ def test_probe_makes_one_draw_per_trial(monkeypatch):
             return out
 
     monkeypatch.setattr(np.random, "default_rng", Counted)
+    return drawn
+
+
+def test_probe_makes_one_draw_per_trial(monkeypatch):
+    # the top singular value of eye(2) is never simple, so every draw is
+    # rejected; the trial count alone bounds the work
+    drawn = count_draws(monkeypatch)
     A = MatrixTuple.from_matrices([np.eye(2)])
     result = sv_probe(A, trials=200, seed=42)
     assert result.status == "inconclusive"
     assert result.trials_used == 200
     assert sum(drawn) == 2 * A.g * 200
+
+
+def test_probe_stops_drawing_once_both_pools_are_closed(monkeypatch):
+    # scalar multiples fill both pools within tens of draws and have no
+    # certificate; later draws cannot change the verdict, so none are made
+    A, trials = scalar_multiples(4, 3), 10_000
+    short = sv_probe(A, trials=200, seed=42)
+    # the chunk ends of the schedule; a probe cut at the end of the chunk that
+    # closed the pools already ends pools-full
+    ends, stop, size = [], 0, 2 * A.rows + 1
+    while stop < trials:
+        stop, size = min(stop + size, trials), min(2 * size, genericity.CHUNK_CAP)
+        ends.append(stop)
+    closing = next(end for end in ends if sv_probe(A, trials=end, seed=42).reason == "pools-full")
+    drawn = count_draws(monkeypatch)
+    result = sv_probe(A, trials=trials, seed=42)
+    assert (result.status, result.reason, result.trials_used) == (
+        "inconclusive", "pools-full", trials
+    )
+    assert sum(drawn) <= 2 * A.g * closing < 2 * A.g * trials
+    assert (result.status, result.reason, result.certificate) == (
+        short.status, short.reason, short.certificate
+    )
 
 
 # --- one generator per probe ----------------------------------------------------
