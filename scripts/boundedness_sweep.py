@@ -23,7 +23,7 @@ from convexotonic.cli import _at_least
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=_at_least(0), default=100)  # 0: axes only
+    parser.add_argument("--trials", type=_at_least(0), default=100)  # 0: skew directions only
     parser.add_argument("--levels", type=_at_least(1), nargs="+", default=[1, 2, 3])
     parser.add_argument("--seed", type=_at_least(0), default=42)
     args = parser.parse_args()
