@@ -22,7 +22,7 @@ from .linalg import (
     operator_norm,
     pencil_eval,
 )
-from .sampling import random_direction
+from .sampling import random_directions, seeded_rng
 
 
 class Location(str, Enum):
@@ -156,15 +156,15 @@ def boundedness_probe(
     part), then `trials` random Gaussian directions per level. Raises
     ValueError for a level below 1.
     """
+    rng = seeded_rng(seed)
     if min(levels, default=1) < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
     g = spec.coeffs.g
-    rng = np.random.default_rng(seed)
     max_scale = 0.0
     tested = 0
     for n in levels:
         candidates = _skew_candidates(g, n)
-        candidates += [random_direction(rng, g, n) for _ in range(trials)]
+        candidates += map(MatrixTuple, random_directions(rng, g, n, trials))
         for direction in candidates:
             tested += 1
             scale = boundary_scale(spec, direction)

@@ -22,6 +22,7 @@ from .linalg import (
     is_nilpotent,
     joint_kernel,
 )
+from .sampling import complex_gaussians, seeded_rng
 
 GAP_TOL = 1e-6  # singular-value simplicity gap
 POOL_FACTOR = 4  # candidates kept per required vector on each side
@@ -99,11 +100,11 @@ def sv_probe(
     """Search for an sv-genericity certificate by seeded sampling.
 
     Each trial makes one complex Gaussian draw, so trials bounds the work;
-    trial t takes normals 2g*t .. 2g*t + 2g - 1 (real parts first) of one
-    default_rng(seed). The draw is scaled so the pencil has unit norm (making
-    the defect pencil PSD with a kernel), and its kernel vectors are kept when
-    the top singular value s0 is simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when
-    d = 1), a test relative to s0 that makes the verdict independent of scale.
+    trial t is item t of complex_gaussians on seeded_rng(seed). The draw is
+    scaled so the pencil has unit norm (making the defect pencil PSD with a
+    kernel), and its kernel vectors are kept when the top singular value s0 is
+    simple, s0 - s1 > GAP_TOL * s0 (s1 := 0 when d = 1), a test relative to
+    s0 that makes the verdict independent of scale.
     Chunks of 2d+1 trials, doubling up to CHUNK_CAP, are each drawn in one
     call, factored by one stacked SVD and visited in order, so the chunks do
     not change the result; the rest of a chunk is wasted once the probe ends.
@@ -118,7 +119,7 @@ def sv_probe(
     so. Raises TypeError for a trials that is not an integer and ValueError
     for one below 1.
     """
-    rng = np.random.default_rng(operator.index(seed))  # first: every tuple checks the seed
+    rng = seeded_rng(seed)  # first: every tuple checks the seed
     if (trials := operator.index(trials)) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     conditions = necessary_conditions(A, tol)
@@ -131,8 +132,7 @@ def sv_probe(
     coeffs, start, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
     while start < trials and pooled < POOL_FACTOR * (d + 1):  # until both pools are full
         stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
-        normals = rng.standard_normal((stop - start, 2, g))
-        gammas = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
+        gammas = complex_gaussians(rng, stop - start, g)
         u, s, vh = np.linalg.svd((coeffs @ gammas[:, :, None]).reshape(-1, d, d))
         gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
         for k in np.flatnonzero(gap > GAP_TOL * s[:, 0]):  # a multiple s0 pools nothing

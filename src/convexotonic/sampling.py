@@ -1,28 +1,40 @@
-"""Seeded random generators used by probes, verification harnesses and tests."""
+"""Seeded random draws used by probes, verification harnesses and tests."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from .linalg import MatrixTuple, OrthonormalSpan
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every seed in the package: default_rng(seed) for an
+    integer of at least 0; TypeError for any other type, ValueError if below 0."""
+    return np.random.default_rng(operator.index(seed))
+
+
+def complex_gaussians(rng: np.random.Generator, count: int, *shape) -> np.ndarray:
+    """`count` stacked arrays of `shape` of standard complex Gaussians (unit
+    E|z|^2), each taking its real and then its imaginary parts from the stream."""
+    normals = rng.standard_normal((count, 2, *shape))
+    return (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
+
+
 def complex_gaussian(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Independent standard complex Gaussian entries (unit expected |z|^2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    """One array of `shape` drawn by complex_gaussians."""
+    return complex_gaussians(rng, 1, *shape)[0]
 
 
 def random_tuple(rng: np.random.Generator, g: int, n: int) -> MatrixTuple:
     return MatrixTuple(complex_gaussian(rng, g, n, n))
 
 
-def random_direction(rng: np.random.Generator, g: int, n: int) -> MatrixTuple:
-    """Random tuple normalized to unit max entry magnitude; never zero."""
-    while True:
-        t = complex_gaussian(rng, g, n, n)
-        scale = np.max(np.abs(t))
-        if scale > 1e-12:
-            return MatrixTuple(t / scale)
+def random_directions(rng: np.random.Generator, g: int, n: int, count: int) -> np.ndarray:
+    """A (count, g, n, n) stack of random tuples, each of unit largest entry magnitude."""
+    draws = complex_gaussians(rng, count, g, n, n)
+    return draws / np.abs(draws).max(axis=(1, 2, 3), keepdims=True)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

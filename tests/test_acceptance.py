@@ -35,7 +35,7 @@ from convexotonic.cli import run as cli_run
 from convexotonic.errors import SpanViolation
 from convexotonic.verify import mobius_conjugate, quadratic_shift
 from conftest import corpus_algebras
-from convexotonic.sampling import random_direction, random_unitary
+from convexotonic.sampling import random_directions, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -57,7 +57,7 @@ def corpus_points(J, seed, per_level=25, levels=(1, 2, 3, 4), frac=0.5):
     for n in levels:
         produced = 0
         while produced < per_level:
-            x = random_direction(rng, J.g, n)
+            x = MatrixTuple(random_directions(rng, J.g, n, 1)[0])
             scales = [boundary_scale(ball, x), boundary_scale(spec, x)]
             finite = [s for s in scales if math.isfinite(s)]
             if not finite:
@@ -145,7 +145,7 @@ def test_criterion_5_boundary_transport():
         for n in (1, 2, 3):
             produced = 0
             while produced < 50:
-                x = random_direction(rng, J.g, n)
+                x = MatrixTuple(random_directions(rng, J.g, n, 1)[0])
                 scale = boundary_scale(spec, x)
                 if not math.isfinite(scale) or scale > 1e8:
                     continue
@@ -193,9 +193,8 @@ def test_criterion_7_mobius_closed_form():
     worst = 0.0
     for alpha in (1.0 + 0j, 1j, -1.0 + 0j):
         cmap = ConvexotonicMap(MatrixTuple(alpha * e.data), MapSign.MINUS)
-        rng = np.random.default_rng(700)
-        for _ in range(50):
-            x = MatrixTuple(0.3 * random_direction(rng, 2, 3).data)
+        for x in random_directions(np.random.default_rng(700), 2, 3, 50):
+            x = MatrixTuple(0.3 * x)
             worst = max(worst, tuple_gap(cmap(x), mobius_conjugate(alpha, x)))
     spot = ConvexotonicMap(e, MapSign.MINUS)(MatrixTuple.scalar([0.25, 0.125]))
     spot_gap = max(abs(spot[0][0, 0] - 1 / 3), abs(spot[1][0, 0] - 2 / 9))
@@ -213,9 +212,8 @@ def test_criterion_8_composed_map():
     for alpha in (1.0 + 0j, 1j, -1.0 + 0j):
         xi = MatrixTuple.from_matrices([alpha * np.eye(2) + e2, alpha * e2])
         cmap = ConvexotonicMap(xi, MapSign.MINUS)
-        rng = np.random.default_rng(800)
-        for _ in range(50):
-            x = MatrixTuple(0.25 * random_direction(rng, 2, 3).data)
+        for x in random_directions(np.random.default_rng(800), 2, 3, 50):
+            x = MatrixTuple(0.25 * x)
             composed = mobius_conjugate(alpha, quadratic_shift(x, 1.0))
             worst = max(worst, tuple_gap(cmap(x), composed))
     ok = worst < 1e-9

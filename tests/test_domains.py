@@ -22,7 +22,7 @@ from convexotonic import (
     type_iv_tuple,
 )
 from convexotonic.errors import NotSquare
-from convexotonic.sampling import random_direction, random_tuple, random_unitary
+from convexotonic.sampling import random_directions, random_tuple, random_unitary
 
 
 def scalar(*values):
@@ -88,8 +88,8 @@ def test_ball_embedding_membership_agrees(e_tuple):
     spec = ball_to_spectrahedron(ball)
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
-        for _ in range(30):
-            x = MatrixTuple(1.5 * random_direction(rng, 2, n).data)
+        for x in random_directions(rng, 2, n, 30):
+            x = MatrixTuple(1.5 * x)
             assert (
                 ball_membership(ball, x).location
                 == spec_membership(spec, x).location
@@ -153,8 +153,7 @@ def test_boundary_scale_zero_direction(e_tuple):
 def test_boundary_scale_consistency(e_tuple, f_tuple):
     rng = np.random.default_rng(31)
     for domain in (Spectraball(e_tuple), Spectrahedron(f_tuple)):
-        for _ in range(20):
-            x = random_direction(rng, 2, 2)
+        for x in map(MatrixTuple, random_directions(rng, 2, 2, 20)):
             t = boundary_scale(domain, x)
             if not math.isfinite(t):
                 continue

@@ -20,6 +20,8 @@ from convexotonic import (
     algebra_closure,
     ball_membership,
     ball_to_spectrahedron,
+    boundedness_probe,
+    example_catalog,
     hyperbasis_margin,
     is_convexotonic,
     is_linearly_independent,
@@ -35,6 +37,7 @@ from convexotonic import (
     transfer_residual,
     type_i_tuple,
     type_iv_tuple,
+    verify_ball_equality,
     verify_corollary,
     verify_properness,
     verify_theorem,
@@ -142,19 +145,63 @@ def test_zero_tol_is_accepted(call):
     call(0.0)
 
 
-def test_every_tol_of_the_api_is_in_the_table():
-    taking_tol = set()
+def api_taking(*params):
+    """The names of the package's exported callables with one of `params`."""
+    taking = set()
     for name in dir(convexotonic):
         obj = getattr(convexotonic, name)
         if name.startswith("_") or not callable(obj):
             continue
         try:
-            params = inspect.signature(obj).parameters
+            signature = inspect.signature(obj).parameters
         except ValueError:  # the exception classes have no signature
             continue
-        if {"tol", "construction_tol"} & params.keys():
-            taking_tol.add(name)
-    assert taking_tol == TOL_CALLS.keys()
+        if set(params) & signature.keys():
+            taking.add(name)
+    return taking
+
+
+def test_every_tol_of_the_api_is_in_the_table():
+    assert api_taking("tol", "construction_tol") == TOL_CALLS.keys()
+
+
+# every callable of the package's API that takes a seed, on inputs it accepts
+SEED_CALLS = {
+    "sv_probe": lambda seed: sv_probe(GAUSS, trials=10, seed=seed),
+    "boundedness_probe": lambda seed: boundedness_probe(Spectrahedron(GAUSS), trials=1, seed=seed),
+    "verify_theorem": lambda seed: verify_theorem(
+        TheoremData(IDEMPOTENTS, IDEMPOTENTS, np.eye(2), np.eye(2)), samples=2, seed=seed
+    ),
+    "verify_ball_equality": lambda seed: verify_ball_equality(GAUSS, GAUSS, samples=2, seed=seed),
+    "verify_properness": lambda seed: verify_properness(IDEMPOTENTS, samples=2, seed=seed),
+    "verify_corollary": lambda seed: verify_corollary(IDEMPOTENTS, samples=2, seed=seed),
+    "example_catalog": lambda seed: example_catalog(seed=seed, samples=1),
+}
+
+
+def test_every_seed_of_the_api_is_in_the_table():
+    # a certificate records the seed of the probe that made it and draws nothing
+    assert api_taking("seed") - {"GenericityCertificate"} == SEED_CALLS.keys()
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(None, TypeError), (1.5, TypeError), ([1, 2], TypeError), (-1, ValueError)]
+)
+@pytest.mark.parametrize("call", SEED_CALLS.values(), ids=SEED_CALLS.keys())
+def test_a_bad_seed_is_refused_before_any_generator_is_built(monkeypatch, call, seed, error):
+    # the harnesses and the boundedness probe used to run unseeded on None and
+    # seeded on [1, 2], and the catalog failed at seed + 1 on None
+    built, default_rng = [], np.random.default_rng
+
+    def recorded(seed):
+        rng = default_rng(seed)
+        built.append(seed)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    with pytest.raises(error):
+        call(seed)
+    assert built == []
 
 
 def test_probe_checks_the_seed_before_the_tol():

@@ -35,7 +35,7 @@ from conftest import (
 )
 from convexotonic.algebras import _coordinate_map
 from convexotonic.linalg import BLOCK_LEVEL
-from convexotonic.sampling import complex_gaussian, random_direction, random_unitary
+from convexotonic.sampling import complex_gaussian, random_directions, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -53,7 +53,7 @@ def corpus_point(rng, J, n, frac=0.5):
     from convexotonic import Spectraball
 
     while True:
-        x = random_direction(rng, J.g, n)
+        x = MatrixTuple(random_directions(rng, J.g, n, 1)[0])
         scales = [
             boundary_scale(Spectraball(J), x),
             boundary_scale(Spectrahedron(J), x),
@@ -122,7 +122,7 @@ def test_map_matches_solve_einsum_reference(which, n, e_tuple):
     rng = np.random.default_rng(n)
     J = e_tuple if which == "type-iv" else random_triangular_algebra(rng, 3, 2)
     xi = structure_constants(J).xi
-    direction = random_direction(rng, J.g, n)
+    direction = MatrixTuple(random_directions(rng, J.g, n, 1)[0])
     # ||pencil_xi(X)|| = 1/2 keeps both signs well inside the domain
     X = MatrixTuple(0.5 * direction.data / np.linalg.norm(pencil_eval(xi, direction), 2))
     for sign in (MapSign.PLUS, MapSign.MINUS):
@@ -170,8 +170,8 @@ def test_transfer_zero_point(f_tuple):
 
 def test_transfer_nilpotent_small_points(f_tuple):
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        x = MatrixTuple(0.2 * random_direction(rng, 2, 2).data)
+    for x in random_directions(rng, 2, 2, 10):
+        x = MatrixTuple(0.2 * x)
         assert transfer_residual(f_tuple, x, MapSign.PLUS) < 1e-12
         assert transfer_residual(f_tuple, x, MapSign.MINUS) < 1e-12
 

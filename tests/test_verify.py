@@ -10,6 +10,7 @@ from convexotonic import (
     ConvexotonicMap,
     MapSign,
     MatrixTuple,
+    Spectrahedron,
     TheoremData,
     VerificationReport,
     algebra_closure,
@@ -25,7 +26,7 @@ from convexotonic import (
 )
 from convexotonic.errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
 from convexotonic.jsonio import dumps
-from convexotonic.sampling import random_unitary
+from convexotonic.sampling import random_unitary, seeded_rng
 
 
 def check_map(report):
@@ -295,6 +296,26 @@ def test_properness_counts_skipped_rays():
 
 
 # --- corollary --------------------------------------------------------------------
+
+def test_corollary_injectivity_fails_when_no_pair_shares_a_level(e_tuple):
+    # one ray per level leaves no two images at one level, so no pair was
+    # compared; the check passed with "min pairwise image gap inf"
+    report = verify_corollary(e_tuple, samples=1, seed=3)
+    assert check_map(report)["interior-to-interior"].samples > 1
+    injectivity = check_map(report)["injectivity-gap"]
+    assert not injectivity.passed
+    assert injectivity.samples == 0
+    assert injectivity.detail == "no point evaluated; min pairwise image gap inf"
+    assert report.passed is False
+
+
+def test_corollary_injectivity_counts_the_pairs_compared(e_tuple):
+    rays, _ = convexotonic.verify._rays(seeded_rng(3), Spectrahedron(e_tuple), (1, 2, 3), 4)
+    per_level = [sum(n == level for n, _, _ in rays) for level in (1, 2, 3)]
+    injectivity = check_map(verify_corollary(e_tuple, samples=4, seed=3))["injectivity-gap"]
+    assert injectivity.passed
+    assert injectivity.samples == sum(k * (k - 1) // 2 for k in per_level)
+
 
 def test_corollary_single_shift(f_tuple):
     single = MatrixTuple.from_matrices([f_tuple[0]])
