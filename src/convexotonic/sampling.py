@@ -10,7 +10,7 @@ from .linalg import MatrixTuple, OrthonormalSpan
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of every seed in the package: default_rng(seed) for an
+    """The generator of every seed in the package, numpy's default_rng of an
     integer of at least 0; TypeError for any other type, ValueError if below 0."""
     return np.random.default_rng(operator.index(seed))
 
