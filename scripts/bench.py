@@ -17,7 +17,8 @@ trials, or never see a simple top singular value.
 Certificates are stored per tuple object, so the certifying cases (structure
 constants, residual, transfer, pipeline) get a fresh copy of their tuple on
 every call: they time the computation, not a stored result. A map-call case
-calls one map, whose coordinate map (closures only) the warm-up call derives.
+calls one map; a closure's map reads its image off the pencil of J with
+coordinates fixed when its constants were solved.
 
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
@@ -32,8 +33,9 @@ file, and the two can alternate case by case: time one case (--skip all the
 others) for each checkout in turn. BLAS runs on one thread
 (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
-This is a measurement, not a test: nothing asserts on a timing, and the
-tier-1 suite does not run it.
+This is a measurement, not a test: nothing asserts on a timing. The tier-1
+suite only builds the cases and calls each map-call case once, so a change
+that breaks the script fails there.
 """
 
 import argparse
@@ -69,6 +71,16 @@ def pipeline(cx, J, X):
         cx.transfer_residual(J, X, sign)
 
 
+def map_call(cx, np, J, n):
+    """A call of the plus-sign map of J's constants at a level-n point where
+    ||pencil_J(X)|| = 1/2; closures have g > d, so it inverts the d n x d n
+    pencil of J."""
+    cmap = cx.ConvexotonicMap(cx.structure_constants(J).xi, cx.MapSign.PLUS)
+    x = cx.MatrixTuple(gaussian(np.random.default_rng([J.rows, n, 7]), J.g, n, n))
+    X = cx.MatrixTuple(0.5 * x.data / np.linalg.norm(cx.pencil_eval(J, x), 2))
+    return lambda: cmap(X)
+
+
 def cases(cx, np):
     """Map case name -> zero-argument callable; inputs are drawn here, once."""
     from convexotonic import jsonio
@@ -95,13 +107,10 @@ def cases(cx, np):
             norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
             X = cx.MatrixTuple(0.5 * x / norm)
             out[f"map_call.{name}.n{n}"] = lambda q=q, X=X: q(X)
-    # closures have g > d, so their maps invert the d n x d n pencil of J
-    for kind, d, n in (("ut", 3, 64), ("ut", 6, 16), ("full", 7, 4), ("full", 7, 16)):
+    closures = (("ut", 3, 64), ("ut", 3, 128), ("ut", 6, 16), ("full", 7, 4), ("full", 7, 16))
+    for kind, d, n in closures:
         J = cx.algebra_closure(pair(cx, np, kind, d)).extended
-        cmap = cx.ConvexotonicMap(cx.structure_constants(J).xi, cx.MapSign.PLUS)
-        x = cx.MatrixTuple(gaussian(np.random.default_rng([d, n, 7]), J.g, n, n))
-        X = cx.MatrixTuple(0.5 * x.data / np.linalg.norm(cx.pencil_eval(J, x), 2))
-        out[f"map_call.{kind}{d}.g{J.g}.n{n}"] = lambda cmap=cmap, X=X: cmap(X)
+        out[f"map_call.{kind}{d}.g{J.g}.n{n}"] = map_call(cx, np, J, n)
 
     rng = np.random.default_rng(3)
     J = cx.algebra_closure(cx.MatrixTuple(np.triu(gaussian(rng, 2, 3, 3)))).extended
@@ -132,6 +141,8 @@ def cases(cx, np):
     A = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([8, 3]), 3, 8, 8), 1))
     out["algebra_closure.nil.g3.d8"] = lambda A=A: cx.algebra_closure(A)
     B = cx.algebra_closure(A).extended
+    # its map reads d^2 = 64 blocks of the pencil for g = 24 coordinates
+    out[f"map_call.nil8.g{B.g}.n32"] = map_call(cx, np, B, 32)
     out["structure_constants.nil.g3.d8"] = lambda B=B: cx.structure_constants(
         cx.MatrixTuple(B.data)
     )

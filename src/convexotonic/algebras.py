@@ -37,9 +37,9 @@ from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, check_tol, operat
 
 # Certificates computed once per MatrixTuple object (hashed by identity) and
 # freed with it; failures raise and are never stored.
-# xi -> [bound, residual, algebra]: the associativity bound of a solved xi (inf
+# xi -> [bound, residual, route]: the associativity bound of a solved xi (inf
 # for any other xi), the exact convexotonic residual once computed (None
-# before), and what _coordinate_map reads (None for any other xi)
+# before), and the (J, C) of _coordinate_map (None for any other xi)
 _RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()
 _CONSTANTS: WeakKeyDictionary = WeakKeyDictionary()  # J -> {tol: StructureConstants}
 _SPANS: WeakKeyDictionary = WeakKeyDictionary()  # closure.extended -> (tol, its span)
@@ -174,7 +174,8 @@ def _solve_constants(
     independent (DependentInput otherwise), or a closure's extended tuple,
     whose span algebra_closure certified at a tol no smaller; basis = r @ q,
     so the coefficients x solve x @ r = (their coordinates on q). Without a
-    middle, the associativity bound of xi goes into its _RESIDUALS entry.
+    middle, the associativity bound of xi goes into its _RESIDUALS entry, with
+    the route of _coordinate_map when the basis has fewer rows than elements.
     """
     check_tol(tol)  # before a closure's span is reused at any tol below its own
     g = basis.g
@@ -200,7 +201,10 @@ def _solve_constants(
     xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
     if middle is None:
         bound = _associativity_bound(basis, xi, products, r)
-        _RESIDUALS[xi] = [bound, None, basis.data if basis.rows < g else None]
+        route = None
+        if basis.rows < g:  # a copy of J: J's _CONSTANTS entry holds xi, so J would never be freed
+            route = (MatrixTuple(basis.data), np.linalg.solve(r.T, span.q.conj()))
+        _RESIDUALS[xi] = [bound, None, route]
     return xi, float(np.max(residuals))
 
 
@@ -221,25 +225,11 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
 
 
 def _coordinate_map(xi: MatrixTuple):
-    """(J, picks, coords) for the xi that structure_constants solved from a J
-    with fewer rows than elements (None for any other xi), derived from J's
-    data on first use: a copy of J, g flat entries picked by column-pivoted
-    Gram-Schmidt on the flattened J, and the inverse of the transposed g x g
-    block at them, which maps those entries of sum_i J_i y_i to y."""
-    entry = _RESIDUALS.get(xi)
-    if entry is None or entry[2] is None:
-        return None
-    if isinstance(entry[2], np.ndarray):
-        J = MatrixTuple(entry[2])
-        flat = J.flatten()
-        rest, picks = flat.copy(), []
-        for _ in range(J.g):
-            k = int(np.argmax(np.linalg.norm(rest, axis=0)))
-            unit = rest[:, k] / np.linalg.norm(rest[:, k])
-            rest -= np.outer(unit, unit.conj() @ rest)
-            picks.append(k)
-        entry[2] = (J, np.array(picks), np.linalg.inv(flat[:, picks]).T)
-    return entry[2]
+    """(a copy of J, C) for the xi that structure_constants solved from a J
+    with fewer rows d than elements g (None for any other xi), stored when xi
+    was solved: J = r @ q on its span, so the g x d^2 matrix C = inv(r.T) @
+    conj(q) maps the d^2 flattened n x n blocks of pencil_J(Y) back to Y."""
+    return _RESIDUALS.get(xi, (None, None, None))[2]
 
 
 def pencil_structure_constants(

@@ -22,7 +22,7 @@ from .linalg import (
     operator_norm,
     pencil_eval,
 )
-from .sampling import random_directions, seeded_rng
+from .sampling import check_count, random_directions, seeded_rng
 
 
 class Location(str, Enum):
@@ -154,9 +154,10 @@ def boundedness_probe(
     Deterministic skew coordinate directions are tried first (they witness
     unboundedness whenever a slot admits a pencil with vanishing Hermitian
     part), then `trials` random Gaussian directions per level. Raises
-    ValueError for a level below 1.
+    ValueError for a level below 1 and, by check_count, for a negative trials.
     """
     rng = seeded_rng(seed)
+    check_count(trials, "trials")
     if min(levels, default=1) < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
     g = spec.coeffs.g

@@ -55,18 +55,17 @@ class ConvexotonicMap:
 
     def __call__(self, X: MatrixTuple) -> MatrixTuple:
         """Evaluate levelwise. When xi came from structure_constants(J) with
-        fewer rows d than elements g, read p(X) off g of the n x n blocks of
-        pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X) (each a
-        block row of inv(M) times a block column); otherwise go through xi."""
+        fewer rows d than elements g, read p(X) off the d^2 n x n blocks of
+        pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X), with
+        the coordinates fixed when xi was solved; otherwise go through xi."""
         route = _coordinate_map(self.xi)
         if route is None:
             return self._through_xi(X)
-        J, picks, coords = route
+        J, coords = route
         inv, lam = resolvent(J, X, self.sign.factor, "defining pencil")
         d, n = J.rows, X.rows
-        rows, cols = np.divmod(picks, d)
-        blocks = inv.reshape(d, n, d * n)[rows] @ lam.reshape(d * n, d, n)[:, cols].transpose(1, 0, 2)
-        return MatrixTuple(np.tensordot(coords, blocks, axes=1))
+        blocks = (inv @ lam).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
+        return MatrixTuple((coords @ blocks).reshape(-1, n, n))
 
     def _through_xi(self, X: MatrixTuple) -> MatrixTuple:
         """The single product of the row block [X[0] ... X[g-1]] with inv(M),

@@ -15,6 +15,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(operator.index(seed))
 
 
+def check_count(count: int, name: str) -> None:
+    """Raise TypeError unless count is an integer, and ValueError naming it if
+    it is below 0: the number of draws a harness or probe makes per level."""
+    if operator.index(count) < 0:
+        raise ValueError(f"{name} must be at least 0, got {count}")
+
+
 def complex_gaussians(rng: np.random.Generator, count: int, *shape) -> np.ndarray:
     """`count` stacked arrays of `shape` of standard complex Gaussians (unit
     E|z|^2), each taking its real and then its imaginary parts from the stream."""

@@ -35,7 +35,7 @@ from .errors import DomainBreach, ShapeMismatch, SpanViolation, TupleLengthMisma
 from .genericity import necessary_conditions, sv_probe
 from .linalg import DEFAULT_TOL, MatrixTuple, certified_inverse, operator_norm, pencil_eval
 from .maps import ConvexotonicMap, MapSign
-from .sampling import random_directions, random_unimodular, seeded_rng
+from .sampling import check_count, random_directions, random_unimodular, seeded_rng
 
 UNITARY_TOL = 1e-8
 BALL_EQUALITY_TOL = 1e-9
@@ -198,6 +198,7 @@ def verify_theorem(
     and max(1, the largest ||xi_j||_F).
     """
     rng = seeded_rng(seed)
+    check_count(samples, "samples")
     report = VerificationReport("theorem")
     e, b = data.ball_tuple, data.target_tuple
     z, m = data.twist, data.change_of_basis
@@ -255,6 +256,7 @@ def verify_ball_equality(
 ) -> VerificationReport:
     """Pencil norms of E and B agree at random points (levels 1-3)."""
     rng = seeded_rng(seed)
+    check_count(samples, "samples")
     report = VerificationReport("ball-equality")
     points = [MatrixTuple(x) for n in (1, 2, 3) for x in random_directions(rng, e.g, n, samples)]
     gaps = [abs(operator_norm(pencil_eval(e, x)) - operator_norm(pencil_eval(b, x))) for x in points]
@@ -330,6 +332,7 @@ def verify_properness(
     the inverse map, which may miss each point X by tol * ||X||_F.
     Rays without a finite boundary point are skipped and counted.
     """
+    check_count(samples, "samples")
     report = VerificationReport("properness")
     q_map = ConvexotonicMap(structure_constants(J, tol).xi, MapSign.PLUS, tol)
     p_map = q_map.inverse()
@@ -359,6 +362,7 @@ def verify_corollary(
     padded with zeros in the appended slots, and checks properness into the
     spectraball of J together with injectivity on same-level pairs of points.
     """
+    check_count(samples, "samples")
     report = VerificationReport("corollary")
     closure = algebra_closure(A, tol)
     j = closure.extended
@@ -397,6 +401,7 @@ def _check_oracle(report, name, cmap, oracle, rng, levels, count, scale, tol):
 def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     """Run the fixed catalog of worked examples; deterministic per seed."""
     rng = seeded_rng(seed)
+    check_count(samples, "samples")
     report = VerificationReport("examples")
 
     f_tuple = type_i_tuple()

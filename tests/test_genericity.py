@@ -204,6 +204,40 @@ def test_a_bad_seed_is_refused_before_any_generator_is_built(monkeypatch, call, 
     assert built == []
 
 
+# every callable of the package's API that takes a count of draws, by the
+# name of that count, on inputs it accepts
+COUNT_CALLS = {
+    "sv_probe": ("trials", lambda count: sv_probe(GAUSS, trials=count)),
+    "boundedness_probe": (
+        "trials", lambda count: boundedness_probe(Spectrahedron(GAUSS), levels=(1,), trials=count)
+    ),
+    "verify_theorem": ("samples", lambda count: verify_theorem(
+        TheoremData(IDEMPOTENTS, IDEMPOTENTS, np.eye(2), np.eye(2)), samples=count
+    )),
+    "verify_ball_equality": (
+        "samples", lambda count: verify_ball_equality(GAUSS, GAUSS, samples=count)
+    ),
+    "verify_properness": ("samples", lambda count: verify_properness(IDEMPOTENTS, samples=count)),
+    "verify_corollary": ("samples", lambda count: verify_corollary(IDEMPOTENTS, samples=count)),
+    "example_catalog": ("samples", lambda count: example_catalog(samples=count)),
+}
+
+
+def test_every_count_of_the_api_is_in_the_table():
+    # a check result records how many points it evaluated and draws nothing
+    assert api_taking("samples", "trials") - {"CheckResult"} == COUNT_CALLS.keys()
+
+
+@pytest.mark.parametrize("name, call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+def test_a_negative_count_is_refused_by_name(name, call):
+    # the harnesses and the boundedness probe used to end in numpy's
+    # "negative dimensions are not allowed" from their first draw
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        call(-1)
+    with pytest.raises(TypeError):
+        call(1.5)
+
+
 def test_probe_checks_the_seed_before_the_tol():
     with pytest.raises(TypeError):
         sv_probe(type_iv_tuple(), trials=10, seed=None, tol=np.nan)

@@ -220,14 +220,16 @@ def test_transfer_across_corpus():
 
 # --- the algebra route ----------------------------------------------------------
 
-def closure_of(seed, kind, d):
+def closure_of(seed, kind, d, scale=1.0):
     """The closure of a random pair (ut: upper-triangular, full) or of a
-    strictly upper-triangular triple (strict)."""
+    strictly upper-triangular triple (strict), times scale."""
     rng = np.random.default_rng(seed)
     if kind == "strict":
-        return algebra_closure(MatrixTuple(np.triu(complex_gaussian(rng, 3, d, d), 1))).extended
-    A = complex_gaussian(rng, 2, d, d)
-    return algebra_closure(MatrixTuple(np.triu(A) if kind == "ut" else A)).extended
+        A = np.triu(complex_gaussian(rng, 3, d, d), 1)
+    else:
+        A = complex_gaussian(rng, 2, d, d)
+        A = np.triu(A) if kind == "ut" else A
+    return algebra_closure(MatrixTuple(scale * A)).extended
 
 
 def singular_ray(J, seed, n):
@@ -357,6 +359,38 @@ def test_algebra_route_evaluates_closures_at_every_scale(c):
     inv, lam = maps.resolvent(J, X, 1.0, "transfer pencil")
     expected = inv @ lam
     assert np.linalg.norm(pencil_eval(J, q(X)) - expected, 2) <= 1e-12 * np.linalg.norm(expected, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-6, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind, d", [("ut", 3), ("ut", 6), ("strict", 5), ("strict", 8), ("full", 4)])
+def test_route_coordinates_read_a_point_off_its_pencil(kind, d, scale):
+    # Y_i is divided by ||J_i||_F, so every term J_i (x) Y_i of the pencil has
+    # one size: at scales far from 1 a Gaussian Y would put the slots of the
+    # scaled generators below the rounding of the unit-norm appended ones
+    J = closure_of(5, kind, d, scale)
+    _, coords = _coordinate_map(structure_constants(J).xi)
+    n = 3
+    y = complex_gaussian(np.random.default_rng(d), J.g, n, n)
+    Y = y / np.linalg.norm(J.data, axis=(1, 2))[:, None, None]
+    blocks = pencil_eval(J, MatrixTuple(Y)).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    read = (coords @ blocks.reshape(d * d, n * n)).reshape(J.g, n, n)
+    gaps = np.linalg.norm(read - Y, axis=(1, 2))
+    assert np.all(gaps <= 1e-12 * np.linalg.norm(Y, axis=(1, 2)))
+
+
+def test_route_is_stored_with_xi_and_no_map_call_changes_it():
+    J = closure_of(3, "ut", 3)
+    xi = structure_constants(J).xi
+    entry = convexotonic.algebras._RESIDUALS[xi]
+    copy, coords = route = entry[2]
+    assert copy is not J and np.array_equal(copy.data, J.data)
+    assert coords.shape == (J.g, J.rows**2)
+    q = ConvexotonicMap(xi, MapSign.PLUS)
+    before, kept = list(entry), coords.copy()
+    X = half_norm_point(np.random.default_rng(3), J, 2)
+    q(X), q.inverse()(X), q.domain_check(X)
+    assert all(now is then for now, then in zip(entry, before)) and entry[2] is route
+    assert np.array_equal(coords, kept)
 
 
 @pytest.mark.parametrize("J", corpus_algebras()[:4], ids=["type-i", "type-ii", "type-iii", "type-iv"])
