@@ -201,9 +201,8 @@ def _solve_constants(
     xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
     if middle is None:
         bound = _associativity_bound(basis, xi, products, r)
-        route = None
-        if basis.rows < g:  # a copy of J: J's _CONSTANTS entry holds xi, so J would never be freed
-            route = (MatrixTuple(basis.data), np.linalg.solve(r.T, span.q.conj()))
+        # a copy of J: J's _CONSTANTS entry holds xi, so J would never be freed
+        route = (MatrixTuple(left), np.linalg.solve(r.T, span.q.conj())) if basis.rows < g else None
         _RESIDUALS[xi] = [bound, None, route]
     return xi, float(np.max(residuals))
 
@@ -225,10 +224,9 @@ def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureCo
 
 
 def _coordinate_map(xi: MatrixTuple):
-    """(a copy of J, C) for the xi that structure_constants solved from a J
-    with fewer rows d than elements g (None for any other xi), stored when xi
-    was solved: J = r @ q on its span, so the g x d^2 matrix C = inv(r.T) @
-    conj(q) maps the d^2 flattened n x n blocks of pencil_J(Y) back to Y."""
+    """(a copy of J, C), stored when structure_constants solved xi from a J with
+    fewer rows d than elements g (None for any other xi): as J = r @ q, C =
+    inv(r.T) @ conj(q) maps the d^2 flattened n x n blocks of pencil_J(Y) to Y."""
     return _RESIDUALS.get(xi, (None, None, None))[2]
 
 

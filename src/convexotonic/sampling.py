@@ -16,8 +16,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def check_count(count: int, name: str) -> None:
-    """Raise TypeError unless count is an integer, and ValueError naming it if
-    it is below 0: the number of draws a harness or probe makes per level."""
+    """Raise TypeError unless count (of draws) is an integer, ValueError naming it if below 0."""
     if operator.index(count) < 0:
         raise ValueError(f"{name} must be at least 0, got {count}")
 
