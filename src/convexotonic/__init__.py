@@ -24,7 +24,6 @@ from .algebras import (
     structure_constants,
 )
 from .domains import (
-    BoundednessEvidence,
     Location,
     MembershipVerdict,
     Spectraball,
@@ -32,7 +31,6 @@ from .domains import (
     ball_membership,
     ball_to_spectrahedron,
     boundary_scale,
-    boundedness_probe,
     spec_membership,
 )
 from .errors import (

@@ -22,7 +22,6 @@ from .linalg import (
     operator_norm,
     pencil_eval,
 )
-from .sampling import check_count, random_directions, seeded_rng
 
 
 class Location(str, Enum):
@@ -109,67 +108,3 @@ def boundary_scale(domain, X: MatrixTuple) -> float:
         lmin = float(np.linalg.eigvalsh(h)[0])
         return math.inf if lmin >= 0.0 else -1.0 / lmin
     raise TypeError(f"not a domain: {type(domain).__name__}")
-
-
-@dataclass(frozen=True)
-class BoundednessEvidence:
-    """Sampling evidence about boundedness of a spectrahedron.
-
-    A finite max_scale is evidence, not proof, of boundedness; an infinite
-    direction is a genuine unboundedness witness.
-    """
-
-    unbounded: bool
-    witness: MatrixTuple | None
-    witness_level: int | None
-    max_scale: float
-    directions_tested: int
-
-
-def _skew_candidates(g: int, n: int) -> list[MatrixTuple]:
-    # one skew-Hermitian block per slot; these catch rays along which the
-    # Hermitian part of the pencil vanishes identically
-    if n == 1:
-        block = np.array([[1j]])
-    else:
-        block = np.zeros((n, n), dtype=complex)
-        block[0, 1] = -1.0
-        block[1, 0] = 1.0
-    out = []
-    for j in range(g):
-        data = np.zeros((g, n, n), dtype=complex)
-        data[j] = block
-        out.append(MatrixTuple(data))
-    return out
-
-
-def boundedness_probe(
-    spec: Spectrahedron,
-    levels=(1, 2, 3),
-    trials: int = 50,
-    seed: int = 42,
-) -> BoundednessEvidence:
-    """Probe boundedness by measuring boundary scales along sampled rays.
-
-    Deterministic skew coordinate directions are tried first (they witness
-    unboundedness whenever a slot admits a pencil with vanishing Hermitian
-    part), then `trials` random Gaussian directions per level. Raises
-    ValueError for a level below 1 and, by check_count, for a negative trials.
-    """
-    rng = seeded_rng(seed)
-    check_count(trials, "trials")
-    if min(levels, default=1) < 1:
-        raise ValueError(f"levels must be at least 1, got {levels}")
-    g = spec.coeffs.g
-    max_scale = 0.0
-    tested = 0
-    for n in levels:
-        candidates = _skew_candidates(g, n)
-        candidates += map(MatrixTuple, random_directions(rng, g, n, trials))
-        for direction in candidates:
-            tested += 1
-            scale = boundary_scale(spec, direction)
-            if math.isinf(scale):
-                return BoundednessEvidence(True, direction, n, math.inf, tested)
-            max_scale = max(max_scale, scale)
-    return BoundednessEvidence(False, None, None, max_scale, tested)

@@ -9,7 +9,6 @@ the fast necessary conditions (joint kernel, joint cokernel, nilpotency).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .linalg import (
     is_nilpotent,
     joint_kernel,
 )
-from .sampling import complex_gaussians, seeded_rng
+from .sampling import check_count, complex_gaussians, seeded_rng
 
 GAP_TOL = 1e-6  # singular-value simplicity gap
 POOL_FACTOR = 4  # candidates kept per required vector on each side
@@ -32,14 +31,17 @@ CHUNK_CAP = 256  # most trials factored in one stacked SVD
 def hyperbasis_margin(vectors) -> float:
     """Min over omit-one subsets of the smallest singular value.
 
-    Expects exactly d+1 vectors in C^d; the set is a hyperbasis iff every
-    omit-one subset is a basis, that is iff the margin is positive.
+    Expects exactly d+1 vectors in C^d, d >= 1, and raises ShapeMismatch
+    otherwise; the set is a hyperbasis iff every omit-one subset is a basis,
+    that is iff the margin is positive.
     """
-    mat = np.asarray([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-    count, d = mat.shape
-    if count != d + 1:
-        raise ShapeMismatch(f"a hyperbasis check needs d+1 vectors, got {count} in C^{d}")
-    rests = np.array([np.delete(mat, omit, axis=0).T for omit in range(count)])
+    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    d = rows[0].size if rows else 0
+    if d < 1 or len(rows) != d + 1 or any(row.size != d for row in rows):
+        sizes = [row.size for row in rows]
+        raise ShapeMismatch(f"a hyperbasis check needs d+1 vectors in C^d, got lengths {sizes}")
+    mat = np.array(rows)
+    rests = np.array([np.delete(mat, omit, axis=0).T for omit in range(d + 1)])
     return float(np.linalg.svd(rests, compute_uv=False)[:, -1].min())
 
 
@@ -116,12 +118,11 @@ def sv_probe(
     hyperbases all avoid the greedy basis ends inconclusive. No later draw
     can join a closed pool, so the probe stops drawing once both pools are
     closed; its inconclusive verdict covers all trials, and trials_used says
-    so. Raises TypeError for a trials that is not an integer and ValueError
-    for one below 1.
+    so. Raises TypeError for a trials that is a bool or not an integer and
+    ValueError for one below 1.
     """
     rng = seeded_rng(seed)  # first: every tuple checks the seed
-    if (trials := operator.index(trials)) < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = check_count(trials, "trials", least=1)
     conditions = necessary_conditions(A, tol)
     if not conditions.passed:
         return ProbeResult("rejected", None, conditions, 0)

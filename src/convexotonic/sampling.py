@@ -15,10 +15,14 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(operator.index(seed))
 
 
-def check_count(count: int, name: str) -> None:
-    """Raise TypeError unless count (of draws) is an integer, ValueError naming it if below 0."""
-    if operator.index(count) < 0:
-        raise ValueError(f"{name} must be at least 0, got {count}")
+def check_count(count: int, name: str, least: int = 0) -> int:
+    """Return count (of draws) as an int; raise TypeError naming it unless it is
+    an integer other than a bool, ValueError naming it if below least."""
+    if isinstance(count, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    if (count := operator.index(count)) < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def complex_gaussians(rng: np.random.Generator, count: int, *shape) -> np.ndarray:

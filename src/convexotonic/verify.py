@@ -28,7 +28,6 @@ from .domains import (
     ball_membership,
     ball_to_spectrahedron,
     boundary_scale,
-    boundedness_probe,
     spec_membership,
 )
 from .errors import DomainBreach, ShapeMismatch, SpanViolation, TupleLengthMismatch
@@ -501,12 +500,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     spec_r2 = Spectrahedron(r2)
     witness_scale = boundary_scale(spec_r2, witness)
     in_ball = ball_membership(Spectraball(r2), witness)
-    probe = boundedness_probe(spec_r2, levels=(1, 2), trials=10, seed=seed)
     report.add(
         "type-ii/unbounded-witness",
-        math.isinf(witness_scale)
-        and in_ball.location.value in ("interior", "boundary")
-        and probe.unbounded,
+        math.isinf(witness_scale) and in_ball.location.value in ("interior", "boundary"),
         detail=(
             "skew direction stays inside at every scale; the ray has no finite "
             "boundary point and lies in the ball but outside the map range"

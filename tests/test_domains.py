@@ -16,13 +16,14 @@ from convexotonic import (
     ball_membership,
     ball_to_spectrahedron,
     boundary_scale,
-    boundedness_probe,
     spec_membership,
     structure_constants,
+    type_i_tuple,
+    type_ii_tuple,
     type_iv_tuple,
 )
 from convexotonic.errors import NotSquare
-from convexotonic.sampling import random_directions, random_tuple, random_unitary
+from convexotonic.sampling import random_directions, random_tuple, random_unitary, seeded_rng
 
 
 def scalar(*values):
@@ -129,15 +130,46 @@ def test_level_zero_points_are_refused_as_shape_mismatch(entry):
 
 # --- boundary scales -------------------------------------------------------
 
-def test_boundary_scale_examples(e_tuple, f_tuple, r2_tuple):
-    assert boundary_scale(Spectrahedron(f_tuple), scalar(1, 0)) == pytest.approx(
-        1 / np.sqrt(2), abs=1e-12
-    )
-    assert boundary_scale(Spectraball(e_tuple), scalar(1, 0)) == pytest.approx(1.0)
-    skew = MatrixTuple.from_matrices(
-        [np.array([[0, -1], [1, 0]]), np.zeros((2, 2))]
-    )
-    assert math.isinf(boundary_scale(Spectrahedron(r2_tuple), skew))
+def skew_witness(n):
+    """Type II's unbounded ray at level n: a skew-Hermitian block in slot 0,
+    along which the Hermitian part of the pencil vanishes."""
+    data = np.zeros((2, n, n), dtype=complex)
+    if n == 1:
+        data[0, 0, 0] = 1j
+    else:
+        data[0, 0, 1], data[0, 1, 0] = -1.0, 1.0
+    return MatrixTuple(data)
+
+
+def seeded_rays(g, n, seed):
+    return list(map(MatrixTuple, random_directions(seeded_rng(seed), g, n, 40)))
+
+
+BALL_EMBEDDING = ball_to_spectrahedron(Spectraball(type_iv_tuple()))
+NILPOTENT_SLOT = Spectrahedron(MatrixTuple.from_matrices([np.array([[0, 1], [0, 0]])]))
+# (domain, directions, scale along each; None for any finite one)
+BOUNDARY_SCALES = {
+    "type-i-spectrahedron": (Spectrahedron(type_i_tuple()), [scalar(1, 0)], 1 / np.sqrt(2)),
+    "type-iv-ball": (Spectraball(type_iv_tuple()), [scalar(1, 0)], 1.0),
+    **{
+        f"type-ii-skew-n{n}": (Spectrahedron(type_ii_tuple()), [skew_witness(n)], math.inf)
+        for n in (1, 2, 3)
+    },
+    # bounded domains: every seeded random ray meets the boundary
+    **{f"ball-embedding-n{n}": (BALL_EMBEDDING, seeded_rays(2, n, 5), None) for n in (1, 2, 3)},
+    **{f"nilpotent-slot-n{n}": (NILPOTENT_SLOT, seeded_rays(1, n, 7), None) for n in (1, 2)},
+}
+
+
+@pytest.mark.parametrize(
+    "domain, directions, scale", BOUNDARY_SCALES.values(), ids=BOUNDARY_SCALES.keys()
+)
+def test_boundary_scale_examples(domain, directions, scale):
+    for x in directions:
+        if scale is None:
+            assert math.isfinite(boundary_scale(domain, x))
+        else:
+            assert boundary_scale(domain, x) == pytest.approx(scale, abs=1e-12)
 
 
 def test_boundary_scale_refuses_a_non_domain(e_tuple):
@@ -199,33 +231,3 @@ def test_membership_direct_sum_margin(e_tuple, f_tuple):
         min(spec_membership(spec, x).margin, spec_membership(spec, y).margin),
         abs=1e-12,
     )
-
-
-# --- boundedness probe -----------------------------------------------------
-
-def test_probe_finds_unbounded_type_ii(r2_tuple):
-    ev = boundedness_probe(Spectrahedron(r2_tuple), levels=(1, 2), trials=10, seed=3)
-    assert ev.unbounded
-    assert ev.witness is not None
-    assert math.isinf(boundary_scale(Spectrahedron(r2_tuple), ev.witness))
-
-
-def test_probe_ball_embedding_bounded(e_tuple):
-    ev = boundedness_probe(
-        ball_to_spectrahedron(Spectraball(e_tuple)), levels=(1, 2, 3), trials=40, seed=5
-    )
-    assert not ev.unbounded
-    assert math.isfinite(ev.max_scale)
-
-
-@pytest.mark.parametrize("levels", [(0,), (1, 0)])
-def test_probe_refuses_a_level_below_one(e_tuple, levels):
-    # level 0 used to raise IndexError from the skew candidates
-    with pytest.raises(ValueError, match="levels must be at least 1"):
-        boundedness_probe(Spectrahedron(e_tuple), levels=levels)
-
-
-def test_probe_single_nilpotent_slot():
-    spec = Spectrahedron(MatrixTuple.from_matrices([np.array([[0, 1], [0, 0]])]))
-    ev = boundedness_probe(spec, levels=(1, 2), trials=40, seed=7)
-    assert not ev.unbounded

@@ -20,7 +20,6 @@ from convexotonic import (
     algebra_closure,
     ball_membership,
     ball_to_spectrahedron,
-    boundedness_probe,
     example_catalog,
     hyperbasis_margin,
     is_convexotonic,
@@ -62,8 +61,9 @@ def test_hyperbasis_random_vectors():
 
 
 def test_hyperbasis_shape_check():
-    with pytest.raises(ShapeMismatch):
-        hyperbasis_margin([np.ones(2), np.ones(2)])
+    for vectors in ([np.ones(2), np.ones(2)], [], [[1, 2], [1]]):
+        with pytest.raises(ShapeMismatch):
+            hyperbasis_margin(vectors)
 
 
 # --- necessary conditions -----------------------------------------------------
@@ -168,7 +168,6 @@ def test_every_tol_of_the_api_is_in_the_table():
 # every callable of the package's API that takes a seed, on inputs it accepts
 SEED_CALLS = {
     "sv_probe": lambda seed: sv_probe(GAUSS, trials=10, seed=seed),
-    "boundedness_probe": lambda seed: boundedness_probe(Spectrahedron(GAUSS), trials=1, seed=seed),
     "verify_theorem": lambda seed: verify_theorem(
         TheoremData(IDEMPOTENTS, IDEMPOTENTS, np.eye(2), np.eye(2)), samples=2, seed=seed
     ),
@@ -189,8 +188,8 @@ def test_every_seed_of_the_api_is_in_the_table():
 )
 @pytest.mark.parametrize("call", SEED_CALLS.values(), ids=SEED_CALLS.keys())
 def test_a_bad_seed_is_refused_before_any_generator_is_built(monkeypatch, call, seed, error):
-    # the harnesses and the boundedness probe used to run unseeded on None and
-    # seeded on [1, 2], and the catalog failed at seed + 1 on None
+    # the harnesses used to run unseeded on None and seeded on [1, 2], and
+    # the catalog failed at seed + 1 on None
     built, default_rng = [], np.random.default_rng
 
     def recorded(seed):
@@ -208,9 +207,6 @@ def test_a_bad_seed_is_refused_before_any_generator_is_built(monkeypatch, call, 
 # name of that count, on inputs it accepts
 COUNT_CALLS = {
     "sv_probe": ("trials", lambda count: sv_probe(GAUSS, trials=count)),
-    "boundedness_probe": (
-        "trials", lambda count: boundedness_probe(Spectrahedron(GAUSS), levels=(1,), trials=count)
-    ),
     "verify_theorem": ("samples", lambda count: verify_theorem(
         TheoremData(IDEMPOTENTS, IDEMPOTENTS, np.eye(2), np.eye(2)), samples=count
     )),
@@ -230,12 +226,14 @@ def test_every_count_of_the_api_is_in_the_table():
 
 @pytest.mark.parametrize("name, call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
 def test_a_negative_count_is_refused_by_name(name, call):
-    # the harnesses and the boundedness probe used to end in numpy's
-    # "negative dimensions are not allowed" from their first draw
+    # the harnesses used to end in numpy's "negative dimensions are not
+    # allowed" from their first draw
     with pytest.raises(ValueError, match=f"^{name} must be at least"):
         call(-1)
     with pytest.raises(TypeError):
         call(1.5)
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not a bool"):
+        call(True)
 
 
 def test_probe_checks_the_seed_before_the_tol():
