@@ -34,8 +34,9 @@ others) for each checkout in turn. BLAS runs on one thread
 (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing. The tier-1
-suite only builds the cases and calls each map-call case once, so a change
-that breaks the script fails there.
+suite only builds the cases and calls each map-call case, the two
+necessary-condition cases, sv_probe.generic.d3 and sv_probe.mix once, so a
+change that breaks the script fails there.
 """
 
 import argparse
@@ -174,6 +175,12 @@ def cases(cx, np):
         out[f"is_nilpotent.strict.g3.d{d}"] = lambda B=B: cx.is_nilpotent(B)
     G = cx.MatrixTuple(gaussian(np.random.default_rng([8, 2]), 2, 8, 8))
     out["is_nilpotent.generic.g2.d8"] = lambda: cx.is_nilpotent(G)
+    # a generic pair has no joint kernel, so the flag is not run; the strict
+    # triple of is_nilpotent.strict.g3.d8 runs all three conditions
+    G3 = cx.MatrixTuple(gaussian(np.random.default_rng([3, 2]), 2, 3, 3))
+    out["necessary_conditions.generic.d3"] = lambda: cx.necessary_conditions(G3)
+    strict = cx.MatrixTuple(np.triu(gaussian(np.random.default_rng([8, 3]), 3, 8, 8), 1))
+    out["necessary_conditions.strict.g3.d8"] = lambda: cx.necessary_conditions(strict)
 
     # sv_probe at 200 trials: scalar multiples and direct sums pass every
     # necessary condition but have no certificate; the d=4 multiples also run
@@ -187,8 +194,23 @@ def cases(cx, np):
         rng = np.random.default_rng([m, 2, 4])
         A = cx.MatrixTuple(gaussian(rng, 2, m, m)).direct_sum(cx.MatrixTuple(gaussian(rng, 2, 2, 2)))
         out[f"sv_probe.direct_sum.{m}+2"] = lambda A=A: cx.sv_probe(A, trials=200, seed=42)
-    G = cx.MatrixTuple(gaussian(np.random.default_rng([5, 4]), 2, 5, 5))
-    out["sv_probe.generic.d5"] = lambda: cx.sv_probe(G, trials=200, seed=42)
+    for d in (3, 5):
+        G = cx.MatrixTuple(gaussian(np.random.default_rng([d, 4]), 2, d, d))
+        out[f"sv_probe.generic.d{d}"] = lambda G=G: cx.sv_probe(G, trials=200, seed=42)
+    # one cycle of the probe workload's mix: Gaussian pairs that certify, 26
+    # scalar multiples at d=3 and one at d=4 that end inconclusive, and two
+    # each of the nilpotent pair and the type IV ball embedding, rejected
+    rng = np.random.default_rng(28)
+    mix = [cx.MatrixTuple(gaussian(rng, 2, d, d)) for d in (2, 3, 4, 5)]
+    for d, count in ((3, 26), (4, 1)):
+        mix += [cx.MatrixTuple(np.array([M, 2 * M])) for M in gaussian(rng, count, d, d)]
+    shift = np.eye(3, k=1, dtype=complex)
+    mix += 2 * [cx.MatrixTuple(np.array([shift, shift @ shift]))]
+    mix += 2 * [cx.ball_to_spectrahedron(cx.Spectraball(cx.type_iv_tuple())).coeffs]
+    seeds = [int(s) for s in rng.integers(1 << 30, size=len(mix))]
+    out["sv_probe.mix"] = lambda: [
+        cx.sv_probe(A, trials=200, seed=s) for A, s in zip(mix, seeds)
+    ]
     # the top singular value of eye(2) and of (U, 2U) is never simple, so every
     # draw is rejected; (I, 1e-7 G) rejects a positive share of its draws
     U = random_unitary(np.random.default_rng(1), 3)

@@ -53,15 +53,20 @@ class NecessaryConditions:
 
 def necessary_conditions(A: MatrixTuple, tol: float = DEFAULT_TOL) -> NecessaryConditions:
     """Fast rejections: a tuple with a joint kernel, a joint cokernel, or a
-    nilpotent generated algebra cannot be sv-generic."""
+    nilpotent generated algebra cannot be sv-generic. The nilpotency flag runs
+    only with a joint kernel: a nilpotent algebra kills a common vector
+    (Levitzki), and the flag's first step finds a unit v with the sum over j of
+    ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes joint_kernel's test,
+    except that each generator is_nilpotent drops (norm at most tol times the
+    largest) loosens that bound, to sqrt(1 + m) * tol with m dropped."""
     if not A.is_square:
         raise NotSquare("sv-genericity is defined for square tuples")
     reasons = []
-    if joint_kernel(A, tol):
+    if kernel := joint_kernel(A, tol):
         reasons.append("joint-kernel")
     if joint_kernel(A.adjoint(), tol):
         reasons.append("joint-cokernel")
-    if is_nilpotent(A, tol):
+    if kernel and is_nilpotent(A, tol):
         reasons.append("nilpotent")
     return NecessaryConditions(not reasons, tuple(reasons))
 
@@ -111,7 +116,8 @@ def sv_probe(
     call, factored by one stacked SVD and visited in order, so the chunks do
     not change the result; the rest of a chunk is wasted once the probe ends.
     Each side pools POOL_FACTOR candidates per required vector and grows one
-    span with those that leave a remainder above tol. The first d beta joiners
+    span with those that leave a remainder above tol, a chunk at a time by
+    OrthonormalSpan.add_rows. The first d beta joiners
     must have a basis margin above tol; each later alpha is tried once as the
     completion of the first d alpha joiners to a hyperbasis. No polynomial
     search finds every hyperbasis (a spanning circuit), so a pool whose
@@ -130,26 +136,31 @@ def sv_probe(
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
     alpha_basis, betas = [], []  # the first d span joiners of each side
     alphas, b_margin, pooled = None, 0.0, 0
-    coeffs, start, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
-    while start < trials and pooled < POOL_FACTOR * (d + 1):  # until both pools are full
-        stop, size = min(start + size, trials), min(2 * size, CHUNK_CAP)
+    coeffs, stop, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
+    while stop < trials and pooled < POOL_FACTOR * (d + 1):  # until both pools are full
+        start, stop, size = stop, min(stop + size, trials), min(2 * size, CHUNK_CAP)
         gammas = complex_gaussians(rng, stop - start, g)
         u, s, vh = np.linalg.svd((coeffs @ gammas[:, :, None]).reshape(-1, d, d))
         gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
-        for k in np.flatnonzero(gap > GAP_TOL * s[:, 0]):  # a multiple s0 pools nothing
-            if (pooled := pooled + 1) > POOL_FACTOR * (d + 1):
-                break  # both pools are closed, so no later draw can join them
-            # copies, so that a certificate does not keep the chunk's factors alive
-            point, right, left = gammas[k] / s[k, 0], vh[k, 0].conj(), u[k, :, 0].copy()
+        # a multiple s0 pools nothing, and past 4(d+1) simple draws both pools are closed
+        simple = np.flatnonzero(gap > GAP_TOL * s[:, 0])[: POOL_FACTOR * (d + 1) - pooled]
+        if not simple.size:
+            continue
+        points, rights = gammas[simple] / s[simple, :1], vh[simple, 0].conj()
+        lefts = u[simple[: max(0, POOL_FACTOR * d - pooled)], :, 0]
+        joins, beta_joins = alpha_span.add_rows(rights, tol), beta_span.add_rows(lefts, tol)
+        # copies, so that a certificate does not keep the chunk's arrays alive
+        for i, k in enumerate(simple):
+            pooled += 1
             if alphas is None:
                 if len(alpha_basis) == d:
-                    vectors = [kp.kernel_vector for kp in alpha_basis] + [right]
+                    vectors = [kp.kernel_vector for kp in alpha_basis] + [rights[i]]
                     if (h_margin := hyperbasis_margin(vectors)) > tol:
-                        alphas = (*alpha_basis, KernelPoint(point, right))
-                elif alpha_span.add(right, tol) is not None:
-                    alpha_basis.append(KernelPoint(point, right))
-            if len(betas) < d and pooled <= POOL_FACTOR * d and beta_span.add(left, tol) is not None:
-                betas.append(KernelPoint(point, left))
+                        alphas = (*alpha_basis, KernelPoint(points[i].copy(), rights[i].copy()))
+                elif joins[i] is not None:
+                    alpha_basis.append(KernelPoint(points[i].copy(), rights[i].copy()))
+            if i < len(lefts) and beta_joins[i] is not None:
+                betas.append(KernelPoint(points[i].copy(), lefts[i].copy()))
                 if len(betas) == d:
                     vectors = [kp.kernel_vector for kp in betas]
                     b_margin = float(np.linalg.svd(vectors, compute_uv=False)[-1])
@@ -157,7 +168,6 @@ def sv_probe(
                 used = start + int(k) + 1
                 cert = GenericityCertificate(alphas, tuple(betas), h_margin, b_margin, used, seed)
                 return ProbeResult("certified", cert, conditions, used)
-        start = stop
     full = pooled >= POOL_FACTOR * (d + 1)
     reason = "pools-full" if full else "trials-exhausted" if pooled else "never-simple"
     return ProbeResult("inconclusive", None, conditions, trials, reason)

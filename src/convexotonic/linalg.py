@@ -271,8 +271,9 @@ class OrthonormalSpan:
         q = self.q
         if len(q) == v.size:
             return None
+        qc = q.conj()
         for _ in range(2):
-            v -= (q @ v.conj()).conj() @ q  # coefficients q_i^H v
+            v -= (qc @ v) @ q  # coefficients q_i^H v
         norm = math.sqrt(v.real @ v.real + v.imag @ v.imag)  # np.linalg.norm's formula
         if norm <= floor:
             return None
@@ -284,6 +285,30 @@ class OrthonormalSpan:
         self._rows[n] = unit
         self.q = self._rows[: n + 1]
         return unit
+
+    def add_rows(self, rows, floor: float) -> list[np.ndarray | None]:
+        """What one add(row, floor) per row returns, in order, leaving the same q.
+        One Gram-Schmidt pass screens the rows against the span, and each joiner
+        is removed from the later screened rows by a rank-1 update. A row whose
+        screened remainder is strictly below floor / 2 is skipped (floor = 0
+        skips none): both remainders lie within about dim * u * ||row|| of the
+        exact one (u the unit roundoff), so for the unit rows and floors the
+        package uses such a row would fail add too."""
+        rows = np.asarray(rows, dtype=complex)
+        units = [None] * len(rows)
+        if len(self.q) == rows.shape[-1]:
+            return units  # the whole space: add returns None for every row
+        rest = rows - (rows @ self.q.conj().T) @ self.q if len(self.q) else rows.copy()
+        for i, row in enumerate(rows):
+            screened = math.sqrt(np.vdot(rest[i], rest[i]).real)
+            if screened < floor / 2 or (unit := self.add(row, floor)) is None:
+                continue
+            units[i] = unit
+            if len(self.q) == len(row):
+                break  # the whole space: add returns None for every later row
+            after = rest[i + 1 :]
+            after -= (after @ unit.conj())[:, None] * unit
+        return units
 
     def project(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates q_i^H v of each row v against the span, one row of them

@@ -422,13 +422,25 @@ def sequential_hyperbasis_margin(vectors):
     return margin
 
 
+def reference_reasons(A, tol):
+    """Reference: the necessary conditions with the nilpotency flag run on
+    every tuple, not only on those with a joint kernel."""
+    checks = (
+        ("joint-kernel", joint_kernel(A, tol)),
+        ("joint-cokernel", joint_kernel(A.adjoint(), tol)),
+        ("nilpotent", is_nilpotent(A, tol)),
+    )
+    return tuple(name for name, found in checks if found)
+
+
 def sequential_probe(A, trials, seed, tol=1e-8):
     """Reference: the probe one trial at a time, one draw of 2g normals from
-    one generator, one pencil_eval and one SVD per trial, as it ran before
-    chunking, and with no early stop. Returns (status, reason, trials_used,
-    certificate)."""
-    if not necessary_conditions(A, tol).passed:
-        return "rejected", None, 0, None
+    one generator, one pencil_eval and one SVD per trial, one span add per
+    candidate, as it ran before chunking, and with no early stop. Returns
+    (status, reason, trials_used, certificate), with the reference reasons
+    as the reason of a rejection."""
+    if reasons := reference_reasons(A, tol):
+        return "rejected", reasons, 0, None
     d, g = A.rows, A.g
     rng = np.random.default_rng(seed)
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
@@ -469,7 +481,7 @@ def sequential_probe(A, trials, seed, tol=1e-8):
 @st.composite
 def probe_inputs(draw):
     data_seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(["gaussian", "multiples", "sum", "near-degenerate"]))
+    kind = draw(st.sampled_from(["gaussian", "multiples", "sum", "near-degenerate", "strict"]))
     if kind == "gaussian":
         d = draw(st.integers(1, 5))
         A = MatrixTuple(complex_gaussian(np.random.default_rng(data_seed), 2, d, d))
@@ -481,20 +493,29 @@ def probe_inputs(draw):
         A = MatrixTuple(complex_gaussian(rng, 2, m, m)).direct_sum(
             MatrixTuple(complex_gaussian(rng, 2, 2, 2))
         )
-    else:
+    elif kind == "near-degenerate":
         # certificates after tens to hundreds of trials, across chunk boundaries
         d = draw(st.integers(2, 3))
         A = near_degenerate(data_seed, d, draw(st.sampled_from([1e-7, 1e-6])))
-    return A, draw(st.integers(1, 300)), draw(st.integers(0, 1000))
+    else:
+        # a joint kernel, and a nilpotent algebra unless the corner entry
+        # stands above tol
+        d = draw(st.integers(2, 4))
+        data = np.triu(complex_gaussian(np.random.default_rng(data_seed), 2, d, d), 1)
+        data[0, d - 1, d - 1] = draw(st.sampled_from([0.0, 1e-10, 1e-5, 1e-2]))
+        A = MatrixTuple(data)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+    return A, draw(st.integers(1, 300)), draw(st.integers(0, 1000)), tol
 
 
 @settings(max_examples=60, deadline=None)
 @given(probe_inputs())
 def test_chunked_probe_is_bit_identical_to_the_sequential_loop(inputs):
-    A, trials, seed = inputs
-    status, reason, trials_used, cert = sequential_probe(A, trials, seed)
-    result = sv_probe(A, trials=trials, seed=seed)
-    assert (result.status, result.reason, result.trials_used) == (status, reason, trials_used)
+    A, trials, seed, tol = inputs
+    status, reason, trials_used, cert = sequential_probe(A, trials, seed, tol)
+    result = sv_probe(A, trials=trials, seed=seed, tol=tol)
+    got = result.conditions.reasons if result.status == "rejected" else result.reason
+    assert (result.status, got, result.trials_used) == (status, reason, trials_used)
     if cert is None:
         assert result.certificate is None
         return

@@ -600,6 +600,32 @@ def test_nilpotent_chain_matches_word_tree(seed, d, g, kind, scale):
         assert word_tree_is_nilpotent(B) is expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from(["strict", "similar", "rescaled", "perturbed", "tiny"]),
+    st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
+)
+def test_a_nilpotent_tuple_has_a_joint_kernel(seed, d, g, kind, tol):
+    # necessary_conditions runs the flag only on a tuple with a joint kernel:
+    # a nilpotent algebra is strictly upper-triangular in some basis
+    # (Levitzki), so its generators kill a common vector
+    rng = np.random.default_rng(seed)
+    data = nilpotency_draw(rng, "similar" if kind == "similar" else "strict", g, d)
+    if kind == "rescaled":
+        data *= 10.0 ** rng.integers(-12, 13)
+    elif kind == "perturbed":
+        data += 10.0 ** rng.integers(-14, -1) * complex_gaussian(rng, g, d, d)
+    elif kind == "tiny":  # is_nilpotent drops a generator at most tol times the largest
+        tiny = 10.0 ** rng.integers(-16, -3) * complex_gaussian(rng, 1, d, d)
+        data = np.concatenate([data, tiny])
+    B = MatrixTuple(data)
+    if is_nilpotent(B, tol):
+        assert joint_kernel(B, tol)
+
+
 @pytest.mark.parametrize("d", [10, 12, 16, 32])
 def test_nilpotent_chain_large(d):
     rng = np.random.default_rng(d)
@@ -756,6 +782,55 @@ def test_span_project_splits_rows():
     # reference: the least-squares distance from the span of the inputs
     x = np.linalg.lstsq(base.T, outside.T, rcond=None)[0]
     assert_allclose(rest[3:], np.linalg.norm(base.T @ x - outside.T, axis=0), rtol=1e-12)
+
+
+@st.composite
+def span_batches(draw):
+    """A span of 0 to dim rows and a batch of unit rows against it: fresh
+    draws, duplicates and unit-phase copies of earlier rows, combinations
+    of the span and of earlier rows, such combinations moved off it by 1e-16
+    to 1e-12 (around the floors), and zero rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    start = complex_gaussian(rng, draw(st.integers(0, dim)), dim)
+    rows = []
+    kinds = st.sampled_from(["fresh", "copy", "phase", "mix", "near", "zero"])
+    for kind in draw(st.lists(kinds, max_size=12)):
+        known = [*start, *rows]
+        if kind == "zero":
+            rows.append(np.zeros(dim, dtype=complex))
+            continue
+        if kind == "fresh" or not known:
+            row = complex_gaussian(rng, dim)
+        elif kind in ("mix", "near"):
+            row = complex_gaussian(rng, len(known)) @ np.array(known)
+            row /= np.linalg.norm(row) or 1.0
+            if kind == "near":
+                row = row + 10.0 ** rng.uniform(-16, -12) * complex_gaussian(rng, dim)
+        else:
+            row = known[rng.integers(len(known))]
+            row = row * np.exp(2j * np.pi * rng.random()) if kind == "phase" else row.copy()
+        norm = np.linalg.norm(row)
+        rows.append(row / norm if norm else row)
+    return dim, start, np.array(rows, dtype=complex).reshape(-1, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_batches(), st.sampled_from([0.0, 1e-14]))
+def test_add_rows_is_one_add_per_row_bit_for_bit(batch, floor):
+    dim, start, rows = batch
+    batched, sequential = OrthonormalSpan(dim), OrthonormalSpan(dim)
+    for row in start:
+        batched.add(row, floor)
+        sequential.add(row, floor)
+    units = batched.add_rows(rows, floor)
+    assert len(units) == len(rows)
+    for row, unit in zip(rows, units):
+        expected = sequential.add(row, floor)
+        assert (unit is None) == (expected is None)
+        if unit is not None:
+            assert np.array_equal(unit, expected)
+    assert np.array_equal(batched.q, sequential.q)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

@@ -20,3 +20,11 @@ def test_bench_builds_its_cases_and_runs_every_map_call():
     assert {"map_call.ut3.g6.n128", "map_call.nil8.g24.n32"} <= calls.keys()
     for call in calls.values():
         assert isinstance(call(), convexotonic.MatrixTuple)
+    # the cases this file's probe and necessary-condition timings come from
+    assert cases["necessary_conditions.generic.d3"]().passed
+    assert cases["necessary_conditions.strict.g3.d8"]().reasons == (
+        "joint-kernel", "joint-cokernel", "nilpotent"
+    )
+    assert cases["sv_probe.generic.d3"]().status == "certified"
+    statuses = [result.status for result in cases["sv_probe.mix"]()]
+    assert statuses == ["certified"] * 4 + ["inconclusive"] * 27 + ["rejected"] * 4
