@@ -266,6 +266,9 @@ def machine(np) -> dict:
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "CONVEXOTONIC_NUM_THREADS": os.environ.get("CONVEXOTONIC_NUM_THREADS"),
+        # unset, a fresh interpreter reads cached bytecode instead of compiling
+        # the package, which moves its import time
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 

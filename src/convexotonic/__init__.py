@@ -57,7 +57,6 @@ from .linalg import (
     MatrixTuple,
     hermitian_pencil,
     is_nilpotent,
-    joint_kernel,
     kernel_basis,
     operator_norm,
     pencil_eval,

@@ -30,7 +30,8 @@ class SpanViolation(PencilError):
 
 
 class DomainBreach(PencilError):
-    """A map was evaluated at a point outside its numerical domain."""
+    """A pencil was evaluated at a point outside its numerical domain: its
+    value overflows, or a pencil to be inverted is numerically singular."""
 
 
 class ZeroDirection(PencilError):

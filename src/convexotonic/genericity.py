@@ -18,8 +18,8 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
     OrthonormalSpan,
+    check_tol,
     is_nilpotent,
-    joint_kernel,
 )
 from .sampling import check_count, complex_gaussians, seeded_rng
 
@@ -53,19 +53,22 @@ class NecessaryConditions:
 
 def necessary_conditions(A: MatrixTuple, tol: float = DEFAULT_TOL) -> NecessaryConditions:
     """Fast rejections: a tuple with a joint kernel, a joint cokernel, or a
-    nilpotent generated algebra cannot be sv-generic. The nilpotency flag runs
-    only with a joint kernel: a nilpotent algebra kills a common vector
-    (Levitzki), and the flag's first step finds a unit v with the sum over j of
-    ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes joint_kernel's test,
+    nilpotent generated algebra cannot be sv-generic. One values-only SVD of
+    the stacked gd x d matrices of A and of its adjoint finds the first two:
+    a stack has a kernel when its smallest singular value is at most tol times
+    its largest, kernel_basis's rule. The nilpotency flag runs only with a
+    joint kernel: a nilpotent algebra kills a common vector (Levitzki), and
+    the flag's first step finds a unit v with the sum over j of
+    ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes the joint-kernel test,
     except that each generator is_nilpotent drops (norm at most tol times the
     largest) loosens that bound, to sqrt(1 + m) * tol with m dropped."""
     if not A.is_square:
         raise NotSquare("sv-genericity is defined for square tuples")
-    reasons = []
-    if kernel := joint_kernel(A, tol):
-        reasons.append("joint-kernel")
-    if joint_kernel(A.adjoint(), tol):
-        reasons.append("joint-cokernel")
+    check_tol(tol)
+    stacks = np.stack((A.data, A.data.conj().transpose(0, 2, 1))).reshape(2, -1, A.rows)
+    s = np.linalg.svd(stacks, compute_uv=False)
+    kernel, cokernel = s[:, -1] <= tol * s[:, 0]
+    reasons = [r for r, found in (("joint-kernel", kernel), ("joint-cokernel", cokernel)) if found]
     if kernel and is_nilpotent(A, tol):
         reasons.append("nilpotent")
     return NecessaryConditions(not reasons, tuple(reasons))

@@ -128,6 +128,7 @@ def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
 
     For d x e coefficients and n x m points the result is dn x em, computed
     as one matrix product over j followed by a transpose into block order.
+    Raises DomainBreach when the product has an entry that is not finite.
     """
     if coeffs.g != point.g:
         raise TupleLengthMismatch(
@@ -136,6 +137,8 @@ def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
     g, d, e = coeffs.data.shape
     _, n, m = point.data.shape
     prod = coeffs.data.reshape(g, d * e).T @ point.data.reshape(g, n * m)
+    if not np.isfinite(prod).all():
+        raise DomainBreach("the pencil overflows at this point")
     return prod.reshape(d, e, n, m).transpose(0, 2, 1, 3).reshape(d * n, e * m)
 
 
@@ -207,7 +210,8 @@ def resolvent(
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
     block; the certificate is the same condition number of the assembled
     inverse. Raises NotSquare for a rectangular point and DomainBreach when
-    its 1-norm condition number (see certified_inverse) reaches COND_LIMIT.
+    lam overflows (see pencil_eval) or when the 1-norm condition number of
+    the pencil (see certified_inverse) reaches COND_LIMIT.
     """
     if not point.is_square:
         raise NotSquare("maps are evaluated at square matrix tuples")
@@ -240,17 +244,6 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     kept = np.ones(len(vh), dtype=bool)  # the rows of vh past s span ker too
     kept[: s.size] = s <= tol * smax
     return list(vh[kept].conj())
-
-
-def joint_kernel(B: MatrixTuple, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the intersection of the kernels of all B[j].
-
-    Computed as the kernel of the vertically stacked tuple.
-    """
-    if not B.is_square:
-        raise NotSquare("joint kernels are defined for square tuples")
-    stacked = B.data.reshape(B.g * B.rows, B.cols)
-    return kernel_basis(stacked, tol)
 
 
 class OrthonormalSpan:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,23 @@ def test_eval_domain_breach(files, capsys, tmp_path):
     )
     assert code == 2
     assert doc["error"]["type"] == "DomainBreach"
+
+
+@pytest.mark.parametrize("kind", ["ball", "spec"])
+def test_member_on_an_overflowing_pencil_is_one_json_error(tmp_path, kind):
+    # a subprocess: LAPACK writes its complaints to the process's stdout, past capsys
+    rng = np.random.default_rng(0)
+    coeffs = write_tuple(tmp_path / "t.json", MatrixTuple(1e200 * rng.standard_normal((2, 3, 3))))
+    point = write_tuple(tmp_path / "p.json", MatrixTuple(1e200 * rng.standard_normal((2, 2, 2))))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["member", "--kind", kind, "--tuple", coeffs, "--point", point]
+    done = subprocess.run(
+        [sys.executable, "-m", "convexotonic", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2
+    assert done.stdout.count("\n") == 1 and "DLASCL" not in done.stdout
+    error = json.loads(done.stdout)["error"]
+    assert error == {"type": "DomainBreach", "message": "the pencil overflows at this point"}
 
 
 def test_eval_rectangular_point_usage_error(files, capsys, tmp_path):

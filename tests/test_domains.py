@@ -22,7 +22,7 @@ from convexotonic import (
     type_ii_tuple,
     type_iv_tuple,
 )
-from convexotonic.errors import NotSquare
+from convexotonic.errors import DomainBreach, NotSquare
 from convexotonic.sampling import random_directions, random_tuple, random_unitary, seeded_rng
 
 
@@ -180,6 +180,25 @@ def test_boundary_scale_refuses_a_non_domain(e_tuple):
 def test_boundary_scale_zero_direction(e_tuple):
     with pytest.raises(ZeroDirection):
         boundary_scale(Spectraball(e_tuple), MatrixTuple.zeros(2, 2))
+
+
+# real entries near 1e200 in a level-2 point and in the coefficients: the
+# pencil's products overflow, and LAPACK given such a pencil returns NaN
+OVERFLOWING = MatrixTuple(1e200 * np.array([[[1.0, -2.0], [3.0, 1.0]], [[2.0, 1.0], [-1.0, 4.0]]]))
+OVERFLOW_CALLS = {
+    "ball_membership": lambda e: ball_membership(Spectraball(e), OVERFLOWING),
+    "spec_membership": lambda e: spec_membership(Spectrahedron(e), OVERFLOWING),
+    "boundary_scale-ball": lambda e: boundary_scale(Spectraball(e), OVERFLOWING),
+    "boundary_scale-spec": lambda e: boundary_scale(Spectrahedron(e), OVERFLOWING),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOW_CALLS.values(), ids=OVERFLOW_CALLS.keys())
+def test_an_overflowing_pencil_is_refused_by_name(e_tuple, call):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        DomainBreach, match="the pencil overflows at this point"
+    ):
+        call(MatrixTuple(1e200 * e_tuple.data))
 
 
 def test_boundary_scale_consistency(e_tuple, f_tuple):

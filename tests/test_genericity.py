@@ -25,7 +25,6 @@ from convexotonic import (
     is_convexotonic,
     is_linearly_independent,
     is_nilpotent,
-    joint_kernel,
     kernel_basis,
     necessary_conditions,
     pencil_eval,
@@ -43,7 +42,7 @@ from convexotonic import (
 )
 from convexotonic import genericity
 from convexotonic.linalg import OrthonormalSpan
-from convexotonic.sampling import complex_gaussian, random_tuple
+from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 
 
 # --- hyperbasis check ---------------------------------------------------------
@@ -92,6 +91,56 @@ def test_necessary_conditions_cokernel(r2_tuple):
     assert "joint-cokernel" in out.reasons
 
 
+def kernel_flags(A, tol):
+    """Oracle: whether kernel_basis finds a kernel vector of the stacked
+    gd x d matrix of A and of its stacked adjoint."""
+    g, d = A.g, A.rows
+    return (
+        bool(kernel_basis(A.data.reshape(g * d, d), tol)),
+        bool(kernel_basis(A.adjoint().data.reshape(g * d, d), tol)),
+    )
+
+
+def flag_draw(rng, kind, g, d):
+    """A complex Gaussian tuple, one with an exact zero row or column in every
+    element, scalar multiples of one matrix, a strictly or a non-strictly
+    upper-triangular tuple, or either conjugated by a random unitary."""
+    data = complex_gaussian(rng, g, d, d)
+    if kind == "zero-row":
+        data[:, rng.integers(d)] = 0
+    elif kind == "zero-col":
+        data[:, :, rng.integers(d)] = 0
+    elif kind == "multiples":
+        data = complex_gaussian(rng, g)[:, None, None] * data[0]
+    elif kind != "gaussian":
+        data = np.triu(data, 1 if "strict" in kind else 0)
+        if kind.startswith("conjugated"):
+            u = random_unitary(rng, d)
+            data = u @ data @ u.conj().T
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.sampled_from(
+        ["gaussian", "zero-row", "zero-col", "multiples", "strict", "triangular",
+         "conjugated-strict", "conjugated-triangular"]
+    ),
+    st.sampled_from([0.0, 1e-14, 1e-12, 1e-8, 1e-3]),
+    st.sampled_from([1e-150, 1.0, 1e150]),
+)
+def test_kernel_flags_match_kernel_basis(seed, g, d, kind, tol, scale):
+    # one values-only SVD of both stacks decides what two kernel_basis bases did
+    A = MatrixTuple(scale * flag_draw(np.random.default_rng(seed), kind, g, d))
+    reasons = necessary_conditions(A, tol).reasons
+    kernel, cokernel = kernel_flags(A, tol)
+    assert ("joint-kernel" in reasons) is kernel
+    assert ("joint-cokernel" in reasons) is cokernel
+
+
 # every callable of the package's API that takes a tol, on inputs valid at
 # tol = 0: a Gaussian pair, which spans no algebra, and a pair of diagonal
 # idempotents, whose products and constants are exact
@@ -102,7 +151,6 @@ NEAR_ZERO = MatrixTuple.scalar([0.1, 0.2])
 
 TOL_CALLS = {
     "kernel_basis": lambda tol: kernel_basis(GAUSS[0], tol),
-    "joint_kernel": lambda tol: joint_kernel(GAUSS, tol),
     "is_nilpotent": lambda tol: is_nilpotent(GAUSS, tol),
     "necessary_conditions": lambda tol: necessary_conditions(GAUSS, tol),
     "sv_probe": lambda tol: sv_probe(GAUSS, trials=10, tol=tol),
@@ -423,11 +471,13 @@ def sequential_hyperbasis_margin(vectors):
 
 
 def reference_reasons(A, tol):
-    """Reference: the necessary conditions with the nilpotency flag run on
-    every tuple, not only on those with a joint kernel."""
+    """Reference: the necessary conditions with the joint kernel and cokernel
+    read off kernel_basis bases and the nilpotency flag run on every tuple,
+    not only on those with a joint kernel."""
+    kernel, cokernel = kernel_flags(A, tol)
     checks = (
-        ("joint-kernel", joint_kernel(A, tol)),
-        ("joint-cokernel", joint_kernel(A.adjoint(), tol)),
+        ("joint-kernel", kernel),
+        ("joint-cokernel", cokernel),
         ("nilpotent", is_nilpotent(A, tol)),
     )
     return tuple(name for name, found in checks if found)

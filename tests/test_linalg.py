@@ -17,7 +17,6 @@ from convexotonic import (
     algebra_closure,
     hermitian_pencil,
     is_nilpotent,
-    joint_kernel,
     kernel_basis,
     necessary_conditions,
     operator_norm,
@@ -477,20 +476,6 @@ def test_kernel_basis_zero_matrix_full_space():
     assert len(kernel_basis(np.zeros((2, 2)))) == 2
 
 
-def test_joint_kernel_examples(e_tuple, f_tuple):
-    assert joint_kernel(MatrixTuple.from_matrices([np.eye(2)])) == []
-    vecs = joint_kernel(f_tuple)
-    assert len(vecs) == 1
-    assert abs(abs(vecs[0][0]) - 1.0) < 1e-12  # spanned by e1
-    assert joint_kernel(e_tuple) == []
-
-
-def test_joint_kernel_requires_square():
-    rect = MatrixTuple(complex_gaussian(np.random.default_rng(0), 1, 2, 3))
-    with pytest.raises(NotSquare):
-        joint_kernel(rect)
-
-
 NOT_SQUARE = {
     "structure_constants": (structure_constants, "structure constants need"),
     "algebra_closure": (algebra_closure, "algebra closure needs"),
@@ -623,7 +608,7 @@ def test_a_nilpotent_tuple_has_a_joint_kernel(seed, d, g, kind, tol):
         data = np.concatenate([data, tiny])
     B = MatrixTuple(data)
     if is_nilpotent(B, tol):
-        assert joint_kernel(B, tol)
+        assert "joint-kernel" in necessary_conditions(B, tol).reasons
 
 
 @pytest.mark.parametrize("d", [10, 12, 16, 32])

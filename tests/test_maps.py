@@ -144,6 +144,16 @@ def test_domain_breach(e_tuple):
         ConvexotonicMap(e_tuple, MapSign.MINUS)(scalar(1, 0))
 
 
+def test_an_overflowing_point_is_refused_by_name(e_tuple):
+    # the constants are homogeneous of degree 2, so 1e100 * e_tuple stays convexotonic
+    q = ConvexotonicMap(MatrixTuple(1e100 * e_tuple.data), MapSign.PLUS)
+    huge = MatrixTuple(1e250 * complex_gaussian(np.random.default_rng(3), 2, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        DomainBreach, match="the pencil overflows at this point"
+    ):
+        q(huge)
+
+
 # --- inversion ---------------------------------------------------------------
 
 def test_inverse_flips_sign(e_tuple):
