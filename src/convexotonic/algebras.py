@@ -132,7 +132,8 @@ def convexotonic_bound(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> float:
     the defect is quadratic in xi, so the bound grows with large xi, and it
     stays at tol for small xi, whose defect may be rounding noise alone."""
     check_tol(tol)
-    return tol * max(1.0, float(np.max(np.sum(np.abs(xi.data) ** 2, axis=(1, 2)))))
+    real = xi.data.view(float)  # the same squared norms, without complex temporaries
+    return tol * max(1.0, float(np.max(np.einsum("jkt,jkt->j", real, real))))
 
 
 def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
@@ -145,13 +146,12 @@ def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
 def _associativity_bound(J: MatrixTuple, xi: MatrixTuple, products, r) -> float:
     """The bound of the module docstring on the convexotonic residual of xi,
     the constants of J; turns products (J_k J_j in row k * g + j) into R_kj in
-    place and builds no g^3 temporary."""
+    place by one batched product, whose result is the one temporary that large."""
     g = J.g
     flat = J.flatten()
-    rho = np.empty((g, g))
-    for k, rows in enumerate(products.reshape(g, g, -1)):
-        rows -= xi.data[:, k] @ flat  # xi.data[j, k, s] = xi_j[k, s]
-        rho[k] = np.linalg.norm(rows.view(float), axis=1)
+    products -= (xi.data.transpose(1, 0, 2) @ flat).reshape(g * g, -1)  # xi.data[j, k, s] = xi_j[k, s]
+    rest = products.view(float)
+    rho = np.sqrt(np.einsum("ij,ij->i", rest, rest)).reshape(g, g)  # rho[k, j] = ||R_kj||_F
     real = xi.data.view(float)
     rows_sq = np.einsum("jkt,jkt->jk", real, real)  # ||xi_j[k, :]||^2
     a = np.linalg.norm(flat, axis=1)
@@ -196,13 +196,15 @@ def _solve_constants(
             residual=worst,
         )
     r, _ = span.project(basis.flatten())
-    solved = np.linalg.solve(r.T, coords.T)  # [s, k * g + j] is xi[j][k, s]
+    r_inv_t = np.linalg.inv(r.T)  # for xi and C; forward error u cond(r), as a solve's
+    solved = r_inv_t @ coords.T  # [s, k * g + j] is xi[j][k, s]
     del coords  # before xi copies solved: the span solve's memory peak
     xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
+    del solved
     if middle is None:
         bound = _associativity_bound(basis, xi, products, r)
         # a copy of J: J's _CONSTANTS entry holds xi, so J would never be freed
-        route = (MatrixTuple(left), np.linalg.solve(r.T, span.q.conj())) if basis.rows < g else None
+        route = (MatrixTuple(left), r_inv_t @ span.q.conj()) if basis.rows < g else None
         _RESIDUALS[xi] = [bound, None, route]
     return xi, float(np.max(residuals))
 
@@ -265,6 +267,7 @@ def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
             unit = span.add(product, tol)
             if unit is not None:
                 words.append(unit.reshape(d, d))
-    extended = MatrixTuple.from_matrices([*A, *words[A.g :]])
+    # the appended units are the span's rows past the generators', bit for bit
+    extended = MatrixTuple(np.concatenate([A.flatten(), span.q[A.g :]]).reshape(-1, d, d))
     _SPANS[extended] = (tol, span)
     return AlgebraClosure(extended, len(words) - A.g)

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotSquare, ZeroDirection
+from .errors import DomainBreach, NotSquare, ZeroDirection
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
@@ -94,6 +94,7 @@ def boundary_scale(domain, X: MatrixTuple) -> float:
     Closed forms: for balls 1 / ||pencil(X)||; for spectrahedra the pencil
     along the ray is I + t*H with H = pencil(X) + pencil(X)*, so the scale is
     -1 / min_eig(H) when that eigenvalue is negative and infinity otherwise.
+    Raises DomainBreach when the pencil or H has an entry that is not finite.
     """
     if X.max_abs() == 0.0:
         raise ZeroDirection("boundary scale needs a nonzero direction")
@@ -105,6 +106,8 @@ def boundary_scale(domain, X: MatrixTuple) -> float:
             raise NotSquare("spectrahedra are evaluated at square matrix tuples")
         lam = pencil_eval(domain.coeffs, X)
         h = lam + lam.conj().T
+        if not np.isfinite(h).all():  # the sum can overflow where lam does not
+            raise DomainBreach("the pencil overflows at this point")
         lmin = float(np.linalg.eigvalsh(h)[0])
         return math.inf if lmin >= 0.0 else -1.0 / lmin
     raise TypeError(f"not a domain: {type(domain).__name__}")

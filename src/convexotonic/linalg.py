@@ -144,11 +144,15 @@ def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
 
 def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
     """Monic Hermitian pencil I + pencil + pencil*; exactly Hermitian as formed,
-    since entry (i, k) adds the same two terms as the conjugate of entry (k, i)."""
+    since entry (i, k) adds the same two terms as the conjugate of entry (k, i).
+    Raises DomainBreach as pencil_eval does, and when the sum is not finite."""
     if not (coeffs.is_square and point.is_square):
         raise NotSquare("hermitian pencils need square coefficient and point tuples")
     lam = pencil_eval(coeffs, point)
-    return np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
+    h = np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
+    if not np.isfinite(h).all():  # lam + lam* can overflow where lam does not
+        raise DomainBreach("the pencil overflows at this point")
+    return h
 
 
 def certified_inverse(m):
@@ -250,33 +254,33 @@ class OrthonormalSpan:
     """A growing span in C^dim kept as orthonormal rows q. Vectors join by
     classical Gram-Schmidt run twice, which keeps q orthonormal to working
     precision ("twice is enough"; Giraud, Langou and Rozloznik, Comput. Math.
-    Appl. 50 (2005)). The rows live in a buffer that doubles when full, up to
-    dim rows; q views its filled rows, so later joins leave an earlier q as it was."""
+    Appl. 50 (2005)). The rows and their conjugates live in two buffers that
+    double when full, up to dim rows, so no call conjugates the span; q views
+    its filled rows, so later joins leave an earlier q as it was."""
 
     def __init__(self, dim: int):
-        self.q = self._rows = np.empty((0, dim), dtype=complex)
+        self.q = self._qc = self._rows = self._conj = np.empty((0, dim), dtype=complex)
 
     def add(self, vec, floor: float) -> np.ndarray | None:
         """Append and return the unit remainder of vec against the span, or
         return None when the remainder's norm is at or below floor or the span
         is already the whole space (its remainder is rounding noise)."""
         v = np.array(vec, dtype=complex).reshape(-1)
-        q = self.q
-        if len(q) == v.size:
+        q, n = self.q, len(self.q)
+        if n == v.size:
             return None
-        qc = q.conj()
-        for _ in range(2):
-            v -= (qc @ v) @ q  # coefficients q_i^H v
-        norm = math.sqrt(v.real @ v.real + v.imag @ v.imag)  # np.linalg.norm's formula
+        for _ in range(2 if n else 0):  # on an empty span both passes subtract exact zeros
+            v -= (self._qc @ v) @ q  # coefficients q_i^H v
+        norm = math.sqrt(v.real @ v.real + v.imag @ v.imag)  # np.linalg.norm's, bit for bit
         if norm <= floor:
             return None
         unit = v / norm  # its own array: callers keep it without pinning the buffer
-        n = len(q)
         if n == len(self._rows):
-            self._rows = np.empty((min(v.size, max(1, 2 * n)), v.size), dtype=complex)
-            self._rows[:n] = q
+            self._rows, self._conj = np.empty((2, min(v.size, max(1, 2 * n)), v.size), dtype=complex)
+            self._rows[:n], self._conj[:n] = q, self._qc
         self._rows[n] = unit
-        self.q = self._rows[: n + 1]
+        np.conjugate(unit, out=self._conj[n])
+        self.q, self._qc = self._rows[: n + 1], self._conj[: n + 1]
         return unit
 
     def add_rows(self, rows, floor: float) -> list[np.ndarray | None]:
@@ -291,7 +295,7 @@ class OrthonormalSpan:
         units = [None] * len(rows)
         if len(self.q) == rows.shape[-1]:
             return units  # the whole space: add returns None for every row
-        rest = rows - (rows @ self.q.conj().T) @ self.q if len(self.q) else rows.copy()
+        rest = rows - (rows @ self._qc.T) @ self.q if len(self.q) else rows.copy()
         for i, row in enumerate(rows):
             screened = math.sqrt(np.vdot(rest[i], rest[i]).real)
             if screened < floor / 2 or (unit := self.add(row, floor)) is None:
@@ -307,7 +311,7 @@ class OrthonormalSpan:
         """Coordinates q_i^H v of each row v against the span, one row of them
         per input row, and the norm of what is left of each row."""
         rows = np.asarray(rows, dtype=complex)
-        coords = rows @ self.q.conj().T
+        coords = rows @ self._qc.T
         rest = coords @ self.q
         np.subtract(rows, rest, out=rest)  # one temporary the size of rows, not two
         return coords, np.sqrt(np.einsum("ij,ij->i", rest.view(float), rest.view(float)))

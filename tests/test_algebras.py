@@ -600,6 +600,39 @@ def test_batched_products_match_an_einsum_reference(seed, kind_and_d, middle):
     assert sc.residual <= 1e-12 * np.max(factors)
 
 
+def test_constants_of_a_full_closure_peak_below_three_and_a_half_g_cubed():
+    # for a full closure the products, their coordinates, the solved constants,
+    # xi and the batched remainder product each hold g^3 entries, and at most
+    # three are alive at once; flattening xi for a 2-d remainder product would
+    # copy g^3 more
+    J = algebra_closure(pair(8, 8, "full")).extended
+    assert J.g == 64
+    tracemalloc.start()
+    try:
+        structure_constants(J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * J.g**3 * 16
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ut", "full"]), st.integers(2, 5),
+       st.floats(0.0, 2.0))
+def test_closures_and_constants_do_not_depend_on_similarity(seed, kind, d, log_kappa):
+    # S^-1 A S generates the conjugated algebra, so its closure has the same
+    # dimension, and a conjugated basis has the same constants; S = U diag(s) V
+    # with s log-spaced from 1 to cond(S) = 10**log_kappa <= 1e2
+    rng = np.random.default_rng(seed)
+    s = random_unitary(rng, d) * np.logspace(0.0, log_kappa, d) @ random_unitary(rng, d)
+    A = pair(seed, d, kind)
+    J = algebra_closure(A).extended
+    assert algebra_closure(MatrixTuple(np.linalg.solve(s, A.data @ s))).extended.g == J.g
+    xi = structure_constants(J).xi.data
+    similar = structure_constants(MatrixTuple(np.linalg.solve(s, J.data @ s))).xi.data
+    assert np.max(np.abs(similar - xi)) <= 1e-10 * np.max(np.abs(xi))
+
+
 def double_loop_residual(xi):
     """Reference: the SVD of every defect block."""
     worst = 0.0

@@ -162,12 +162,23 @@ def test_eval_domain_breach(files, capsys, tmp_path):
     assert doc["error"]["type"] == "DomainBreach"
 
 
-@pytest.mark.parametrize("kind", ["ball", "spec"])
-def test_member_on_an_overflowing_pencil_is_one_json_error(tmp_path, kind):
-    # a subprocess: LAPACK writes its complaints to the process's stdout, past capsys
+def overflowing_member(kind):
+    """Coefficients and a point whose pencil overflows: entries near 1e200,
+    or (spec-sum) a level-1 pencil lam = 1.5e308 whose Hermitian sum
+    lam + lam* does."""
+    if kind == "spec-sum":
+        return "spec", MatrixTuple(np.diag([1e154, 0.0])[None]), MatrixTuple.scalar([1.5e154])
     rng = np.random.default_rng(0)
-    coeffs = write_tuple(tmp_path / "t.json", MatrixTuple(1e200 * rng.standard_normal((2, 3, 3))))
-    point = write_tuple(tmp_path / "p.json", MatrixTuple(1e200 * rng.standard_normal((2, 2, 2))))
+    coeffs = MatrixTuple(1e200 * rng.standard_normal((2, 3, 3)))
+    return kind, coeffs, MatrixTuple(1e200 * rng.standard_normal((2, 2, 2)))
+
+
+@pytest.mark.parametrize("case", ["ball", "spec", "spec-sum"])
+def test_member_on_an_overflowing_pencil_is_one_json_error(tmp_path, case):
+    # a subprocess: LAPACK writes its complaints to the process's stdout, past capsys
+    kind, data, at = overflowing_member(case)
+    coeffs = write_tuple(tmp_path / "t.json", data)
+    point = write_tuple(tmp_path / "p.json", at)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     argv = ["member", "--kind", kind, "--tuple", coeffs, "--point", point]
     done = subprocess.run(

@@ -201,6 +201,22 @@ def test_an_overflowing_pencil_is_refused_by_name(e_tuple, call):
         call(MatrixTuple(1e200 * e_tuple.data))
 
 
+# lam = 1.5e308 is finite, so pencil_eval passes it; lam + lam* is not
+HERMITIAN_OVERFLOW = Spectrahedron(MatrixTuple(np.diag([1e154, 0.0])[None]))
+HERMITIAN_OVERFLOW_CALLS = {
+    "spec_membership": lambda X: spec_membership(HERMITIAN_OVERFLOW, X),
+    "boundary_scale": lambda X: boundary_scale(HERMITIAN_OVERFLOW, X),
+}
+
+
+@pytest.mark.parametrize("call", HERMITIAN_OVERFLOW_CALLS.values(), ids=HERMITIAN_OVERFLOW_CALLS.keys())
+def test_an_overflowing_hermitian_pencil_is_refused_by_name(call):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        DomainBreach, match="the pencil overflows at this point"
+    ):
+        call(MatrixTuple.scalar([1.5e154]))
+
+
 def test_boundary_scale_consistency(e_tuple, f_tuple):
     rng = np.random.default_rng(31)
     for domain in (Spectraball(e_tuple), Spectrahedron(f_tuple)):

@@ -1,3 +1,4 @@
+import copy
 import re
 from contextlib import nullcontext
 
@@ -767,6 +768,33 @@ def test_span_project_splits_rows():
     # reference: the least-squares distance from the span of the inputs
     x = np.linalg.lstsq(base.T, outside.T, rcond=None)[0]
     assert_allclose(rest[3:], np.linalg.norm(base.T @ x - outside.T, axis=0), rtol=1e-12)
+
+
+class ConjugatingSpan(OrthonormalSpan):
+    """A reference span whose every read of the conjugate rows conjugates q
+    afresh; assignments to them are dropped."""
+
+    _qc = property(lambda self: self.q.conj(), lambda self, value: None)
+
+
+def test_span_keeps_its_conjugate_rows_bit_for_bit():
+    # 16 joins in C^16 pass every doubling of the buffer (1, 2, 4, 8, 16 rows)
+    rng = np.random.default_rng(16)
+    kept, conjugating = OrthonormalSpan(16), ConjugatingSpan(16)
+    for v in complex_gaussian(rng, 16, 16):
+        assert np.array_equal(kept.add(v, 0.0), conjugating.add(v, 0.0))
+        assert np.array_equal(kept._qc, kept.q.conj())
+        # fresh rows, and unit combinations of the span that add_rows skips
+        mixed = complex_gaussian(rng, 2, len(kept.q)) @ kept.q
+        rows = np.vstack([complex_gaussian(rng, 2, 16), mixed / np.linalg.norm(mixed, axis=1)[:, None]])
+        for got, expected in zip(kept.project(rows), conjugating.project(rows)):
+            assert np.array_equal(got, expected)
+        trial, reference = copy.deepcopy(kept), copy.deepcopy(conjugating)
+        for got, expected in zip(trial.add_rows(rows, 1e-14), reference.add_rows(rows, 1e-14)):
+            assert (got is None) == (expected is None)
+            assert got is None or np.array_equal(got, expected)
+        assert np.array_equal(trial.q, reference.q) and np.array_equal(trial._qc, trial.q.conj())
+    assert kept.q.shape == (16, 16) and np.array_equal(kept.q, conjugating.q)
 
 
 @st.composite
