@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""Replay a table of named source mutations against the tests meant to kill them.
+
+    python scripts/mutants.py WORKDIR [NAME ...]
+
+Each entry of MUTANTS names one file under src/, an exact old text that must
+occur there exactly once, the new text that replaces it, and the node ids of
+the tests that should fail on the mutant. For each entry (or only the NAMEs
+given), the script copies src/, tests/ and pyproject.toml of this checkout
+into a fresh directory under WORKDIR, applies the one replacement there, runs
+only that entry's tests with pytest, and removes the copy. The checkout itself
+is never written.
+
+It prints one JSON line per mutation, with "status":
+- "killed": a listed test failed;
+- "survived": every listed test passed. An entry with a "note" is a known
+  survivor, and the note says why no test tells it apart;
+- "stale": the old text no longer occurs exactly once, or pytest could not
+  run the listed tests (a renamed test, say). Mend the entry.
+
+The tests of every entry run once on an unmutated copy first; if they fail
+there, nothing is replayed and the script exits 1. It exits 0 when every
+entry was killed or is a known survivor, and 1 otherwise.
+
+The tier-1 suite does not run the mutants; it only checks that every old text
+occurs exactly once, so the table cannot go stale silently.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ADD_ROWS_TEST = "tests/test_linalg.py::test_add_rows_is_one_add_per_row_bit_for_bit"
+KERNEL_FLAGS_TEST = "tests/test_genericity.py::test_kernel_flags_match_kernel_basis"
+NILPOTENT_KERNEL_TEST = "tests/test_linalg.py::test_a_nilpotent_tuple_has_a_joint_kernel"
+
+MUTANTS = [
+    # the sv-probe's chunk screen (OrthonormalSpan.add_rows)
+    {
+        "name": "add-rows-floor-doubled",
+        "file": "src/convexotonic/linalg.py",
+        "old": "if screened < floor / 2 or",
+        "new": "if screened < floor * 2 or",
+        "tests": [ADD_ROWS_TEST],
+    },
+    {
+        "name": "add-rows-stops-a-row-early",
+        "file": "src/convexotonic/linalg.py",
+        "old": "if len(self.q) == len(row):",
+        "new": "if len(self.q) == len(row) - 1:",
+        "tests": [ADD_ROWS_TEST],
+    },
+    {
+        "name": "add-rows-unconjugated-update",
+        "file": "src/convexotonic/linalg.py",
+        "old": "after -= (after @ unit.conj())[:, None] * unit",
+        "new": "after -= (after @ unit)[:, None] * unit",
+        "tests": [ADD_ROWS_TEST],
+        "note": "it only weakens the screen: a row it keeps still goes through add",
+    },
+    {
+        "name": "beta-pool-one-more",
+        "file": "src/convexotonic/genericity.py",
+        "old": "max(0, POOL_FACTOR * d - pooled)",
+        "new": "max(0, POOL_FACTOR * d + 1 - pooled)",
+        "tests": ["tests/test_genericity.py::test_chunked_probe_is_bit_identical_to_the_sequential_loop"],
+        "note": "no input found tells a pool of 4d + 1 left candidates from one of 4d",
+    },
+    # the necessary conditions
+    {
+        "name": "nilpotency-flag-without-joint-kernel",
+        "file": "src/convexotonic/genericity.py",
+        "old": "if kernel and is_nilpotent(A, tol):",
+        "new": "if is_nilpotent(A, tol):",
+        "tests": [KERNEL_FLAGS_TEST, NILPOTENT_KERNEL_TEST],
+        "note": "equivalent: a nilpotent algebra kills a common vector (Levitzki)",
+    },
+    {
+        "name": "kernel-rule-strict",
+        "file": "src/convexotonic/genericity.py",
+        "old": "s[:, -1] <= tol * s[:, 0]",
+        "new": "s[:, -1] < tol * s[:, 0]",
+        "tests": [KERNEL_FLAGS_TEST],
+    },
+    {
+        "name": "conditions-without-check-tol",
+        "file": "src/convexotonic/genericity.py",
+        "old": "    check_tol(tol)\n    stacks = ",
+        "new": "    stacks = ",
+        "tests": ["tests/test_genericity.py::test_tol_must_be_finite_and_non_negative"],
+    },
+    {
+        "name": "adjoint-stack-untransposed",
+        "file": "src/convexotonic/genericity.py",
+        "old": "A.data.conj().transpose(0, 2, 1)",
+        "new": "A.data.conj()",
+        "tests": [KERNEL_FLAGS_TEST],
+    },
+    {
+        "name": "adjoint-stack-unconjugated",
+        "file": "src/convexotonic/genericity.py",
+        "old": "A.data.conj().transpose(0, 2, 1)",
+        "new": "A.data.transpose(0, 2, 1)",
+        "tests": [KERNEL_FLAGS_TEST],
+        "note": "equivalent: conjugation leaves the singular values unchanged",
+    },
+    # the pencil kernel
+    {
+        "name": "pencil-without-overflow-check",
+        "file": "src/convexotonic/linalg.py",
+        "old": "    if not np.isfinite(prod).all():\n"
+        '        raise DomainBreach("the pencil overflows at this point")\n',
+        "new": "",
+        "tests": ["tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name"],
+    },
+    # the certificate record of a tuple (algebras._Record)
+    {
+        "name": "route-holds-j-itself",
+        "file": "src/convexotonic/algebras.py",
+        "old": "record.route = (MatrixTuple(left), r_inv_t @ span.q.conj())",
+        "new": "record.route = (basis, r_inv_t @ span.q.conj())",
+        "tests": ["tests/test_maps.py::test_algebra_route_outlives_the_algebra_tuple"],
+    },
+    {
+        "name": "closure-span-reused-at-a-looser-tol",
+        "file": "src/convexotonic/algebras.py",
+        "old": "span = span if tol <= span_tol else",
+        "new": "span = span if span is not None else",
+        "tests": ["tests/test_algebras.py::test_a_closure_span_is_reused_only_at_its_tol_or_below"],
+    },
+    {
+        "name": "constants-accept-a-nan-residual",
+        "file": "src/convexotonic/algebras.py",
+        "old": "if not math.isfinite(largest := float(np.max(residuals))):",
+        "new": "if math.isinf(largest := float(np.max(residuals))):",
+        "tests": ["tests/test_algebras.py::test_a_nan_residual_is_refused"],
+    },
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def _pytest(dest: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=dest, env=env, capture_output=True).returncode
+
+
+def replay(mutant, workdir: Path) -> dict:
+    """Apply one mutant to a fresh copy under workdir and run its tests."""
+    line = {"name": mutant["name"], "file": mutant["file"], "tests": mutant["tests"]}
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        path = dest / mutant["file"]
+        text = path.read_text()
+        if text.count(mutant["old"]) != 1:
+            return {**line, "status": "stale", "why": "the old text does not occur exactly once"}
+        path.write_text(text.replace(mutant["old"], mutant["new"]))
+        code = _pytest(dest, mutant["tests"])
+    if code not in (0, 1):  # 1: tests failed; any other code: pytest could not run them
+        return {**line, "status": "stale", "why": f"pytest exited {code}"}
+    if code == 1:
+        return {**line, "status": "killed"}
+    return {**line, "status": "survived", **({"note": mutant["note"]} if "note" in mutant else {})}
+
+
+def main(argv) -> int:
+    if not argv or argv[0].startswith("-"):
+        sys.stderr.write(__doc__)
+        return 2
+    workdir = Path(argv[0]).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    chosen = [m for m in MUTANTS if len(argv) == 1 or m["name"] in argv[1:]]
+    unknown = set(argv[1:]) - {m["name"] for m in MUTANTS}
+    if unknown:
+        sys.stderr.write(f"unknown mutants: {sorted(unknown)}\n")
+        return 2
+    tests = sorted({t for m in chosen for t in m["tests"]})
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        _copy(Path(tmp))
+        if _pytest(Path(tmp), tests) != 0:
+            sys.stderr.write("the listed tests fail without any mutation\n")
+            return 1
+    clean = True
+    for mutant in chosen:
+        result = replay(mutant, workdir)
+        print(json.dumps(result), flush=True)
+        clean &= result["status"] == "killed" or "note" in result
+    return 0 if clean else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -27,22 +27,26 @@ bound is not decisive, so verdicts are those of the exact residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import DependentInput, NotSquare, ShapeMismatch, SpanViolation
+from .errors import DependentInput, DomainBreach, NotSquare, ShapeMismatch, SpanViolation
 from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, check_tol, operator_norm
 
-# Certificates computed once per MatrixTuple object (hashed by identity) and
-# freed with it; failures raise and are never stored.
-# xi -> [bound, residual, route]: the associativity bound of a solved xi (inf
-# for any other xi), the exact convexotonic residual once computed (None
-# before), and the (J, C) of _coordinate_map (None for any other xi)
-_RESIDUALS: WeakKeyDictionary = WeakKeyDictionary()
-_CONSTANTS: WeakKeyDictionary = WeakKeyDictionary()  # J -> {tol: StructureConstants}
-_SPANS: WeakKeyDictionary = WeakKeyDictionary()  # closure.extended -> (tol, its span)
+_RECORDS: WeakKeyDictionary = WeakKeyDictionary()  # MatrixTuple (by identity) -> _Record
+
+
+@dataclass(slots=True)
+class _Record:
+    """What one tuple object has certified, freed with it; failures are never stored."""
+
+    bound: float = math.inf  # of a solved xi: the associativity bound
+    residual: float | None = None  # convexotonic_residual, once computed
+    route: tuple | None = None  # of xi solved from J with d < g: (a copy of J, C)
+    constants: dict = field(default_factory=dict)  # tol -> StructureConstants
+    span: tuple = (-math.inf, None)  # of a closure's extended tuple: (tol, its span)
 
 
 def _independent_span(T: MatrixTuple, tol: float, what: str) -> OrthonormalSpan:
@@ -109,9 +113,9 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
     the maximum unchanged."""
     if not (xi.g == xi.rows == xi.cols):
         raise ShapeMismatch("expected a g-tuple of g x g matrices")
-    entry = _RESIDUALS.setdefault(xi, [math.inf, None, None])
-    if entry[1] is not None:
-        return entry[1]
+    record = _RECORDS.setdefault(xi, _Record())
+    if record.residual is not None:
+        return record.residual
     g = xi.g
     worst = 0.0
     for j in range(g):
@@ -123,7 +127,7 @@ def convexotonic_residual(xi: MatrixTuple) -> float:
             if fro[k] <= worst:
                 break
             worst = max(worst, operator_norm(defect[k]))
-    entry[1] = worst
+    record.residual = worst
     return worst
 
 
@@ -140,7 +144,8 @@ def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     """Whether convexotonic_residual(xi) <= convexotonic_bound(xi, tol), decided
     by the associativity bound of a solved xi when that is within the limit."""
     limit = convexotonic_bound(xi, tol)
-    return _RESIDUALS.get(xi, [math.inf])[0] <= limit or convexotonic_residual(xi) <= limit
+    bound = getattr(_RECORDS.get(xi), "bound", math.inf)
+    return bound <= limit or convexotonic_residual(xi) <= limit
 
 
 def _associativity_bound(J: MatrixTuple, xi: MatrixTuple, products, r) -> float:
@@ -174,17 +179,20 @@ def _solve_constants(
     independent (DependentInput otherwise), or a closure's extended tuple,
     whose span algebra_closure certified at a tol no smaller; basis = r @ q,
     so the coefficients x solve x @ r = (their coordinates on q). Without a
-    middle, the associativity bound of xi goes into its _RESIDUALS entry, with
-    the route of _coordinate_map when the basis has fewer rows than elements.
+    middle, xi's record gets its bound and, when d < g, the route (J, C) with
+    C = inv(r.T) @ conj(q), which maps the d^2 flattened n x n blocks of
+    pencil_J(Y) to Y. Raises DomainBreach when the products overflow.
     """
     check_tol(tol)  # before a closure's span is reused at any tol below its own
     g = basis.g
-    closed = _SPANS.get(basis, (-math.inf, None))
-    span = closed[1] if tol <= closed[0] else _independent_span(basis, tol, what)
+    span_tol, span = getattr(_RECORDS.get(basis), "span", (-math.inf, None))
+    span = span if tol <= span_tol else _independent_span(basis, tol, what)
     left = basis.data
     right = left if middle is None else middle @ left
     products = (left[:, None] @ right[None, :]).reshape(g * g, -1)  # row k * g + j
     coords, residuals = span.project(products)
+    if not math.isfinite(largest := float(np.max(residuals))):  # nan passes the test below
+        raise DomainBreach(f"{what}: the products overflow")
     factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
     bad = residuals > tol * factors.reshape(-1)
     if np.any(bad):
@@ -202,34 +210,26 @@ def _solve_constants(
     xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
     del solved
     if middle is None:
-        bound = _associativity_bound(basis, xi, products, r)
-        # a copy of J: J's _CONSTANTS entry holds xi, so J would never be freed
-        route = (MatrixTuple(left), r_inv_t @ span.q.conj()) if basis.rows < g else None
-        _RESIDUALS[xi] = [bound, None, route]
-    return xi, float(np.max(residuals))
+        _RECORDS[xi] = record = _Record(_associativity_bound(basis, xi, products, r))
+        if basis.rows < g:  # a copy of J: J's record holds xi, so J would never be freed
+            record.route = (MatrixTuple(left), r_inv_t @ span.q.conj())
+    return xi, largest
 
 
 def structure_constants(J: MatrixTuple, tol: float = DEFAULT_TOL) -> StructureConstants:
     """Coefficients expressing every product J[k] @ J[j] back in the tuple.
 
     Raises SpanViolation when J does not span an algebra (close it first with
-    algebra_closure); independence makes the coefficients unique. Computed
-    once per tuple object and tol.
+    algebra_closure) and DomainBreach when its products overflow. Computed
+    once per tuple object and tol; independence makes the coefficients unique.
     """
     if not J.is_square:
         raise NotSquare("structure constants need a square tuple")
-    known = _CONSTANTS.get(J, {})
+    known = getattr(_RECORDS.get(J), "constants", {})
     if tol not in known:
         known[tol] = StructureConstants(*_solve_constants(J, tol, "structure constants"))
-        _CONSTANTS[J] = known
+        _RECORDS.setdefault(J, _Record(constants=known))
     return known[tol]
-
-
-def _coordinate_map(xi: MatrixTuple):
-    """(a copy of J, C), stored when structure_constants solved xi from a J with
-    fewer rows d than elements g (None for any other xi): as J = r @ q, C =
-    inv(r.T) @ conj(q) maps the d^2 flattened n x n blocks of pencil_J(Y) to Y."""
-    return _RESIDUALS.get(xi, (None, None, None))[2]
 
 
 def pencil_structure_constants(
@@ -269,5 +269,5 @@ def algebra_closure(A: MatrixTuple, tol: float = DEFAULT_TOL) -> AlgebraClosure:
                 words.append(unit.reshape(d, d))
     # the appended units are the span's rows past the generators', bit for bit
     extended = MatrixTuple(np.concatenate([A.flatten(), span.q[A.g :]]).reshape(-1, d, d))
-    _SPANS[extended] = (tol, span)
+    _RECORDS[extended] = _Record(span=(tol, span))
     return AlgebraClosure(extended, len(words) - A.g)

@@ -30,8 +30,8 @@ class SpanViolation(PencilError):
 
 
 class DomainBreach(PencilError):
-    """A pencil was evaluated at a point outside its numerical domain: its
-    value overflows, or a pencil to be inverted is numerically singular."""
+    """A value left the float range (a pencil at a point, or the products of a
+    tuple), or a pencil to be inverted is numerically singular."""
 
 
 class ZeroDirection(PencilError):

@@ -1,7 +1,7 @@
 """JSON payloads for matrix tuples, matrices, verdicts and certificates.
 
 Complex scalars travel as two-element [re, im] arrays; matrix entries are
-row-major. Parsing rejects ragged arrays and non-finite numbers.
+row-major. Parsing rejects ragged arrays, and both directions refuse non-finite numbers.
 """
 
 from __future__ import annotations
@@ -141,4 +141,4 @@ def load_document(path):
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "))
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), allow_nan=False)

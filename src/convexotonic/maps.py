@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebras import _coordinate_map, convexotonic_residual, is_convexotonic, structure_constants
+from .algebras import _RECORDS, convexotonic_residual, is_convexotonic, structure_constants
 from .errors import DomainBreach
 from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, resolvent
 
@@ -58,7 +58,7 @@ class ConvexotonicMap:
         fewer rows d than elements g, read p(X) off the d^2 n x n blocks of
         pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X), with
         the coordinates fixed when xi was solved; otherwise go through xi."""
-        route = _coordinate_map(self.xi)
+        route = getattr(_RECORDS.get(self.xi), "route", None)
         if route is None:
             return self._through_xi(X)
         J, coords = route

@@ -175,11 +175,11 @@ def _rays(rng, domain, levels, count):
 
 def _constants(report, name, solve, *args):
     """Add the check that solve(*args) finds structure constants; return them,
-    or None where the solve raises SpanViolation."""
+    or None where the solve raises SpanViolation or DomainBreach (overflow)."""
     try:
         sc = solve(*args)
-    except SpanViolation as err:
-        report.add(name, False, err.residual or 0.0, detail=str(err))
+    except (SpanViolation, DomainBreach) as err:
+        report.add(name, False, getattr(err, "residual", None) or 0.0, detail=str(err))
         return None
     report.add(name, True, sc.residual)
     return sc

@@ -6,6 +6,7 @@ import pytest
 from convexotonic import linalg
 from convexotonic import (
     MatrixTuple,
+    TheoremData,
     algebra_closure,
     pencil_eval,
     type_i_tuple,
@@ -13,7 +14,7 @@ from convexotonic import (
     type_iii_tuple,
     type_iv_tuple,
 )
-from convexotonic.sampling import complex_gaussian
+from convexotonic.sampling import complex_gaussian, random_unitary
 
 
 @pytest.fixture
@@ -55,6 +56,18 @@ def corpus_algebras(seed=1234):
         random_triangular_algebra(rng, 4, 3),
     ]
     return tuples
+
+
+def planted_theorem(kind, d, seed):
+    """Theorem data (E, B, Z, M) with B = M* Z E M: B the closure of a seeded
+    generator pair (ut: upper-triangular, full, or strict: strictly
+    upper-triangular), Z and M seeded Haar unitaries and E = Z* M B M*."""
+    rng = np.random.default_rng(seed)
+    pair = complex_gaussian(rng, 2, d, d)
+    pair = {"ut": np.triu(pair), "full": pair, "strict": np.triu(pair, 1)}[kind]
+    B = algebra_closure(MatrixTuple(pair)).extended
+    Z, M = random_unitary(rng, d), random_unitary(rng, d)
+    return TheoremData(MatrixTuple(Z.conj().T @ M @ B.data @ M.conj().T), B, Z, M)
 
 
 def half_norm_point(rng, coeffs, n):

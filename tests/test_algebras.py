@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from convexotonic import (
     ConvexotonicMap,
     DependentInput,
+    DomainBreach,
     MapSign,
     MatrixTuple,
     ShapeMismatch,
@@ -399,7 +400,8 @@ def test_closure_constants_match_the_rebuilt_span(seed, kind_and_d):
     # the constants of a closure reuse the span it grew; an equal copy of the
     # closure rebuilds that span element by element
     J = algebra_closure(oracle_input(seed, *kind_and_d)).extended
-    assert J in algebras._SPANS
+    _, span = algebras._RECORDS[J].span
+    assert span is not None
     reused, rebuilt = structure_constants(J), structure_constants(MatrixTuple(J.data))
     assert np.max(np.abs(reused.xi.data - rebuilt.xi.data)) <= 1e-12 * max(
         1.0, np.max(np.abs(rebuilt.xi.data))
@@ -482,7 +484,7 @@ def certificate_verdicts(J):
         accepted = True
     except ValueError:
         accepted = False
-    assert algebras._RESIDUALS[xi][1] is None  # the exact residual never ran
+    assert algebras._RECORDS[xi].residual is None  # the exact residual never ran
     return independent, True, convexotonic, accepted
 
 
@@ -748,6 +750,43 @@ def test_failures_are_raised_on_every_call(counts):
     assert counts == {"solve": 4, "svd": 0}
 
 
+def test_a_closure_span_is_reused_only_at_its_tol_or_below():
+    # I + 1e-5 E12 joins I at the closure's tol 1e-8 but lies within 1e-3 of
+    # it: the closure certified independence at its own tol only
+    J = algebra_closure(MatrixTuple.from_matrices([np.eye(2), np.eye(2) + 1e-5 * E12])).extended
+    assert J.g == 2 and structure_constants(J, 1e-12).residual < 1e-15
+    with pytest.raises(DependentInput):
+        structure_constants(J, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [structure_constants, lambda J: pencil_structure_constants(J, np.eye(2))],
+    ids=["plain", "sandwiched"],
+)
+def test_overflowing_products_are_refused_by_name(e_tuple, solve):
+    # the squares of 1e100 * E leave the float range: their residual was inf,
+    # which reached stdout as the JSON token Infinity
+    big = MatrixTuple(1e100 * e_tuple.data)
+    for _ in range(2):
+        with pytest.raises(DomainBreach, match="the products overflow"):
+            solve(big)
+    assert big not in algebras._RECORDS
+
+
+def test_a_nan_residual_is_refused(monkeypatch, e_tuple):
+    # NaN fails every comparison, so the span test alone would accept it
+    project = OrthonormalSpan.project
+
+    def poisoned(span, rows):
+        coords, residuals = project(span, rows)
+        return coords, np.full_like(residuals, np.nan)
+
+    monkeypatch.setattr(OrthonormalSpan, "project", poisoned)
+    with pytest.raises(DomainBreach, match="the products overflow"):
+        structure_constants(MatrixTuple(e_tuple.data))
+
+
 def test_tighter_tol_after_a_looser_success_still_raises():
     # (I + eps E11)^2 leaves span{I + eps E11, E12} by about eps
     rough = MatrixTuple.from_matrices([np.diag([1 + 1e-6, 1]), E12])
@@ -758,15 +797,28 @@ def test_tighter_tol_after_a_looser_success_still_raises():
 
 
 def test_dropped_tuple_leaves_no_memo_entry(e_tuple):
+    # every kind of record: constants at two tols with their xi (type IV, g = d,
+    # no route); a closure's extended tuple (span set); and a copy of it, with
+    # d < g, whose xi holds a route
+    records = algebras._RECORDS
     J = MatrixTuple(e_tuple.data)
-    xi = structure_constants(J).xi
-    assert J in algebras._CONSTANTS and xi in algebras._RESIDUALS
-    sizes = len(algebras._CONSTANTS), len(algebras._RESIDUALS)
-    refs = weakref.ref(J), weakref.ref(xi)
-    del J, xi
+    xis = [structure_constants(J).xi, structure_constants(J, 1e-12).xi]
+    rng = np.random.default_rng(0)
+    closed = algebra_closure(MatrixTuple(np.triu(complex_gaussian(rng, 2, 3, 3)))).extended
+    copy = MatrixTuple(closed.data)
+    routed = structure_constants(copy).xi
+    assert set(records[J].constants) == {1e-8, 1e-12}
+    assert [records[xi].route for xi in xis] == [None, None]
+    assert records[closed].span[1] is not None and records[copy].span[1] is None
+    assert copy.rows < copy.g and records[routed].route[0] is not copy
+    kept = [J, *xis, closed, copy, routed]
+    assert all(t in records for t in kept)
+    size = len(records)
+    refs = [weakref.ref(t) for t in kept]
+    del J, xis, closed, copy, routed, kept
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    assert len(algebras._CONSTANTS) < sizes[0] and len(algebras._RESIDUALS) < sizes[1]
+    assert [ref() for ref in refs] == [None] * 6
+    assert len(records) <= size - 6
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
@@ -804,7 +856,7 @@ def assert_bound_decides_like_the_residual(J):
     residual, and is_convexotonic and ConvexotonicMap give the verdict of
     that residual at every tol, each on constants of its own."""
     xi = structure_constants(MatrixTuple(J.data)).xi
-    bound = algebras._RESIDUALS[xi][0]
+    bound = algebras._RECORDS[xi].bound
     exact = convexotonic_residual(MatrixTuple(xi.data))  # a copy has no bound
     assert exact <= bound
     for tol in (1e-8, 1e-12, 1e-14, 1e-16):

@@ -545,6 +545,36 @@ def test_float64_entries_take_the_entry_walk():
     assert np.array_equal(parsed, np.array([[0.5, 1 - 2j]]))
 
 
+def refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("command", ["xi", "xi-closure", "pencil-xi", "verify-theorem"])
+def test_overflowing_constants_print_standard_json(files, capsys, tmp_path, command):
+    # 1e100 * type IV: the residuals of its squares overflowed to Infinity on stdout
+    big = write_tuple(tmp_path / "big.json", MatrixTuple(1e100 * type_iv_tuple().data))
+    eye = files["eye"]
+    argv = {
+        "xi": ["xi", "--tuple", big],
+        "xi-closure": ["xi", "--tuple", big, "--closure"],
+        "pencil-xi": ["pencil-xi", "--tuple", big, "--middle", eye],
+        "verify-theorem": ["verify-theorem", "--e", big, "--b", big, "--z", eye, "--m", eye],
+    }[command]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    doc = json.loads(out, parse_constant=refuse_constant)
+    if command != "verify-theorem":
+        assert doc["error"]["type"] == "DomainBreach" and "residual" not in doc["error"]
+    assert "the products overflow" in out
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        jsonio.dumps({"residual": value})
+
+
 def test_stdout_byte_determinism(files, capsys):
     argv = ["xi", "--tuple", files["f"]]
     run(argv)

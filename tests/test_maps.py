@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,11 +34,16 @@ from conftest import (
     inv_calls,
     random_triangular_algebra,
 )
-from convexotonic.algebras import _coordinate_map
+from convexotonic.algebras import _RECORDS, _Record
 from convexotonic.linalg import BLOCK_LEVEL
 from convexotonic.sampling import complex_gaussian, random_directions, random_unitary
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def stored_route(xi):
+    """The route field of xi's record, None where xi has no record."""
+    return _RECORDS.get(xi, _Record()).route
 
 
 def scalar(*values):
@@ -274,7 +280,7 @@ def refused(f, X):
 def test_algebra_route_matches_xi_route(seed, kind_and_d, n):
     J = closure_of(seed, *kind_and_d)
     xi = structure_constants(J).xi
-    assert J.rows < J.g and _coordinate_map(xi) is not None
+    assert J.rows < J.g and stored_route(xi) is not None
     x = MatrixTuple(complex_gaussian(np.random.default_rng(seed), J.g, n, n))
     # ||pencil_J(X)|| = 1/2 keeps both signs well inside the domain
     X = MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(J, x), 2))
@@ -378,7 +384,7 @@ def test_route_coordinates_read_a_point_off_its_pencil(kind, d, scale):
     # one size: at scales far from 1 a Gaussian Y would put the slots of the
     # scaled generators below the rounding of the unit-norm appended ones
     J = closure_of(5, kind, d, scale)
-    _, coords = _coordinate_map(structure_constants(J).xi)
+    _, coords = stored_route(structure_constants(J).xi)
     n = 3
     y = complex_gaussian(np.random.default_rng(d), J.g, n, n)
     Y = y / np.linalg.norm(J.data, axis=(1, 2))[:, None, None]
@@ -391,22 +397,25 @@ def test_route_coordinates_read_a_point_off_its_pencil(kind, d, scale):
 def test_route_is_stored_with_xi_and_no_map_call_changes_it():
     J = closure_of(3, "ut", 3)
     xi = structure_constants(J).xi
-    entry = convexotonic.algebras._RESIDUALS[xi]
-    copy, coords = route = entry[2]
+    record = _RECORDS[xi]
+    copy, coords = route = record.route
     assert copy is not J and np.array_equal(copy.data, J.data)
     assert coords.shape == (J.g, J.rows**2)
     q = ConvexotonicMap(xi, MapSign.PLUS)
-    before, kept = list(entry), coords.copy()
+    before = {field.name: getattr(record, field.name) for field in fields(record)}
+    kept = coords.copy()
     X = half_norm_point(np.random.default_rng(3), J, 2)
     q(X), q.inverse()(X), q.domain_check(X)
-    assert all(now is then for now, then in zip(entry, before)) and entry[2] is route
+    assert _RECORDS[xi] is record and before["route"] is route
+    assert all(getattr(record, name) is then for name, then in before.items())
+    assert before["bound"] < math.inf and before["residual"] is None
     assert np.array_equal(coords, kept)
 
 
 @pytest.mark.parametrize("J", corpus_algebras()[:4], ids=["type-i", "type-ii", "type-iii", "type-iv"])
 def test_tuples_with_g_at_most_d_keep_the_xi_route(J):
     assert J.g <= J.rows
-    assert _coordinate_map(structure_constants(J).xi) is None
+    assert stored_route(structure_constants(J).xi) is None
 
 
 def test_constants_not_solved_from_an_algebra_keep_the_xi_route():
@@ -414,8 +423,8 @@ def test_constants_not_solved_from_an_algebra_keep_the_xi_route():
     xi = structure_constants(J).xi
     parsed = MatrixTuple(xi.data)  # as eval --xi reads it
     sandwiched = convexotonic.algebras.pencil_structure_constants(J, np.eye(3)).xi
-    assert _coordinate_map(xi) is not None
-    assert _coordinate_map(parsed) is None and _coordinate_map(sandwiched) is None
+    assert stored_route(xi) is not None
+    assert stored_route(parsed) is None and stored_route(sandwiched) is None
 
 
 # --- domain checks --------------------------------------------------------------
@@ -500,7 +509,7 @@ def test_triangular_images_match_the_dense_inverse(seed, kind_d, n, sign):
     kind, d = kind_d
     J = type_iv_tuple() if kind == "iv" else closure_of(seed, kind, d)
     q = ConvexotonicMap(structure_constants(J).xi, sign)
-    route = _coordinate_map(q.xi)
+    route = stored_route(q.xi)
     X = half_norm_point(np.random.default_rng(seed), route[0] if route else q.xi, n)
     image = q(X)
     with dense_path():

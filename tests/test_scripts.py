@@ -28,3 +28,19 @@ def test_bench_builds_its_cases_and_runs_every_map_call():
     assert cases["sv_probe.generic.d3"]().status == "certified"
     statuses = [result.status for result in cases["sv_probe.mix"]()]
     assert statuses == ["certified"] * 4 + ["inconclusive"] * 27 + ["rejected"] * 4
+
+
+def test_every_mutant_names_one_place_in_src_and_existing_tests():
+    # the mutants are replayed outside the suite; this keeps the table from going stale
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m["name"] for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names) >= 13
+    for mutant in mutants.MUTANTS:
+        assert mutant["file"].startswith("src/convexotonic/")
+        assert (ROOT / mutant["file"]).read_text().count(mutant["old"]) == 1, mutant["name"]
+        assert mutant["old"] != mutant["new"] and mutant["tests"]
+        for node in mutant["tests"]:
+            path, test = node.split("::")
+            assert f"def {test}(" in (ROOT / path).read_text(), node

@@ -27,6 +27,7 @@ from convexotonic import (
 from convexotonic.errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
 from convexotonic.jsonio import dumps
 from convexotonic.sampling import random_unitary, seeded_rng
+from conftest import planted_theorem
 
 
 def check_map(report):
@@ -218,6 +219,26 @@ def test_theorem_checks_scale_with_the_data(make, c):
     m = random_unitary(np.random.default_rng(3), e.rows)
     b = MatrixTuple(m.conj().T @ e.data @ m)
     report = verify_theorem(TheoremData(e, b, np.eye(e.rows), m), samples=5)
+    assert report.passed, [ch.name for ch in report.checks if not ch.passed]
+
+
+def test_theorem_records_overflowing_constants_as_failed_checks(e_tuple):
+    big = MatrixTuple(1e100 * e_tuple.data)
+    report = verify_theorem(TheoremData(big, big, np.eye(2), np.eye(2)), samples=5)
+    checks = check_map(report)
+    for name in ("twisted-product-constants", "target-spans-algebra"):
+        assert not checks[name].passed and checks[name].residual == 0.0
+        assert checks[name].detail.endswith("the products overflow")
+    assert not report.passed
+    dumps(report.to_dict())  # every number is finite
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["ut", "full", "strict"])
+def test_planted_theorem_family_passes(kind, d):
+    data = planted_theorem(kind, d, seed=d)
+    assert data.target_tuple.g > 2  # the closure grew past the generating pair
+    report = verify_theorem(data, samples=10)
     assert report.passed, [ch.name for ch in report.checks if not ch.passed]
 
 
