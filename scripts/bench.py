@@ -4,8 +4,10 @@
     python scripts/bench.py --out FILE [--src DIR] [--label NAME] [--skip REGEX]
 
 cases() is the list of cases. Each times one public call of a layer of
-ROADMAP item 1, or one verification harness, on inputs drawn there once at
-fixed seeds. The sizes are those a perfbench workload or a CLI default uses,
+ROADMAP item 1, one verification harness, or one CLI request end to end
+(`python -m convexotonic` in a child process, import and JSON I/O
+included, on input files written once to a temporary directory), on inputs
+drawn there once at fixed seeds. The sizes are those a perfbench workload or a CLI default uses,
 so a case shows where an end-to-end op spends its time, plus larger ones
 where a layer's cost grows fastest (nilpotency at d=32, the constants of
 g=64 and g=100 closures). The inputs are chosen to reach each layer's
@@ -36,7 +38,7 @@ others) for each checkout in turn. BLAS runs on one thread
 This is a measurement, not a test: nothing asserts on a timing. The tier-1
 suite only builds the cases and calls each map-call case, the two
 necessary-condition cases, sv_probe.generic.d3 and sv_probe.mix once, so a
-change that breaks the script fails there.
+change that breaks the script fails there; it spawns no CLI case.
 """
 
 import argparse
@@ -46,7 +48,9 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +84,61 @@ def map_call(cx, np, J, n):
     x = cx.MatrixTuple(gaussian(np.random.default_rng([J.rows, n, 7]), J.g, n, n))
     X = cx.MatrixTuple(0.5 * x.data / np.linalg.norm(cx.pencil_eval(J, x), 2))
     return lambda: cmap(X)
+
+
+def planted_theorem(cx, np, kind, d, seed):
+    """Theorem data (E, B, Z, M) with B = M* Z E M, built as tests/conftest.py's
+    planted_theorem builds it (tier-1 pins the two to equal bytes): B the
+    closure of a seeded ut, full or strict pair, Z and M seeded Haar unitaries."""
+    from convexotonic.sampling import complex_gaussian, random_unitary
+
+    rng = np.random.default_rng(seed)
+    pair = complex_gaussian(rng, 2, d, d)
+    pair = {"ut": np.triu(pair), "full": pair, "strict": np.triu(pair, 1)}[kind]
+    B = cx.algebra_closure(cx.MatrixTuple(pair)).extended
+    Z, M = random_unitary(rng, d), random_unitary(rng, d)
+    return cx.TheoremData(cx.MatrixTuple(Z.conj().T @ M @ B.data @ M.conj().T), B, Z, M)
+
+
+def theorem(cx, data):
+    """verify_theorem at 20 samples on fresh copies of the tuples of data."""
+    e, b = cx.MatrixTuple(data.ball_tuple.data), cx.MatrixTuple(data.target_tuple.data)
+    return cx.verify_theorem(cx.TheoremData(e, b, data.twist, data.change_of_basis), samples=20)
+
+
+def cli_cases(cx, np):
+    """The perfbench cli workload's requests at fixed seeds: eval and member at
+    level 128 on type IV, xi --closure of an upper-triangular 5x5 pair, the
+    sv-probe of type IV and the examples catalog. The input directory lives as
+    long as one of the cases does."""
+    from convexotonic import jsonio
+
+    tmp = tempfile.TemporaryDirectory(prefix="convexotonic-bench-")
+    root = Path(tmp.name)
+    rng = np.random.default_rng([128, 33])
+    J = cx.type_iv_tuple()
+    x = cx.MatrixTuple(gaussian(rng, 2, 128, 128))
+    point = cx.MatrixTuple(0.5 * cx.boundary_scale(cx.Spectrahedron(J), x) * x.data)
+    upper5 = cx.MatrixTuple(np.triu(gaussian(rng, 2, 5, 5)))
+    files = {"J": J, "xi": cx.structure_constants(J).xi, "point": point, "upper5": upper5}
+    for key, t in files.items():
+        (root / f"{key}.json").write_text(jsonio.dumps(jsonio.tuple_to_obj(t)))
+    path = {key: str(root / f"{key}.json") for key in files}
+    requests = {
+        "eval.n128": ["eval", "--xi", path["xi"], "--sign", "plus", "--point", path["point"]],
+        "member.spec.n128": ["member", "--kind", "spec", "--tuple", path["J"],
+                             "--point", path["point"]],
+        "xi.closure.ut5": ["xi", "--tuple", path["upper5"], "--closure"],
+        "sv_probe.type_iv": ["sv-probe", "--tuple", path["J"], "--seed", "42"],
+        "examples.seed42": ["examples", "--seed", "42"],
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(cx.__file__).resolve().parents[1])}
+
+    def spawn(argv, inputs=tmp):
+        cmd = [sys.executable, "-m", "convexotonic", *argv]
+        subprocess.run(cmd, env=env, capture_output=True, check=True)
+
+    return {f"cli.{name}": partial(spawn, argv) for name, argv in requests.items()}
 
 
 def cases(cx, np):
@@ -243,6 +302,10 @@ def cases(cx, np):
     out["verify.properness.type_iv.s25"] = lambda: cx.verify_properness(E, samples=25)
     shift = cx.MatrixTuple.from_matrices([cx.type_i_tuple()[0]])
     out["verify.corollary.shift3.s25"] = lambda: cx.verify_corollary(shift, samples=25)
+    for kind, d in (("ut", 6), ("full", 6), ("full", 8)):
+        data = planted_theorem(cx, np, kind, d, seed=d)
+        out[f"theorem.planted.{kind}.d{d}"] = lambda data=data: theorem(cx, data)
+    out.update(cli_cases(cx, np))
     return out
 
 

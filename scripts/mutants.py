@@ -39,6 +39,14 @@ ROOT = Path(__file__).resolve().parents[1]
 ADD_ROWS_TEST = "tests/test_linalg.py::test_add_rows_is_one_add_per_row_bit_for_bit"
 KERNEL_FLAGS_TEST = "tests/test_genericity.py::test_kernel_flags_match_kernel_basis"
 NILPOTENT_KERNEL_TEST = "tests/test_linalg.py::test_a_nilpotent_tuple_has_a_joint_kernel"
+STACKED_RESOLVENT_TEST = "tests/test_stacks.py::test_stacked_resolvent_certifies_each_item"
+STACKED_MAP_TEST = "tests/test_stacks.py::test_stacked_map_call_is_one_point_calls"
+STACKED_BREACHES_TEST = "tests/test_stacks.py::test_some_rays_of_a_stack_breach_as_in_the_loop"
+STACKED_PROPERNESS_TEST = "tests/test_stacks.py::test_properness_reports_what_the_loop_reports"
+STACKED_THEOREM_TEST = "tests/test_stacks.py::test_theorem_transport_reports_what_the_loop_reports"
+STACKED_REFUSAL_TEST = (
+    "tests/test_stacks.py::test_a_refused_point_of_either_map_is_one_breach_as_in_the_loop"
+)
 
 MUTANTS = [
     # the sv-probe's chunk screen (OrthonormalSpan.add_rows)
@@ -114,10 +122,39 @@ MUTANTS = [
     {
         "name": "pencil-without-overflow-check",
         "file": "src/convexotonic/linalg.py",
-        "old": "    if not np.isfinite(prod).all():\n"
+        "old": "    if not np.isfinite(lam).all():\n"
         '        raise DomainBreach("the pencil overflows at this point")\n',
         "new": "",
         "tests": ["tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name"],
+    },
+    # stacked evaluation: one certificate and one breach per point
+    {
+        "name": "certificate-over-the-whole-stack",
+        "file": "src/convexotonic/linalg.py",
+        "old": "np.abs(inv).sum(axis=-2).max(axis=-1)",
+        "new": "np.abs(inv).sum(axis=-2).max()",
+        "tests": [STACKED_RESOLVENT_TEST, STACKED_MAP_TEST],
+    },
+    {
+        "name": "breaching-stack-counted-once",
+        "file": "src/convexotonic/verify.py",
+        "old": "breaches += len(x) - len(inside)",
+        "new": "breaches += min(1, len(x) - len(inside))",
+        "tests": [STACKED_BREACHES_TEST, STACKED_PROPERNESS_TEST],
+    },
+    {
+        "name": "round-trip-breach-dropped",
+        "file": "src/convexotonic/verify.py",
+        "old": "kept = _defined(returned)",
+        "new": "kept = np.ones(len(returned), dtype=bool)",
+        "tests": [STACKED_REFUSAL_TEST],
+    },
+    {
+        "name": "theorem-breach-dropped",
+        "file": "src/convexotonic/verify.py",
+        "old": "breaches = used - len(margins)",
+        "new": "breaches = 0",
+        "tests": [STACKED_BREACHES_TEST, STACKED_THEOREM_TEST],
     },
     # the certificate record of a tuple (algebras._Record)
     {

@@ -7,7 +7,6 @@ Hermitian pencil is positive semidefinite. Both are queried level by level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +20,7 @@ from .linalg import (
     hermitian_pencil,
     operator_norm,
     pencil_eval,
+    point_data,
 )
 
 
@@ -88,26 +88,32 @@ def ball_to_spectrahedron(ball: Spectraball) -> Spectrahedron:
     return Spectrahedron(MatrixTuple(out))
 
 
-def boundary_scale(domain, X: MatrixTuple) -> float:
-    """Largest t >= 0 with t*X inside the domain; may be math.inf.
+def boundary_scale(domain, X):
+    """Largest t >= 0 with t*X inside the domain; may be math.inf. At a stack
+    of directions (see linalg.point_data), the array of their scales, each
+    with the bits of a one-direction call.
 
     Closed forms: for balls 1 / ||pencil(X)||; for spectrahedra the pencil
     along the ray is I + t*H with H = pencil(X) + pencil(X)*, so the scale is
     -1 / min_eig(H) when that eigenvalue is negative and infinity otherwise.
-    Raises DomainBreach when the pencil or H has an entry that is not finite.
+    Raises DomainBreach when the pencil or H has an entry that is not finite,
+    and ZeroDirection for a zero direction, at any point of a stack.
     """
-    if X.max_abs() == 0.0:
+    x = point_data(X)
+    if not np.abs(x).max(axis=(-3, -2, -1), initial=0.0).all():
         raise ZeroDirection("boundary scale needs a nonzero direction")
     if isinstance(domain, Spectraball):
         norm = operator_norm(pencil_eval(domain.coeffs, X))
-        return math.inf if norm == 0.0 else 1.0 / norm
-    if isinstance(domain, Spectrahedron):
-        if not X.is_square:
+        scale = np.divide(1.0, norm, out=np.full_like(norm, np.inf), where=norm != 0.0)
+    elif isinstance(domain, Spectrahedron):
+        if x.shape[-2] != x.shape[-1]:
             raise NotSquare("spectrahedra are evaluated at square matrix tuples")
-        lam = pencil_eval(domain.coeffs, X)
-        h = lam + lam.conj().T
+        h = pencil_eval(domain.coeffs, X)
+        h += h.conj().swapaxes(-2, -1)  # H in the pencil's buffer
         if not np.isfinite(h).all():  # the sum can overflow where lam does not
             raise DomainBreach("the pencil overflows at this point")
-        lmin = float(np.linalg.eigvalsh(h)[0])
-        return math.inf if lmin >= 0.0 else -1.0 / lmin
-    raise TypeError(f"not a domain: {type(domain).__name__}")
+        lmin = np.linalg.eigvalsh(h)[..., 0]
+        scale = np.divide(-1.0, lmin, out=np.full_like(lmin, np.inf), where=~(lmin >= 0.0))
+    else:
+        raise TypeError(f"not a domain: {type(domain).__name__}")
+    return float(scale) if isinstance(X, MatrixTuple) else scale

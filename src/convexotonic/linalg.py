@@ -123,33 +123,59 @@ class MatrixTuple:
         return float(np.max(np.abs(self.data)))
 
 
-def pencil_eval(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
+def point_data(point) -> np.ndarray:
+    """The entries of a point argument: the (g, n, m) data of a MatrixTuple, or
+    a stack of s points given as one (s, g, n, m) array (s may be 0)."""
+    if isinstance(point, MatrixTuple):
+        return point.data
+    points = np.asarray(point, dtype=complex)
+    if points.ndim != 4:
+        raise ShapeMismatch(f"expected a tuple or an (s, g, n, m) stack, got ndim={points.ndim}")
+    return points
+
+
+def like_point(point, data):
+    """data, of the shape point_data(point) gives, as a MatrixTuple when point is one."""
+    return MatrixTuple(data) if isinstance(point, MatrixTuple) else data
+
+
+def _pencil(coeffs: MatrixTuple, point) -> np.ndarray:
+    """pencil_eval's value, unchecked."""
+    x = point_data(point)
+    g, d, e = coeffs.data.shape
+    *lead, h, n, m = x.shape
+    if g != h:
+        raise TupleLengthMismatch(f"tuple lengths differ: {g} coefficients vs {h} point slots")
+    prod = coeffs.data.reshape(g, d * e).T @ x.reshape(*lead, g, n * m)
+    return prod.reshape(*lead, d, e, n, m).swapaxes(-3, -2).reshape(*lead, d * n, e * m)
+
+
+def pencil_eval(coeffs: MatrixTuple, point) -> np.ndarray:
     """Evaluate the linear pencil sum_j coeffs[j] (x) point[j].
 
     For d x e coefficients and n x m points the result is dn x em, computed
     as one matrix product over j followed by a transpose into block order.
+    At a stack of points (see point_data) it is the (s, dn, em) stack of
+    their pencils, from one batched product whose items are the single
+    point's product, so each pencil has the bits of a one-point call.
     Raises DomainBreach when the product has an entry that is not finite.
     """
-    if coeffs.g != point.g:
-        raise TupleLengthMismatch(
-            f"tuple lengths differ: {coeffs.g} coefficients vs {point.g} point slots"
-        )
-    g, d, e = coeffs.data.shape
-    _, n, m = point.data.shape
-    prod = coeffs.data.reshape(g, d * e).T @ point.data.reshape(g, n * m)
-    if not np.isfinite(prod).all():
+    lam = _pencil(coeffs, point)
+    if not np.isfinite(lam).all():
         raise DomainBreach("the pencil overflows at this point")
-    return prod.reshape(d, e, n, m).transpose(0, 2, 1, 3).reshape(d * n, e * m)
+    return lam
 
 
-def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
+def hermitian_pencil(coeffs: MatrixTuple, point) -> np.ndarray:
     """Monic Hermitian pencil I + pencil + pencil*; exactly Hermitian as formed,
     since entry (i, k) adds the same two terms as the conjugate of entry (k, i).
-    Raises DomainBreach as pencil_eval does, and when the sum is not finite."""
-    if not (coeffs.is_square and point.is_square):
+    One per point of a stack. Raises DomainBreach as pencil_eval does, and
+    when the sum is not finite."""
+    x = point_data(point)
+    if not (coeffs.is_square and x.shape[-2] == x.shape[-1]):
         raise NotSquare("hermitian pencils need square coefficient and point tuples")
     lam = pencil_eval(coeffs, point)
-    h = np.eye(lam.shape[0], dtype=complex) + lam + lam.conj().T
+    h = np.eye(lam.shape[-1], dtype=complex) + lam + lam.conj().swapaxes(-2, -1)
     if not np.isfinite(h).all():  # lam + lam* can overflow where lam does not
         raise DomainBreach("the pencil overflows at this point")
     return h
@@ -157,42 +183,64 @@ def hermitian_pencil(coeffs: MatrixTuple, point: MatrixTuple) -> np.ndarray:
 
 def certified_inverse(m):
     """Inverse of m, refused with DomainBreach unless the 1-norm condition
-    number ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below COND_LIMIT.
+    number ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below
+    COND_LIMIT; of each matrix of a stack (..., k, k), refused when one is.
     """
-    return _certified_block_inverse(m, [0, len(m)], "matrix")
-
-
-def _certified_block_inverse(m, cuts, what):
-    """Inverse of an m that is block upper triangular on the diagonal blocks
-    m[a:b, a:b] of consecutive cuts a < b, refused as in certified_inverse with
-    a message naming what. Block back-substitution from the last
-    block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i; a diagonal
-    block equal to one already inverted reuses its inverse. One block is one
-    np.linalg.inv(m). An exactly singular diagonal block counts as infinite
-    condition, since m is singular exactly when one of them is.
-    """
-    try:
-        if len(cuts) == 2:
-            inv = np.linalg.inv(m)
-        else:
-            inv = np.zeros_like(m)
-            known = []  # (diagonal block, its inverse)
-            for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):
-                block = m[a:b, a:b]
-                block_inv = next((v for u, v in known if np.array_equal(u, block)), None)
-                if block_inv is None:
-                    block_inv = np.linalg.inv(block)
-                    known.append((block, block_inv))
-                inv[a:b, a:b] = block_inv
-                if b < len(m):
-                    inv[a:b, b:] = block_inv @ -(m[a:b, b:] @ inv[b:, b:])
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    else:
-        cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise DomainBreach(f"{what} is numerically singular (cond {cond:.3e})")
+    inv, cond = _block_inverse(m, [0, m.shape[-1]])
+    _refuse(cond, "matrix")
     return inv
+
+
+def _refuse(cond, what) -> None:
+    """Raise DomainBreach for the first condition number not below COND_LIMIT."""
+    certified = cond < COND_LIMIT  # false for nan too
+    if not certified.all():
+        worst = float(np.ravel(cond)[np.argmin(certified)])
+        raise DomainBreach(f"{what} is numerically singular (cond {worst:.3e})")
+
+
+def _inverse(m) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.linalg.inv of each matrix of m, and the mask of the exactly singular
+    ones (None when there are none), whose inverses are NaN. LAPACK refuses a
+    whole stack for one singular matrix, so then the singular ones are found
+    from their LU factors (slogdet sign 0) and the rest inverted again."""
+    try:
+        return np.linalg.inv(m), None
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(m)[0] == 0
+        inv = np.full_like(m, np.nan)
+        inv[~singular] = np.linalg.inv(m[~singular])
+        return inv, singular
+
+
+def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each matrix of a stack m (..., k, k) that is block upper
+    triangular on the diagonal blocks m[a:b, a:b] of consecutive cuts a < b,
+    and its 1-norm condition number. Block back-substitution from the last
+    block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i; a diagonal
+    block equal (over the whole stack) to one already inverted reuses its
+    inverse. One block is one np.linalg.inv(m). A matrix with an exactly
+    singular diagonal block is singular, and has infinite condition.
+    """
+    k = m.shape[-1]
+    if len(cuts) == 2:
+        inv, singular = _inverse(m)
+    else:
+        inv, singular = np.zeros_like(m), None
+        known = []  # (diagonal block, its inverse)
+        for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):
+            block = m[..., a:b, a:b]
+            block_inv = next((v for u, v in known if np.array_equal(u, block)), None)
+            if block_inv is None:
+                block_inv, bad = _inverse(block)
+                if bad is not None:
+                    singular = bad if singular is None else singular | bad
+                known.append((block, block_inv))
+            inv[..., a:b, a:b] = block_inv
+            if b < k:
+                inv[..., a:b, b:] = block_inv @ -(m[..., a:b, b:] @ inv[..., b:, b:])
+    cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    return inv, cond if singular is None else np.where(singular, np.inf, cond)
 
 
 def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
@@ -205,7 +253,7 @@ def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
 
 
 def resolvent(
-    coeffs: MatrixTuple, point: MatrixTuple, factor: float, what: str
+    coeffs: MatrixTuple, point, factor: float, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The certified inverse of the monic pencil I + factor * lam, with
     lam = pencil_eval(coeffs, point), and lam itself.
@@ -216,23 +264,42 @@ def resolvent(
     inverse. Raises NotSquare for a rectangular point and DomainBreach when
     lam overflows (see pencil_eval) or when the 1-norm condition number of
     the pencil (see certified_inverse) reaches COND_LIMIT.
+
+    At a stack of points (see point_data) both come as stacks, each item
+    with the bits of a one-point call, and each item is certified on its
+    own: nothing is raised for a point a one-point call would refuse, and
+    its inverse is NaN instead.
     """
-    if not point.is_square:
+    x = point_data(point)
+    if x.shape[-2] != x.shape[-1]:
         raise NotSquare("maps are evaluated at square matrix tuples")
-    lam = pencil_eval(coeffs, point)
+    lam = _pencil(coeffs, point)
+    stacked = lam.ndim == 3
+    if not (stacked or np.isfinite(lam).all()):
+        raise DomainBreach("the pencil overflows at this point")
     m = factor * lam
-    m += np.eye(len(m))  # a real identity: one complex temporary fewer
-    n = point.rows
-    cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, len(m)]
-    return _certified_block_inverse(m, cuts, what), lam
+    m += np.eye(m.shape[-1])  # a real identity: one complex temporary fewer
+    n = x.shape[-1]
+    cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, m.shape[-1]]
+    inv, cond = _block_inverse(m, cuts)
+    if stacked:  # an item whose pencil overflows has an infinite or nan cond
+        inv[~(cond < COND_LIMIT)] = np.nan
+    else:
+        _refuse(cond, what)
+    return inv, lam
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    m = _as_complex_matrix(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])  # np.linalg.norm(m, 2), bit for bit
+def operator_norm(m):
+    """Largest singular value; of each matrix of a stack (..., rows, cols),
+    as an array, each with the bits of a one-matrix call."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ShapeMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
+        norms = np.zeros(m.shape[:-2])
+    else:  # np.linalg.norm(m, 2), bit for bit
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

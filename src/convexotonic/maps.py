@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebras import _RECORDS, convexotonic_residual, is_convexotonic, structure_constants
 from .errors import DomainBreach
-from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, resolvent
+from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, point_data, resolvent
 
 
 class MapSign(str, Enum):
@@ -53,27 +53,42 @@ class ConvexotonicMap:
             return False
         return True
 
-    def __call__(self, X: MatrixTuple) -> MatrixTuple:
-        """Evaluate levelwise. When xi came from structure_constants(J) with
-        fewer rows d than elements g, read p(X) off the d^2 n x n blocks of
-        pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X), with
+    def __call__(self, X):
+        """Evaluate levelwise at a MatrixTuple X, or at each point of a stack
+        (see linalg.point_data) as one stack of images, each with the bits of
+        a one-point call; a point where that call would raise DomainBreach
+        gets a NaN image instead. When xi came from structure_constants(J)
+        with fewer rows d than elements g, read p(X) off the d^2 n x n blocks
+        of pencil_J(p(X)) = inv(M) @ pencil_J(X), M = I -/+ pencil_J(X), with
         the coordinates fixed when xi was solved; otherwise go through xi."""
         route = getattr(_RECORDS.get(self.xi), "route", None)
         if route is None:
             return self._through_xi(X)
         J, coords = route
         inv, lam = resolvent(J, X, self.sign.factor, "defining pencil")
-        d, n = J.rows, X.rows
-        blocks = (inv @ lam).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
-        return MatrixTuple((coords @ blocks).reshape(-1, n, n))
+        d, n = J.rows, point_data(X).shape[-1]
+        lead = lam.shape[:-2]
+        blocks = (inv @ lam).reshape(*lead, d, n, d, n).swapaxes(-3, -2)
+        blocks = blocks.reshape(*lead, d * d, n * n)
+        return _images(X, (coords @ blocks).reshape(*lead, len(coords), n, n), inv)
 
-    def _through_xi(self, X: MatrixTuple) -> MatrixTuple:
+    def _through_xi(self, X):
         """The single product of the row block [X[0] ... X[g-1]] with inv(M),
         M = I -/+ pencil_xi(X), cut into its g column blocks."""
         inv = resolvent(self.xi, X, self.sign.factor, "defining pencil")[0]
-        g, n = X.g, X.rows
-        row = X.data.transpose(1, 0, 2).reshape(n, g * n) @ inv
-        return MatrixTuple(row.reshape(n, g, n).transpose(1, 0, 2))
+        x = point_data(X)
+        *lead, g, n, _ = x.shape
+        row = x.swapaxes(-3, -2).reshape(*lead, n, g * n) @ inv
+        return _images(X, row.reshape(*lead, n, g, n).swapaxes(-3, -2), inv)
+
+
+def _images(X, images, inv):
+    """The images as a call at X returns them: a MatrixTuple for a MatrixTuple
+    X; for a stack, NaN at each refused point (resolvent made its inverse NaN)."""
+    if isinstance(X, MatrixTuple):
+        return MatrixTuple(images)
+    images[np.isnan(inv[:, 0, 0])] = np.nan
+    return images
 
 
 def transfer_residual(

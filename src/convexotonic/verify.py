@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -32,7 +31,16 @@ from .domains import (
 )
 from .errors import DomainBreach, ShapeMismatch, SpanViolation, TupleLengthMismatch
 from .genericity import necessary_conditions, sv_probe
-from .linalg import DEFAULT_TOL, MatrixTuple, certified_inverse, operator_norm, pencil_eval
+from .linalg import (
+    DEFAULT_TOL,
+    MatrixTuple,
+    certified_inverse,
+    hermitian_pencil,
+    like_point,
+    operator_norm,
+    pencil_eval,
+    point_data,
+)
 from .maps import ConvexotonicMap, MapSign
 from .sampling import check_count, random_directions, random_unimodular, seeded_rng
 
@@ -113,21 +121,38 @@ def type_iv_tuple() -> MatrixTuple:
 # ---------------------------------------------------------------------------
 # closed forms used as independent oracles by the catalog
 
-def mobius_conjugate(alpha: complex, X: MatrixTuple) -> MatrixTuple:
-    """(x1 (1-a x1)^-1, (1-a x1)^-1 x2 (1-a x1)^-1)."""
-    x1, x2 = X[0], X[1]
-    res = certified_inverse(np.eye(x1.shape[0], dtype=complex) - alpha * x1)
-    return MatrixTuple.from_matrices([x1 @ res, res @ x2 @ res])
+def mobius_conjugate(alpha: complex, X):
+    """(x1 (1-a x1)^-1, (1-a x1)^-1 x2 (1-a x1)^-1), at a point or at each
+    point of a stack (see linalg.point_data)."""
+    x = point_data(X)
+    x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
+    res = certified_inverse(np.eye(x1.shape[-1], dtype=complex) - alpha * x1)
+    return like_point(X, np.stack([x1 @ res, res @ x2 @ res], axis=-3))
 
 
-def quadratic_shift(X: MatrixTuple, sign: float = 1.0) -> MatrixTuple:
-    """(x1, x2 + sign * x1^2)."""
-    return MatrixTuple.from_matrices([X[0], X[1] + sign * (X[0] @ X[0])])
+def quadratic_shift(X, sign: float = 1.0):
+    """(x1, x2 + sign * x1^2), at a point or at each point of a stack."""
+    x = point_data(X)
+    x1 = x[..., 0, :, :]
+    return like_point(X, np.stack([x1, x[..., 1, :, :] + sign * (x1 @ x1)], axis=-3))
 
 
-def _tuple_distance(a: MatrixTuple, b: MatrixTuple) -> float:
-    """Largest operator_norm of a slot difference, from one stacked SVD."""
-    return float(np.max(np.linalg.svd(a.data - b.data, compute_uv=False)[:, 0]))
+def _tuple_distance(a, b):
+    """Largest operator_norm of a slot difference, from one stacked SVD; for
+    two stacks of points, the array of it for each pair."""
+    gaps = operator_norm(point_data(a) - point_data(b)).max(axis=-1)
+    return float(gaps) if isinstance(a, MatrixTuple) else gaps
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each item of a stack, bit for bit (from the same dot products)."""
+    v = x.reshape(len(x), 1, math.prod(x.shape[1:]))
+    return np.sqrt((v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2))[:, 0, 0])
+
+
+def _defined(images: np.ndarray) -> np.ndarray:
+    """Which images of a stack a map returned (see ConvexotonicMap.__call__)."""
+    return ~np.isnan(images[:, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +186,17 @@ class TheoremData:
 
 
 def _rays(rng, domain, levels, count):
-    """Random rays of a domain, `count` per level: the list of (level,
-    direction, boundary scale) of each ray with a finite boundary point at most
-    SCALE_CAP out, and the number of the other rays, which are skipped."""
+    """Random rays of a domain, `count` per level: for each level, (level, the
+    stack of the directions with a finite boundary point at most SCALE_CAP
+    out, their scales as a (k, 1, 1, 1) array), and the number of the other
+    rays, which are skipped."""
     rays = []
     for n in levels:
-        for x in map(MatrixTuple, random_directions(rng, domain.coeffs.g, n, count)):
-            scale = boundary_scale(domain, x)
-            if math.isfinite(scale) and scale <= SCALE_CAP:
-                rays.append((n, x, scale))
-    return rays, len(levels) * count - len(rays)
+        x = random_directions(rng, domain.coeffs.g, n, count)
+        scale = boundary_scale(domain, x)
+        kept = np.isfinite(scale) & (scale <= SCALE_CAP)
+        rays.append((n, x[kept], scale[kept, None, None, None]))
+    return rays, len(levels) * count - sum(len(x) for _, x, _ in rays)
 
 
 def _constants(report, name, solve, *args):
@@ -223,30 +249,23 @@ def verify_theorem(
 
     if convexotonic:
         p_map = ConvexotonicMap(sc.xi, MapSign.MINUS, tol)
-        target = Spectrahedron(b)
         rays, _ = _rays(rng, Spectraball(e), (1, 2, 3), samples)
-        worst = math.inf
-        breaches = 0
-        for _, x, scale in rays:
-            try:
-                point = MatrixTuple(0.9 * scale * x.data)
-                worst = min(worst, spec_membership(target, p_map(point), tol).margin)
-            except DomainBreach:
-                breaches += 1
+        images = [p_map(0.9 * scale * x) for _, x, scale in rays]
+        pencils = [hermitian_pencil(b, image[_defined(image)]) for image in images]
+        margins = np.concatenate([np.linalg.eigvalsh(h)[:, 0] for h in pencils])
+        worst = margins.min(initial=math.inf)
+        used = sum(len(x) for _, x, _ in rays)
+        breaches = used - len(margins)
         report.add(
             "ball-to-spectrahedron-transport",
             breaches == 0 and worst > -tol,
             max(0.0, -worst),
-            samples=len(rays),
+            samples=used,
             detail=f"min margin {worst:.3e}; domain breaches {breaches}",
         )
     else:
         reason = "constants missing" if sc is None else "constants not convexotonic"
-        report.add(
-            "ball-to-spectrahedron-transport",
-            False,
-            detail=f"not evaluated: {reason}",
-        )
+        report.add("ball-to-spectrahedron-transport", False, detail=f"not evaluated: {reason}")
     return report
 
 
@@ -257,68 +276,78 @@ def verify_ball_equality(
     rng = seeded_rng(seed)
     check_count(samples, "samples")
     report = VerificationReport("ball-equality")
-    points = [MatrixTuple(x) for n in (1, 2, 3) for x in random_directions(rng, e.g, n, samples)]
-    gaps = [abs(operator_norm(pencil_eval(e, x)) - operator_norm(pencil_eval(b, x))) for x in points]
-    worst = max(gaps, default=0.0)
-    report.add("pencil-norm-equality", worst < BALL_EQUALITY_TOL, worst, samples=len(points))
+    draws = [random_directions(rng, e.g, n, samples) for n in (1, 2, 3)]
+    gaps = [operator_norm(pencil_eval(e, x)) - operator_norm(pencil_eval(b, x)) for x in draws]
+    worst = np.abs(np.concatenate(gaps)).max(initial=0.0)
+    report.add("pencil-norm-equality", worst < BALL_EQUALITY_TOL, worst, samples=3 * samples)
     return report
 
 
-def _padded(data: np.ndarray, g: int) -> MatrixTuple:
-    """The tuple of `data` followed by zero matrices up to length g."""
-    zeros = np.zeros((g - len(data),) + data.shape[1:])
-    return MatrixTuple(np.concatenate([data, zeros]))
+def _padded(x: np.ndarray, g: int) -> np.ndarray:
+    """The stack x of points, each followed by zero matrices up to length g."""
+    zeros = np.zeros(x.shape[:-3] + (g - x.shape[-3],) + x.shape[-2:])
+    return np.concatenate([x, zeros], axis=-3)
 
 
-def _transport(report, spec, q_map, j, samples, seed, then=lambda inside, image: None):
+def _transport(report, spec, q_map, j, samples, seed, back=None):
     """Boundary and interior transport of the plus-sign map q_map of the algebra
     tuple j, which starts with the coefficients of spec.
 
-    On each finite ray of spec (levels 1-3, `samples` per level), evaluates q_map
-    at the boundary point and at the point 0.9 times as far out, both padded with
-    zeros to length j.g, and adds the boundary-to-boundary and
-    interior-to-interior checks on the pencil norms of j at the images. A
-    boundary image's norm may miss 1 by q_map.construction_tol times
-    max(1, ||pencil_j(X)||_F), the size of the pencil it is computed from.
-    `then(inside, image)` runs on each interior point inside the same
-    DomainBreach guard, so its breaches count too and fail both checks. Returns
-    the breach count, the number of rays used, and (level, image, then-value)
-    for each interior image.
-    """
+    On each level's stack of finite rays of spec (levels 1-3, `samples` per
+    level), evaluates q_map at the boundary points and at the points 0.9 times
+    as far out, padded with zeros to length j.g, and adds the
+    boundary-to-boundary and interior-to-interior checks on the pencil norms
+    of j at the images; a boundary image's norm may miss 1 by tol =
+    q_map.construction_tol times max(1, ||pencil_j(X)||_F). With back (the
+    inverse map), adds the round-trip-identity check, which may miss each
+    interior X by tol * ||X||_F. A ray is one breach, failing every check,
+    where a map refuses one of its points; what it gave before still counts.
+    Returns each level's stack of the interior images left."""
     rays, skipped = _rays(seeded_rng(seed), spec, (1, 2, 3), samples)
-    boundary_defect = 0.0
-    boundary_within = True
-    interior_worst = 0.0
-    interior = []
-    breaches = 0
-    for n, x, scale in rays:
-        try:
-            on = _padded(scale * x.data, j.g)
-            defect = abs(1.0 - operator_norm(pencil_eval(j, q_map(on))))
-            boundary_defect = max(boundary_defect, defect)
-            size = max(1.0, float(np.linalg.norm(pencil_eval(j, on))))
-            boundary_within &= defect < q_map.construction_tol * size
-            inside = _padded(0.9 * scale * x.data, j.g)
-            image = q_map(inside)
-            interior_worst = max(interior_worst, operator_norm(pencil_eval(j, image)))
-            interior.append((n, image, then(inside, image)))
-        except DomainBreach:
-            breaches += 1
+    tol = q_map.construction_tol
+    boundary_defect, boundary_within, interior_worst = 0.0, True, 0.0
+    breaches, images, gaps, limits = 0, [], [], []
+    for _, x, scale in rays:
+        on = _padded(scale * x, j.g)
+        image = q_map(on)
+        kept = _defined(image)
+        defect = np.abs(1.0 - operator_norm(pencil_eval(j, image[kept])))
+        boundary_defect = max(boundary_defect, defect.max(initial=0.0))
+        size = np.maximum(1.0, _frobenius(pencil_eval(j, on[kept])))
+        boundary_within &= bool(np.all(defect < tol * size))
+        inside = _padded(0.9 * scale[kept] * x[kept], j.g)
+        image = q_map(inside)
+        kept = _defined(image)
+        inside, image = inside[kept], image[kept]
+        interior_worst = max(interior_worst, operator_norm(pencil_eval(j, image)).max(initial=0.0))
+        if back is not None:
+            returned = back(image)
+            kept = _defined(returned)
+            inside, image = inside[kept], image[kept]
+            gaps.append(_tuple_distance(returned[kept], inside))
+            limits.append(tol * _frobenius(inside))
+        breaches += len(x) - len(inside)
+        images.append(image)
+    used = sum(len(x) for _, x, _ in rays)
     report.add(
         "boundary-to-boundary",
         breaches == 0 and boundary_within,
         boundary_defect,
-        samples=len(rays),
+        samples=used,
         detail=f"skipped {skipped} infinite rays; domain breaches {breaches}",
     )
     report.add(
         "interior-to-interior",
         breaches == 0 and interior_worst < 1.0,
         max(0.0, interior_worst - 1.0),
-        samples=len(rays),
+        samples=used,
         detail=f"max interior image norm {interior_worst:.6f}",
     )
-    return breaches, len(rays), interior
+    if back is not None:
+        gaps, limits = np.concatenate(gaps), np.concatenate(limits)
+        within = breaches == 0 and bool(np.all(gaps <= limits))
+        report.add("round-trip-identity", within, gaps.max(initial=0.0), samples=used)
+    return images
 
 
 def verify_properness(
@@ -334,21 +363,7 @@ def verify_properness(
     check_count(samples, "samples")
     report = VerificationReport("properness")
     q_map = ConvexotonicMap(structure_constants(J, tol).xi, MapSign.PLUS, tol)
-    p_map = q_map.inverse()
-
-    def round_trip(inside, image):
-        return _tuple_distance(p_map(image), inside), tol * float(np.linalg.norm(inside.data))
-
-    breaches, used, interior = _transport(
-        report, Spectrahedron(J), q_map, J, samples, seed, then=round_trip
-    )
-    gaps = [gap for _, _, gap in interior]
-    report.add(
-        "round-trip-identity",
-        breaches == 0 and all(gap <= limit for gap, limit in gaps),
-        max((gap for gap, _ in gaps), default=0.0),
-        samples=used,
-    )
+    _transport(report, Spectrahedron(J), q_map, J, samples, seed, back=q_map.inverse())
     return report
 
 
@@ -366,23 +381,14 @@ def verify_corollary(
     closure = algebra_closure(A, tol)
     j = closure.extended
     sc = structure_constants(j, tol)
-    report.add(
-        "closure",
-        True,
-        sc.residual,
-        detail=f"appended {closure.appended_count} elements",
-    )
+    report.add("closure", True, sc.residual, detail=f"appended {closure.appended_count} elements")
     q_map = ConvexotonicMap(sc.xi, MapSign.PLUS, tol)
-    _, used, interior = _transport(report, Spectrahedron(A), q_map, j, samples, seed)
-    same_level = [(a, b) for (n, a, _), (k, b, _) in combinations(interior, 2) if n == k]
-    min_gap = min((_tuple_distance(a, b) for a, b in same_level), default=math.inf)
-    report.add(
-        "injectivity-gap",
-        min_gap > 0.0,
-        0.0,
-        samples=len(same_level),
-        detail=f"min pairwise image gap {min_gap:.3e}",
-    )
+    images = _transport(report, Spectrahedron(A), q_map, j, samples, seed)
+    pairs = [(image, *np.triu_indices(len(image), 1)) for image in images]
+    gaps = np.concatenate([_tuple_distance(image[a], image[b]) for image, a, b in pairs])
+    min_gap = gaps.min(initial=math.inf)
+    detail = f"min pairwise image gap {min_gap:.3e}"
+    report.add("injectivity-gap", min_gap > 0.0, 0.0, samples=len(gaps), detail=detail)
     return report
 
 
@@ -391,10 +397,16 @@ def verify_corollary(
 
 def _check_oracle(report, name, cmap, oracle, rng, levels, count, scale, tol):
     """Add the check that cmap agrees with its closed form at `count` random
-    points per level, scaled by `scale` (every catalog example has g = 2)."""
-    points = [MatrixTuple(scale * x) for n in levels for x in random_directions(rng, 2, n, count)]
-    worst = max((_tuple_distance(cmap(x), oracle(x)) for x in points), default=0.0)
-    report.add(name, worst < tol, worst, samples=len(points))
+    points per level, scaled by `scale`, one stack a level (every catalog
+    example has g = 2). Raises DomainBreach where cmap refuses a point."""
+    worst = 0.0
+    for n in levels:
+        x = scale * random_directions(rng, 2, n, count)
+        image = cmap(x)
+        if not _defined(image).all():
+            raise DomainBreach(f"{name}: the map refuses a sampled point")
+        worst = max(worst, _tuple_distance(image, oracle(x)).max(initial=0.0))
+    report.add(name, worst < tol, worst, samples=len(levels) * count)
 
 
 def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
@@ -410,9 +422,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
 
     # --- nilpotent pair (type I) ------------------------------------------
     sc_f = structure_constants(f_tuple)
-    expected = np.zeros((2, 2, 2), dtype=complex)
-    expected[0, 0, 1] = 1.0
-    gap = _tuple_distance(sc_f.xi, MatrixTuple(expected))
+    gap = _tuple_distance(sc_f.xi, MatrixTuple(np.array([[[0, 1], [0, 0]], np.zeros((2, 2))])))
     report.add("type-i/structure-constants", gap < 1e-12, max(gap, sc_f.residual))
 
     spec_f = Spectrahedron(f_tuple)
@@ -439,21 +449,19 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     )
 
     # two candidate quadratic-shift maps; exactly one transports the boundary
-    ball_e = Spectraball(e_tuple)
     defects = {1.0: 0.0, -1.0: 0.0}
     rays, _ = _rays(rng, spec_f, (1, 2, 3), samples)
     for _, x, scale in rays:
-        on_boundary = MatrixTuple(scale * x.data)
         for sgn in (1.0, -1.0):
-            norm = operator_norm(pencil_eval(e_tuple, quadratic_shift(on_boundary, sgn)))
-            defects[sgn] = max(defects[sgn], abs(1.0 - norm))
+            norm = operator_norm(pencil_eval(e_tuple, quadratic_shift(scale * x, sgn)))
+            defects[sgn] = max(defects[sgn], np.abs(1.0 - norm).max(initial=0.0))
     minus_ok = defects[-1.0] < DEFAULT_TOL  # relative: the boundary norm is 1
     plus_fails = defects[1.0] > DEFAULT_TOL
     report.add(
         "type-i/candidate-map-transport",
         minus_ok and plus_fails,
         defects[-1.0],
-        samples=len(rays),
+        samples=sum(len(x) for _, x, _ in rays),
         detail=(
             f"boundary defect: (x1, x2 - x1^2) -> {defects[-1.0]:.3e}, "
             f"(x1, x2 + x1^2) -> {defects[1.0]:.3e}"
@@ -485,18 +493,16 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     gap = _tuple_distance(sc_r2.xi, r2)
     report.add("type-ii/structure-constants", gap < 1e-12, max(gap, sc_r2.residual))
 
-    def type_ii_oracle(x):
-        res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
-        return MatrixTuple.from_matrices([res @ x[0], res @ x[1]])
+    def corner_oracle(left, x):
+        # (r x1, r x2) for type II (left) and (x1 r, x2 r) for type III, r = (I + x1)^-1
+        res = certified_inverse(np.eye(x.shape[-1], dtype=complex) + x[:, 0])
+        return np.stack([res @ x[:, k] if left else x[:, k] @ res for k in (0, 1)], axis=1)
 
     q_r2 = ConvexotonicMap(sc_r2.xi, MapSign.PLUS)
-    name = "type-ii/closed-form"
-    _check_oracle(report, name, q_r2, type_ii_oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
+    oracle = partial(corner_oracle, True)
+    _check_oracle(report, "type-ii/closed-form", q_r2, oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
-    skew = np.zeros((2, 2, 2), dtype=complex)
-    skew[0, 0, 1] = -1.0
-    skew[0, 1, 0] = 1.0
-    witness = MatrixTuple(skew)
+    witness = MatrixTuple(np.array([[[0, -1], [1, 0]], np.zeros((2, 2))]))
     spec_r2 = Spectrahedron(r2)
     witness_scale = boundary_scale(spec_r2, witness)
     in_ball = ball_membership(Spectraball(r2), witness)
@@ -511,23 +517,15 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     report.merge(verify_properness(r2, samples=samples, seed=seed + 2), "type-ii")
 
     sc_r3 = structure_constants(r3)
-    expected3 = np.zeros((2, 2, 2), dtype=complex)
-    expected3[0] = np.eye(2)
-    gap = _tuple_distance(sc_r3.xi, MatrixTuple(expected3))
+    gap = _tuple_distance(sc_r3.xi, MatrixTuple(np.array([np.eye(2), np.zeros((2, 2))])))
     report.add("type-iii/structure-constants", gap < 1e-12, max(gap, sc_r3.residual))
 
-    def type_iii_oracle(x):
-        res = certified_inverse(np.eye(x.rows, dtype=complex) + x[0])
-        return MatrixTuple.from_matrices([x[0] @ res, x[1] @ res])
-
     q_r3 = ConvexotonicMap(sc_r3.xi, MapSign.PLUS)
-    name = "type-iii/closed-form"
-    _check_oracle(report, name, q_r3, type_iii_oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
+    oracle = partial(corner_oracle, False)
+    _check_oracle(report, "type-iii/closed-form", q_r3, oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
     # --- type IV ------------------------------------------------------------
-    sc_e = structure_constants(e_tuple)
-
-    q_e = ConvexotonicMap(sc_e.xi, MapSign.PLUS)
+    q_e = ConvexotonicMap(structure_constants(e_tuple).xi, MapSign.PLUS)
     oracle = partial(mobius_conjugate, -1.0)
     _check_oracle(report, "type-iv/closed-form", q_e, oracle, rng, (1, 2, 3), samples, 0.3, 1e-10)
 
@@ -539,7 +537,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     )
     report.merge(verify_properness(e_tuple, samples=samples, seed=seed + 3), "type-iv")
 
-    embed = ball_to_spectrahedron(ball_e)
+    embed = ball_to_spectrahedron(Spectraball(e_tuple))
     cond_embed = necessary_conditions(embed.coeffs)
     report.add(
         "ball-embedding/nilpotent-rejection",
@@ -557,10 +555,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         _check_oracle(report, name, p_alpha, oracle, rng, (3,), 50, 0.3, 1e-10)
 
     spot = ConvexotonicMap(e_tuple, MapSign.MINUS)(MatrixTuple.scalar([0.25, 0.125]))
-    spot_gap = max(
-        abs(spot[0][0, 0] - 1 / 3),
-        abs(spot[1][0, 0] - 2 / 9),
-    )
+    spot_gap = max(abs(spot[0][0, 0] - 1 / 3), abs(spot[1][0, 0] - 2 / 9))
     report.add("mobius-conjugate/spot-value", spot_gap < 1e-12, spot_gap)
 
     def composed(alpha, x):
@@ -575,9 +570,9 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
 
     def composed_closed(alpha, x):
         # (x1 r, r x2 r + (x1 r)^2) with r = (I - alpha x1)^-1, which commutes with x1
-        res = certified_inverse(np.eye(x.rows, dtype=complex) - alpha * x[0])
-        head = x[0] @ res
-        return MatrixTuple.from_matrices([head, res @ x[1] @ res + head @ head])
+        res = certified_inverse(np.eye(x.shape[-1], dtype=complex) - alpha * x[:, 0])
+        head = x[:, 0] @ res
+        return np.stack([head, res @ x[:, 1] @ res + head @ head], axis=1)
 
     lhs, rhs = partial(composed, alphas[3]), partial(composed_closed, alphas[3])
     _check_oracle(report, "composed-quadratic/closed-form", lhs, rhs, rng, (3,), 50, 0.25, 1e-10)

@@ -411,9 +411,10 @@ def test_operator_norm_of_an_empty_matrix_is_zero():
     assert operator_norm(np.zeros((0, 3))) == 0.0
 
 
-def test_operator_norm_refuses_a_3d_array():
-    with pytest.raises(ShapeMismatch, match="ndim=3"):
-        operator_norm(np.zeros((2, 2, 2)))
+def test_operator_norm_refuses_a_1d_array():
+    # a 3-d array is a stack of matrices, one norm each
+    with pytest.raises(ShapeMismatch, match="ndim=1"):
+        operator_norm(np.zeros(2))
 
 
 def test_operator_norm_jordan_closed_form():
