@@ -24,7 +24,11 @@ coordinates fixed when its constants were solved.
 
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
-for BUDGET_S seconds; cases whose names match --skip are left out (the
+for BUDGET_S seconds. The map-call, boundary-scale and operator-norm cases
+at levels 128 and 256 (the names TRACED matches) also report the peak of
+the memory one more call allocates through Python and numpy, traced by
+tracemalloc after the timed calls (LAPACK's work arrays are not traced);
+cases whose names match --skip are left out (the
 exponential nilpotency test of older commits cannot finish d=16, and their
 word-span chain takes seconds a call at d=32). The package
 is imported from --src (default: the src directory of this checkout), so one
@@ -50,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -57,6 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 15
 MIN_REPEAT = 3
 BUDGET_S = 30.0
+TRACED = re.compile(r"^(map_call|boundary_scale|operator_norm)\..*\.n(128|256)$")
 
 
 def gaussian(rng, *shape):
@@ -156,7 +162,7 @@ def cases(cx, np):
     # type IV has xi = (I, E12), whose pencil is block upper triangular; with
     # its elements swapped, xi = (E21, I) is lower triangular
     swapped = cx.MatrixTuple(cx.type_iv_tuple().data[::-1])
-    for name, J, levels in (("type_iv", cx.type_iv_tuple(), (16, 20, 32, 128, 256)),
+    for name, J, levels in (("type_iv", cx.type_iv_tuple(), (2, 16, 20, 32, 128, 256)),
                             ("type_iv_swapped", swapped, (128,))):
         xi = cx.structure_constants(J).xi
         q = cx.ConvexotonicMap(xi, cx.MapSign.PLUS)
@@ -167,7 +173,17 @@ def cases(cx, np):
             norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
             X = cx.MatrixTuple(0.5 * x / norm)
             out[f"map_call.{name}.n{n}"] = lambda q=q, X=X: q(X)
-    closures = (("ut", 3, 64), ("ut", 3, 128), ("ut", 6, 16), ("full", 7, 4), ("full", 7, 16))
+    # the transport workload's other level-n kernels, at its ray directions
+    E = cx.type_iv_tuple()
+    for n in (128, 256):
+        x = gaussian(np.random.default_rng([n, 8]), 2, n, n)
+        X = cx.MatrixTuple(x / np.abs(x).max())
+        for domain in (cx.Spectrahedron, cx.Spectraball):
+            name = f"boundary_scale.{domain.__name__.lower()}.type_iv.n{n}"
+            out[name] = lambda D=domain(E), X=X: cx.boundary_scale(D, X)
+        out[f"operator_norm.type_iv.n{n}"] = lambda E=E, X=X: cx.operator_norm(cx.pencil_eval(E, X))
+    closures = (("ut", 3, 2), ("ut", 3, 64), ("ut", 3, 128), ("ut", 6, 16), ("full", 7, 4),
+                ("full", 7, 16))
     for kind, d, n in closures:
         J = cx.algebra_closure(pair(cx, np, kind, d)).extended
         out[f"map_call.{kind}{d}.g{J.g}.n{n}"] = map_call(cx, np, J, n)
@@ -365,8 +381,17 @@ def main():
         results[name] = {
             "median_s": statistics.median(times), "min_s": min(times), "repeat": len(times)
         }
+        peak = ""
+        if TRACED.match(name):
+            tracemalloc.start()
+            try:
+                call()
+                results[name]["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            peak = f"  peak {results[name]['traced_peak_mib']:6.2f} MiB"
         print(f"{name:<40} median {results[name]['median_s'] * 1e3:9.3f} ms"
-              f"  min {results[name]['min_s'] * 1e3:9.3f} ms", file=sys.stderr)
+              f"  min {results[name]['min_s'] * 1e3:9.3f} ms{peak}", file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     run = doc["runs"].setdefault(args.label, {"cases": {}})

@@ -39,6 +39,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ADD_ROWS_TEST = "tests/test_linalg.py::test_add_rows_is_one_add_per_row_bit_for_bit"
 KERNEL_FLAGS_TEST = "tests/test_genericity.py::test_kernel_flags_match_kernel_basis"
 NILPOTENT_KERNEL_TEST = "tests/test_linalg.py::test_a_nilpotent_tuple_has_a_joint_kernel"
+BLOCK_RESOLVENT_TEST = "tests/test_linalg.py::test_block_resolvent_matches_the_dense_inverse"
+EQUAL_BLOCKS_TEST = "tests/test_linalg.py::test_equal_diagonal_blocks_are_inverted_once"
 STACKED_RESOLVENT_TEST = "tests/test_stacks.py::test_stacked_resolvent_certifies_each_item"
 STACKED_MAP_TEST = "tests/test_stacks.py::test_stacked_map_call_is_one_point_calls"
 STACKED_BREACHES_TEST = "tests/test_stacks.py::test_some_rays_of_a_stack_breach_as_in_the_loop"
@@ -122,10 +124,64 @@ MUTANTS = [
     {
         "name": "pencil-without-overflow-check",
         "file": "src/convexotonic/linalg.py",
-        "old": "    if not np.isfinite(lam).all():\n"
+        "old": "    lam = _pencil(coeffs, point)\n"
+        "    if not np.isfinite(lam).all():\n"
         '        raise DomainBreach("the pencil overflows at this point")\n',
-        "new": "",
+        "new": "    lam = _pencil(coeffs, point)\n",
         "tests": ["tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name"],
+    },
+    # the block inverse written into the pencil's own buffer
+    {
+        "name": "diagonal-blocks-compared-against-views",
+        "file": "src/convexotonic/linalg.py",
+        "old": "known.append((block.copy(), block_inv))",
+        "new": "known.append((block, block_inv))",
+        "tests": [
+            EQUAL_BLOCKS_TEST, "tests/test_maps.py::test_type_iv_inverts_one_block_per_resolvent"
+        ],
+    },
+    {
+        "name": "norm-read-after-the-overwrite",
+        "file": "src/convexotonic/linalg.py",
+        "old": "cond = m_norm * np.abs(inv)",
+        "new": "cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv)",
+        "tests": ["tests/test_linalg.py::test_block_path_certifies_the_assembled_inverse"],
+    },
+    {
+        "name": "diagonal-block-written-before-the-update",
+        "file": "src/convexotonic/linalg.py",
+        "old": "            if b < k:\n"
+        "                rest = m[..., a:b, b:] @ inv[..., b:, b:]\n"
+        "                inv[..., a:b, b:] = block_inv @ np.negative(rest, out=rest)\n"
+        "            inv[..., a:b, a:b] = block_inv\n",
+        "new": "            inv[..., a:b, a:b] = block_inv\n"
+        "            if b < k:\n"
+        "                rest = m[..., a:b, b:] @ inv[..., b:, b:]\n"
+        "                inv[..., a:b, b:] = block_inv @ np.negative(rest, out=rest)\n",
+        "tests": [BLOCK_RESOLVENT_TEST, EQUAL_BLOCKS_TEST],
+        "note": "equivalent: the update reads block row a of m right of the diagonal block "
+        "and the inverse's rows below it, never the diagonal block",
+    },
+    {
+        "name": "monic-pencil-keeps-negative-zeros",
+        "file": "src/convexotonic/linalg.py",
+        "old": "    m += 0.0  # -0.0 + 0.0 is 0.0, as adding the identity's zeros made it\n",
+        "new": "",
+        "tests": [BLOCK_RESOLVENT_TEST],
+    },
+    {
+        "name": "hermitian-pencil-keeps-negative-zeros",
+        "file": "src/convexotonic/linalg.py",
+        "old": "        lam += 0.0  # -0.0 + 0.0 is 0.0, as adding the identity's zeros made it\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_linalg.py::test_adjoint_sums_have_the_bits_of_the_whole_matrix_sums"],
+    },
+    {
+        "name": "block-rows-inverted-from-the-top",
+        "file": "src/convexotonic/linalg.py",
+        "old": "for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):",
+        "new": "for a, b in zip(cuts[:-1], cuts[1:]):",
+        "tests": [BLOCK_RESOLVENT_TEST],
     },
     # stacked evaluation: one certificate and one breach per point
     {

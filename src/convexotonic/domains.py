@@ -12,10 +12,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainBreach, NotSquare, ZeroDirection
+from .errors import NotSquare, ZeroDirection
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
+    _add_adjoint,
     check_tol,
     hermitian_pencil,
     operator_norm,
@@ -108,10 +109,7 @@ def boundary_scale(domain, X):
     elif isinstance(domain, Spectrahedron):
         if x.shape[-2] != x.shape[-1]:
             raise NotSquare("spectrahedra are evaluated at square matrix tuples")
-        h = pencil_eval(domain.coeffs, X)
-        h += h.conj().swapaxes(-2, -1)  # H in the pencil's buffer
-        if not np.isfinite(h).all():  # the sum can overflow where lam does not
-            raise DomainBreach("the pencil overflows at this point")
+        h = _add_adjoint(pencil_eval(domain.coeffs, X), x.shape[-1], monic=False)
         lmin = np.linalg.eigvalsh(h)[..., 0]
         scale = np.divide(-1.0, lmin, out=np.full_like(lmin, np.inf), where=~(lmin >= 0.0))
     else:

@@ -16,8 +16,9 @@ from .errors import DomainBreach, NotSquare, ShapeMismatch, TupleLengthMismatch
 
 DEFAULT_TOL = 1e-8
 COND_LIMIT = 1e12  # refuse evaluations nearer to a singular pencil than this
-# resolvent inverts a block-triangular pencil block by block from this level
-# n on; below it one dense inverse is faster (README caveats)
+# from this level n on, resolvent inverts a block-triangular pencil block by
+# block, and pencils and their Hermitian sums are formed in place block by
+# block; below it one dense step is faster (README caveats)
 BLOCK_LEVEL = 20
 
 
@@ -147,7 +148,15 @@ def _pencil(coeffs: MatrixTuple, point) -> np.ndarray:
     if g != h:
         raise TupleLengthMismatch(f"tuple lengths differ: {g} coefficients vs {h} point slots")
     prod = coeffs.data.reshape(g, d * e).T @ x.reshape(*lead, g, n * m)
-    return prod.reshape(*lead, d, e, n, m).swapaxes(-3, -2).reshape(*lead, d * n, e * m)
+    if n < BLOCK_LEVEL:  # one copy into block order; a row loop costs more at small n
+        return prod.reshape(*lead, d, e, n, m).swapaxes(-3, -2).reshape(*lead, d * n, e * m)
+    # block order in place: each coefficient row (e, n, m) -> (n, e, m) through one buffer
+    rows = prod.reshape(*lead, d, e * n * m)
+    row = np.empty((*lead, e, n, m), dtype=complex)
+    for i in range(d):
+        row[...] = rows[..., i, :].reshape(*lead, e, n, m)
+        rows[..., i, :].reshape(*lead, n, e, m)[...] = row.swapaxes(-3, -2)
+    return prod.reshape(*lead, d * n, e * m)
 
 
 def pencil_eval(coeffs: MatrixTuple, point) -> np.ndarray:
@@ -174,11 +183,29 @@ def hermitian_pencil(coeffs: MatrixTuple, point) -> np.ndarray:
     x = point_data(point)
     if not (coeffs.is_square and x.shape[-2] == x.shape[-1]):
         raise NotSquare("hermitian pencils need square coefficient and point tuples")
-    lam = pencil_eval(coeffs, point)
-    h = np.eye(lam.shape[-1], dtype=complex) + lam + lam.conj().swapaxes(-2, -1)
-    if not np.isfinite(h).all():  # lam + lam* can overflow where lam does not
+    return _add_adjoint(pencil_eval(coeffs, point), x.shape[-1], monic=True)
+
+
+def _add_adjoint(lam, n: int, monic: bool) -> np.ndarray:
+    """lam + lam*, or I + lam + lam* when monic, formed in lam's buffer (from
+    level n = BLOCK_LEVEL on one pair of n x n blocks at a time) with the bits
+    of the whole-matrix sum. Raises DomainBreach when a sum is not finite."""
+    k = lam.shape[-1]
+    n = n if n >= BLOCK_LEVEL else k  # a block loop costs more at small n
+    if monic:
+        lam += 0.0  # -0.0 + 0.0 is 0.0, as adding the identity's zeros made it
+    for p in range(0, k, n):
+        for q in range(p, k, n):
+            upper, lower = lam[..., p : p + n, q : q + n], lam[..., q : q + n, p : p + n]
+            upper_h = upper.conj().swapaxes(-2, -1)  # a copy: the sums read lam
+            if monic and p == q:
+                np.einsum("...ii->...i", upper)[...] += 1.0
+            upper += upper_h if p == q else lower.conj().swapaxes(-2, -1)
+            if p != q:
+                lower += upper_h
+    if not np.isfinite(lam).all():
         raise DomainBreach("the pencil overflows at this point")
-    return h
+    return lam
 
 
 def certified_inverse(m):
@@ -221,13 +248,16 @@ def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
     block equal (over the whole stack) to one already inverted reuses its
     inverse. One block is one np.linalg.inv(m). A matrix with an exactly
     singular diagonal block is singular, and has infinite condition.
+    With more than one block the inverse overwrites m, which is zero below
+    its diagonal blocks: row block a of m is last read as the inverse's is written.
     """
     k = m.shape[-1]
+    m_norm = np.abs(m).sum(axis=-2).max(axis=-1)  # before m is overwritten
     if len(cuts) == 2:
         inv, singular = _inverse(m)
     else:
-        inv, singular = np.zeros_like(m), None
-        known = []  # (diagonal block, its inverse)
+        inv, singular = m, None
+        known = []  # (a copy of a diagonal block, its inverse)
         for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):
             block = m[..., a:b, a:b]
             block_inv = next((v for u, v in known if np.array_equal(u, block)), None)
@@ -235,11 +265,13 @@ def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
                 block_inv, bad = _inverse(block)
                 if bad is not None:
                     singular = bad if singular is None else singular | bad
-                known.append((block, block_inv))
-            inv[..., a:b, a:b] = block_inv
+                known.append((block.copy(), block_inv))
             if b < k:
-                inv[..., a:b, b:] = block_inv @ -(m[..., a:b, b:] @ inv[..., b:, b:])
-    cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+                rest = m[..., a:b, b:] @ inv[..., b:, b:]
+                inv[..., a:b, b:] = block_inv @ np.negative(rest, out=rest)
+            inv[..., a:b, a:b] = block_inv
+        del known, rest  # not held beside the norm's temporary below
+    cond = m_norm * np.abs(inv).sum(axis=-2).max(axis=-1)
     return inv, cond if singular is None else np.where(singular, np.inf, cond)
 
 
@@ -252,11 +284,10 @@ def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
     return [0, *(k for k in range(1, d) if not nonzero[k:, :k].any()), d]
 
 
-def resolvent(
-    coeffs: MatrixTuple, point, factor: float, what: str
-) -> tuple[np.ndarray, np.ndarray]:
+def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarray:
     """The certified inverse of the monic pencil I + factor * lam, with
-    lam = pencil_eval(coeffs, point), and lam itself.
+    lam = pencil_eval(coeffs, point). The monic pencil is formed in lam's
+    buffer, and on the block path below inverted there too.
 
     At levels n >= BLOCK_LEVEL the pencil is block upper triangular on the
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
@@ -265,20 +296,21 @@ def resolvent(
     lam overflows (see pencil_eval) or when the 1-norm condition number of
     the pencil (see certified_inverse) reaches COND_LIMIT.
 
-    At a stack of points (see point_data) both come as stacks, each item
-    with the bits of a one-point call, and each item is certified on its
-    own: nothing is raised for a point a one-point call would refuse, and
-    its inverse is NaN instead.
+    At a stack of points (see point_data) the inverses come as a stack, each
+    item with the bits of a one-point call, and each item is certified on
+    its own: nothing is raised for a point a one-point call would refuse,
+    and its inverse is NaN instead.
     """
     x = point_data(point)
     if x.shape[-2] != x.shape[-1]:
         raise NotSquare("maps are evaluated at square matrix tuples")
-    lam = _pencil(coeffs, point)
-    stacked = lam.ndim == 3
-    if not (stacked or np.isfinite(lam).all()):
+    m = _pencil(coeffs, point)
+    stacked = m.ndim == 3
+    if not (stacked or np.isfinite(m).all()):
         raise DomainBreach("the pencil overflows at this point")
-    m = factor * lam
-    m += np.eye(m.shape[-1])  # a real identity: one complex temporary fewer
+    m *= factor
+    m += 0.0  # -0.0 + 0.0 is 0.0, as adding the identity's zeros made it
+    np.einsum("...ii->...i", m)[...] += 1.0
     n = x.shape[-1]
     cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, m.shape[-1]]
     inv, cond = _block_inverse(m, cuts)
@@ -286,7 +318,7 @@ def resolvent(
         inv[~(cond < COND_LIMIT)] = np.nan
     else:
         _refuse(cond, what)
-    return inv, lam
+    return inv
 
 
 def operator_norm(m):

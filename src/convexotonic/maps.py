@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebras import _RECORDS, convexotonic_residual, is_convexotonic, structure_constants
 from .errors import DomainBreach
-from .linalg import DEFAULT_TOL, MatrixTuple, operator_norm, pencil_eval, point_data, resolvent
+from .linalg import DEFAULT_TOL, MatrixTuple, _pencil, operator_norm, pencil_eval, point_data, resolvent
 
 
 class MapSign(str, Enum):
@@ -65,17 +65,18 @@ class ConvexotonicMap:
         if route is None:
             return self._through_xi(X)
         J, coords = route
-        inv, lam = resolvent(J, X, self.sign.factor, "defining pencil")
+        inv = resolvent(J, X, self.sign.factor, "defining pencil")
         d, n = J.rows, point_data(X).shape[-1]
-        lead = lam.shape[:-2]
-        blocks = (inv @ lam).reshape(*lead, d, n, d, n).swapaxes(-3, -2)
+        lead = inv.shape[:-2]
+        # formed again, unchecked: at a stack resolvent refused each overflowing point
+        blocks = (inv @ _pencil(J, X)).reshape(*lead, d, n, d, n).swapaxes(-3, -2)
         blocks = blocks.reshape(*lead, d * d, n * n)
         return _images(X, (coords @ blocks).reshape(*lead, len(coords), n, n), inv)
 
     def _through_xi(self, X):
         """The single product of the row block [X[0] ... X[g-1]] with inv(M),
         M = I -/+ pencil_xi(X), cut into its g column blocks."""
-        inv = resolvent(self.xi, X, self.sign.factor, "defining pencil")[0]
+        inv = resolvent(self.xi, X, self.sign.factor, "defining pencil")
         x = point_data(X)
         *lead, g, n, _ = x.shape
         row = x.swapaxes(-3, -2).reshape(*lead, n, g * n) @ inv
@@ -102,8 +103,8 @@ def transfer_residual(
     identity holds by construction for an image read off the pencil of J.
     """
     image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)._through_xi(X)
-    inv, lam = resolvent(J, X, sign.factor, "transfer pencil")
-    return operator_norm(pencil_eval(J, image) - inv @ lam)
+    inv = resolvent(J, X, sign.factor, "transfer pencil")
+    return operator_norm(pencil_eval(J, image) - inv @ pencil_eval(J, X))
 
 
 def jacobian_at_zero(cmap: ConvexotonicMap) -> np.ndarray:

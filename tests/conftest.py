@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -74,6 +75,17 @@ def half_norm_point(rng, coeffs, n):
     """A level-n point whose pencil has operator norm 1/2."""
     x = MatrixTuple(complex_gaussian(rng, coeffs.g, n, n))
     return MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(coeffs, x), 2))
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory Python and numpy allocate during call(), in
+    bytes; LAPACK's own work arrays are not traced."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_path():

@@ -23,7 +23,14 @@ from convexotonic import (
     type_iv_tuple,
 )
 from convexotonic.errors import DomainBreach, NotSquare
-from convexotonic.sampling import random_directions, random_tuple, random_unitary, seeded_rng
+from conftest import traced_peak
+from convexotonic.sampling import (
+    complex_gaussian,
+    random_directions,
+    random_tuple,
+    random_unitary,
+    seeded_rng,
+)
 
 
 def scalar(*values):
@@ -180,6 +187,16 @@ def test_boundary_scale_refuses_a_non_domain(e_tuple):
 def test_boundary_scale_zero_direction(e_tuple):
     with pytest.raises(ZeroDirection):
         boundary_scale(Spectraball(e_tuple), MatrixTuple.zeros(2, 2))
+
+
+@pytest.mark.parametrize("domain", [Spectraball, Spectrahedron])
+def test_boundary_scale_holds_one_pencil_sized_buffer(e_tuple, domain):
+    # at n = 256 the pencil takes 4 MiB and its product 2 MiB more while it
+    # is put in block order; H = pencil + pencil* is formed in the pencil's
+    # buffer, one pair of n x n blocks (1 MiB each) at a time
+    n = 256
+    X = MatrixTuple(complex_gaussian(np.random.default_rng(10), 2, n, n))
+    assert traced_peak(lambda: boundary_scale(domain(e_tuple), X)) <= 6.5 * 2**20
 
 
 # real entries near 1e200 in a level-2 point and in the coefficients: the

@@ -33,6 +33,7 @@ from conftest import (
     half_norm_point,
     inv_calls,
     random_triangular_algebra,
+    traced_peak,
 )
 from convexotonic.algebras import _RECORDS, _Record
 from convexotonic.linalg import BLOCK_LEVEL
@@ -372,8 +373,7 @@ def test_algebra_route_evaluates_closures_at_every_scale(c):
     q = ConvexotonicMap(structure_constants(J).xi, MapSign.PLUS)
     x = MatrixTuple(complex_gaussian(rng, J.g, 3, 3))
     X = MatrixTuple(0.5 * x.data / np.linalg.norm(pencil_eval(J, x), 2))
-    inv, lam = maps.resolvent(J, X, 1.0, "transfer pencil")
-    expected = inv @ lam
+    expected = maps.resolvent(J, X, 1.0, "transfer pencil") @ pencil_eval(J, X)
     assert np.linalg.norm(pencil_eval(J, q(X)) - expected, 2) <= 1e-12 * np.linalg.norm(expected, 2)
 
 
@@ -538,6 +538,15 @@ def test_type_iv_inverts_one_block_per_resolvent(monkeypatch):
     q(X)
     assert q.domain_check(X)
     assert shapes == [(n, n), (n, n)]
+
+
+def test_a_type_iv_map_call_holds_one_pencil_sized_buffer():
+    # at n = 256 the pencil takes 4 MiB: it is formed, made monic and
+    # inverted in one buffer, beside the 2 MiB image row and its copy
+    n = 256
+    q = ConvexotonicMap(structure_constants(type_iv_tuple()).xi, MapSign.PLUS)
+    X = half_norm_point(np.random.default_rng(8), q.xi, n)
+    assert traced_peak(lambda: q(X)) <= 8.5 * 2**20
 
 
 def test_block_path_refuses_the_singular_type_iv_point_as_before():
