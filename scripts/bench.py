@@ -40,8 +40,9 @@ others) for each checkout in turn. BLAS runs on one thread
 (CONVEXOTONIC_NUM_THREADS=1) unless that variable is set.
 
 This is a measurement, not a test: nothing asserts on a timing. The tier-1
-suite only builds the cases and calls each map-call case, the two
-necessary-condition cases, sv_probe.generic.d3 and sv_probe.mix once, so a
+suite only builds the cases and calls each map-call case, the stacked map
+call with a singular item, the two necessary-condition cases,
+sv_probe.generic.d3 and sv_probe.mix once, so a
 change that breaks the script fails there; it spawns no CLI case.
 """
 
@@ -173,6 +174,13 @@ def cases(cx, np):
             norm = np.linalg.norm(cx.pencil_eval(xi, cx.MatrixTuple(x)), 2)
             X = cx.MatrixTuple(0.5 * x / norm)
             out[f"map_call.{name}.n{n}"] = lambda q=q, X=X: q(X)
+    # a stack of 75 level-3 points with (-I, 0), a pole of type IV's plus-sign
+    # map, in the middle: LAPACK refuses the stack, so each item is inverted alone
+    q = cx.ConvexotonicMap(cx.structure_constants(cx.type_iv_tuple()).xi, cx.MapSign.PLUS)
+    x = gaussian(np.random.default_rng([3, 75]), 75, 2, 3, 3)
+    x *= 0.5 / cx.operator_norm(cx.pencil_eval(q.xi, x))[:, None, None, None]
+    x[37] = [-np.eye(3), np.zeros((3, 3))]
+    out["map_stack.type_iv.singular_item.n3.s75"] = lambda q=q, x=x: q(x)
     # the transport workload's other level-n kernels, at its ray directions
     E = cx.type_iv_tuple()
     for n in (128, 256):

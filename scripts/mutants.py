@@ -49,6 +49,15 @@ STACKED_THEOREM_TEST = "tests/test_stacks.py::test_theorem_transport_reports_wha
 STACKED_REFUSAL_TEST = (
     "tests/test_stacks.py::test_a_refused_point_of_either_map_is_one_breach_as_in_the_loop"
 )
+SINGULAR_ITEM_TEST = (
+    "tests/test_stacks.py::test_an_exactly_singular_item_leaves_the_rest_of_its_stack"
+)
+SCALING_TEST = (
+    "tests/test_genericity.py::test_a_power_of_two_scaling_keeps_the_verdicts_or_is_refused"
+)
+FLOAT_RANGE_CLI_TEST = (
+    "tests/test_cli.py::test_sv_probe_on_a_tuple_out_of_float_range_is_one_json_error"
+)
 
 MUTANTS = [
     # the sv-probe's chunk screen (OrthonormalSpan.add_rows)
@@ -120,6 +129,31 @@ MUTANTS = [
         "tests": [KERNEL_FLAGS_TEST],
         "note": "equivalent: conjugation leaves the singular values unchanged",
     },
+    # refusals at the ends of the float range
+    {
+        "name": "conditions-accept-overflowing-singular-values",
+        "file": "src/convexotonic/genericity.py",
+        "old": "    if not np.isfinite(s).all():\n"
+        '        raise DomainBreach("the singular values of the tuple overflow")\n',
+        "new": "",
+        "tests": [SCALING_TEST, FLOAT_RANGE_CLI_TEST],
+    },
+    {
+        "name": "nilpotency-accepts-overflowing-norms",
+        "file": "src/convexotonic/linalg.py",
+        "old": "    if not (np.isfinite(norms).all() and np.isfinite(gens).all()):\n"
+        '        raise DomainBreach("the tuple overflows when scaled to unit norm")\n',
+        "new": "",
+        "tests": [SCALING_TEST],
+    },
+    {
+        "name": "probe-accepts-overflowing-points",
+        "file": "src/convexotonic/genericity.py",
+        "old": "        if not np.isfinite(points).all():\n"
+        '            raise DomainBreach("the probe\'s points overflow")\n',
+        "new": "",
+        "tests": [SCALING_TEST, FLOAT_RANGE_CLI_TEST],
+    },
     # the pencil kernel
     {
         "name": "pencil-without-overflow-check",
@@ -184,6 +218,22 @@ MUTANTS = [
         "tests": [BLOCK_RESOLVENT_TEST],
     },
     # stacked evaluation: one certificate and one breach per point
+    {
+        "name": "nan-condition-number-not-read-as-infinite",
+        "file": "src/convexotonic/linalg.py",
+        "old": "return inv, np.where(np.isnan(cond), np.inf, cond)",
+        "new": "return inv, cond",
+        "tests": [
+            SINGULAR_ITEM_TEST, "tests/test_linalg.py::test_block_path_refuses_an_exactly_singular_pencil"
+        ],
+    },
+    {
+        "name": "singular-stack-inverted-as-all-nan",
+        "file": "src/convexotonic/linalg.py",
+        "old": "return np.array([_inverse(item) for item in m]) if m.ndim > 2 else np.full_like(",
+        "new": "return np.full_like(",
+        "tests": [SINGULAR_ITEM_TEST],
+    },
     {
         "name": "certificate-over-the-whole-stack",
         "file": "src/convexotonic/linalg.py",

@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
     _add_adjoint,
+    _pencil,
     check_tol,
     hermitian_pencil,
     operator_norm,
@@ -101,7 +102,7 @@ def boundary_scale(domain, X):
     and ZeroDirection for a zero direction, at any point of a stack.
     """
     x = point_data(X)
-    if not np.abs(x).max(axis=(-3, -2, -1), initial=0.0).all():
+    if not x.any(axis=(-3, -2, -1)).all():
         raise ZeroDirection("boundary scale needs a nonzero direction")
     if isinstance(domain, Spectraball):
         norm = operator_norm(pencil_eval(domain.coeffs, X))
@@ -109,7 +110,7 @@ def boundary_scale(domain, X):
     elif isinstance(domain, Spectrahedron):
         if x.shape[-2] != x.shape[-1]:
             raise NotSquare("spectrahedra are evaluated at square matrix tuples")
-        h = _add_adjoint(pencil_eval(domain.coeffs, X), x.shape[-1], monic=False)
+        h = _add_adjoint(_pencil(domain.coeffs, X), x.shape[-1], monic=False)
         lmin = np.linalg.eigvalsh(h)[..., 0]
         scale = np.divide(-1.0, lmin, out=np.full_like(lmin, np.inf), where=~(lmin >= 0.0))
     else:

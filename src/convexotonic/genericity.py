@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare, ShapeMismatch
+from .errors import DomainBreach, NotSquare, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
     OrthonormalSpan,
     check_tol,
     is_nilpotent,
+    pencil_eval,
 )
 from .sampling import check_count, complex_gaussians, seeded_rng
 
@@ -61,12 +62,15 @@ def necessary_conditions(A: MatrixTuple, tol: float = DEFAULT_TOL) -> NecessaryC
     the flag's first step finds a unit v with the sum over j of
     ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes the joint-kernel test,
     except that each generator is_nilpotent drops (norm at most tol times the
-    largest) loosens that bound, to sqrt(1 + m) * tol with m dropped."""
+    largest) loosens that bound, to sqrt(1 + m) * tol with m dropped. Raises
+    DomainBreach when a singular value overflows."""
     if not A.is_square:
         raise NotSquare("sv-genericity is defined for square tuples")
     check_tol(tol)
     stacks = np.stack((A.data, A.data.conj().transpose(0, 2, 1))).reshape(2, -1, A.rows)
     s = np.linalg.svd(stacks, compute_uv=False)
+    if not np.isfinite(s).all():
+        raise DomainBreach("the singular values of the tuple overflow")
     kernel, cokernel = s[:, -1] <= tol * s[:, 0]
     reasons = [r for r, found in (("joint-kernel", kernel), ("joint-cokernel", cokernel)) if found]
     if kernel and is_nilpotent(A, tol):
@@ -128,7 +132,8 @@ def sv_probe(
     can join a closed pool, so the probe stops drawing once both pools are
     closed; its inconclusive verdict covers all trials, and trials_used says
     so. Raises TypeError for a trials that is a bool or not an integer and
-    ValueError for one below 1.
+    ValueError for one below 1, and DomainBreach when a draw's pencil (see
+    pencil_eval) or its scaled point overflows.
     """
     rng = seeded_rng(seed)  # first: every tuple checks the seed
     trials = check_count(trials, "trials", least=1)
@@ -139,17 +144,19 @@ def sv_probe(
     alpha_span, beta_span = OrthonormalSpan(d), OrthonormalSpan(d)
     alpha_basis, betas = [], []  # the first d span joiners of each side
     alphas, b_margin, pooled = None, 0.0, 0
-    coeffs, stop, size = A.data.reshape(g, d * d).T, 0, 2 * d + 1
+    stop, size = 0, 2 * d + 1
     while stop < trials and pooled < POOL_FACTOR * (d + 1):  # until both pools are full
         start, stop, size = stop, min(stop + size, trials), min(2 * size, CHUNK_CAP)
         gammas = complex_gaussians(rng, stop - start, g)
-        u, s, vh = np.linalg.svd((coeffs @ gammas[:, :, None]).reshape(-1, d, d))
+        u, s, vh = np.linalg.svd(pencil_eval(A, gammas[:, :, None, None]))
         gap = s[:, 0] - s[:, 1] if d > 1 else s[:, 0]
         # a multiple s0 pools nothing, and past 4(d+1) simple draws both pools are closed
         simple = np.flatnonzero(gap > GAP_TOL * s[:, 0])[: POOL_FACTOR * (d + 1) - pooled]
         if not simple.size:
             continue
         points, rights = gammas[simple] / s[simple, :1], vh[simple, 0].conj()
+        if not np.isfinite(points).all():
+            raise DomainBreach("the probe's points overflow")
         lefts = u[simple[: max(0, POOL_FACTOR * d - pooled)], :, 0]
         joins, beta_joins = alpha_span.add_rows(rights, tol), beta_span.add_rows(lefts, tol)
         # copies, so that a certificate does not keep the chunk's arrays alive

@@ -178,12 +178,12 @@ def pencil_eval(coeffs: MatrixTuple, point) -> np.ndarray:
 def hermitian_pencil(coeffs: MatrixTuple, point) -> np.ndarray:
     """Monic Hermitian pencil I + pencil + pencil*; exactly Hermitian as formed,
     since entry (i, k) adds the same two terms as the conjugate of entry (k, i).
-    One per point of a stack. Raises DomainBreach as pencil_eval does, and
-    when the sum is not finite."""
+    One per point of a stack. Raises DomainBreach when the sum has an entry
+    that is not finite, as it has wherever the pencil has one."""
     x = point_data(point)
     if not (coeffs.is_square and x.shape[-2] == x.shape[-1]):
         raise NotSquare("hermitian pencils need square coefficient and point tuples")
-    return _add_adjoint(pencil_eval(coeffs, point), x.shape[-1], monic=True)
+    return _add_adjoint(_pencil(coeffs, point), x.shape[-1], monic=True)
 
 
 def _add_adjoint(lam, n: int, monic: bool) -> np.ndarray:
@@ -226,18 +226,14 @@ def _refuse(cond, what) -> None:
         raise DomainBreach(f"{what} is numerically singular (cond {worst:.3e})")
 
 
-def _inverse(m) -> tuple[np.ndarray, np.ndarray | None]:
-    """np.linalg.inv of each matrix of m, and the mask of the exactly singular
-    ones (None when there are none), whose inverses are NaN. LAPACK refuses a
-    whole stack for one singular matrix, so then the singular ones are found
-    from their LU factors (slogdet sign 0) and the rest inverted again."""
+def _inverse(m) -> np.ndarray:
+    """np.linalg.inv of each matrix of m, NaN for an exactly singular one.
+    LAPACK refuses a whole stack for one singular matrix, so then each matrix
+    of the stack is inverted on its own."""
     try:
-        return np.linalg.inv(m), None
+        return np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(m)[0] == 0
-        inv = np.full_like(m, np.nan)
-        inv[~singular] = np.linalg.inv(m[~singular])
-        return inv, singular
+        return np.array([_inverse(item) for item in m]) if m.ndim > 2 else np.full_like(m, np.nan)
 
 
 def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -247,24 +243,23 @@ def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
     block: inv_ii = D_i^-1 and inv_i,>i = -D_i^-1 m_i,>i inv_>i,>i; a diagonal
     block equal (over the whole stack) to one already inverted reuses its
     inverse. One block is one np.linalg.inv(m). A matrix with an exactly
-    singular diagonal block is singular, and has infinite condition.
+    singular diagonal block is singular: its block inverse is NaN (see
+    _inverse), so is its condition number, and that reads as infinite.
     With more than one block the inverse overwrites m, which is zero below
     its diagonal blocks: row block a of m is last read as the inverse's is written.
     """
     k = m.shape[-1]
     m_norm = np.abs(m).sum(axis=-2).max(axis=-1)  # before m is overwritten
     if len(cuts) == 2:
-        inv, singular = _inverse(m)
+        inv = _inverse(m)
     else:
-        inv, singular = m, None
+        inv = m
         known = []  # (a copy of a diagonal block, its inverse)
         for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):
             block = m[..., a:b, a:b]
             block_inv = next((v for u, v in known if np.array_equal(u, block)), None)
             if block_inv is None:
-                block_inv, bad = _inverse(block)
-                if bad is not None:
-                    singular = bad if singular is None else singular | bad
+                block_inv = _inverse(block)
                 known.append((block.copy(), block_inv))
             if b < k:
                 rest = m[..., a:b, b:] @ inv[..., b:, b:]
@@ -272,7 +267,7 @@ def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
             inv[..., a:b, a:b] = block_inv
         del known, rest  # not held beside the norm's temporary below
     cond = m_norm * np.abs(inv).sum(axis=-2).max(axis=-1)
-    return inv, cond if singular is None else np.where(singular, np.inf, cond)
+    return inv, np.where(np.isnan(cond), np.inf, cond)
 
 
 def _diagonal_cuts(coeffs: MatrixTuple) -> list[int]:
@@ -304,17 +299,15 @@ def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarra
     x = point_data(point)
     if x.shape[-2] != x.shape[-1]:
         raise NotSquare("maps are evaluated at square matrix tuples")
-    m = _pencil(coeffs, point)
-    stacked = m.ndim == 3
-    if not (stacked or np.isfinite(m).all()):
-        raise DomainBreach("the pencil overflows at this point")
+    stacked = x.ndim == 4
+    m = _pencil(coeffs, point) if stacked else pencil_eval(coeffs, point)
     m *= factor
     m += 0.0  # -0.0 + 0.0 is 0.0, as adding the identity's zeros made it
     np.einsum("...ii->...i", m)[...] += 1.0
     n = x.shape[-1]
     cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, m.shape[-1]]
     inv, cond = _block_inverse(m, cuts)
-    if stacked:  # an item whose pencil overflows has an infinite or nan cond
+    if stacked:  # an item whose pencil overflows has an infinite cond
         inv[~(cond < COND_LIMIT)] = np.nan
     else:
         _refuse(cond, what)
@@ -425,15 +418,18 @@ def is_nilpotent(B: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     (nilpotent) or stops growing (not). Generators are scaled to unit
     operator norm, so tol, the largest singular value counted as kernel, is
     scale-free; those at most tol times the largest norm count as zero.
-    Raises ValueError unless tol is finite and at least 0.
+    Raises ValueError unless tol is finite and at least 0, and DomainBreach
+    when a norm overflows or a generator does when scaled to unit norm.
     """
     if not B.is_square:
         raise NotSquare("nilpotency is defined for square tuples")
     check_tol(tol)
     d = B.rows
-    norms = np.linalg.svd(B.data, compute_uv=False)[:, 0]  # operator_norm of each
+    norms = operator_norm(B.data)
     keep = norms > tol * np.max(norms)
     gens = B.data[keep] / norms[keep, None, None]
+    if not (np.isfinite(norms).all() and np.isfinite(gens).all()):
+        raise DomainBreach("the tuple overflows when scaled to unit norm")
     basis = np.zeros((d, 0), dtype=complex)  # P_k: orthonormal columns spanning K_k
     while True:
         rest = gens - basis @ (basis.conj().T @ gens)

@@ -220,6 +220,22 @@ def test_sv_probe_rejected(files, capsys):
     assert "nilpotent" in doc["reasons"]
 
 
+@pytest.mark.parametrize("v", [1e308, 1.7e308, 1e-310])
+def test_sv_probe_on_a_tuple_out_of_float_range_is_one_json_error(tmp_path, v):
+    # two invertible matrices: at 1e308 their stacked singular values
+    # overflow, at 1.7e308 their norms too, and at 1e-310 the probe's points
+    # gamma / s0, which no JSON document can hold
+    pair = MatrixTuple(np.array([[[v, v], [v, -v]], [[v, 0], [v, v]]]))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["sv-probe", "--tuple", write_tuple(tmp_path / "t.json", pair), "--seed", "42"]
+    done = subprocess.run(
+        [sys.executable, "-m", "convexotonic", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2
+    assert done.stdout.count("\n") == 1
+    assert json.loads(done.stdout)["error"]["type"] == "DomainBreach"
+
+
 def test_sv_probe_inconclusive_exit_code(capsys, tmp_path):
     identity_only = MatrixTuple.from_matrices([np.eye(2)])
     path = write_tuple(tmp_path / "identity.json", identity_only)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convexotonic
@@ -41,6 +41,7 @@ from convexotonic import (
     verify_theorem,
 )
 from convexotonic import genericity
+from convexotonic.errors import DomainBreach
 from convexotonic.linalg import OrthonormalSpan
 from convexotonic.sampling import complex_gaussian, random_tuple, random_unitary
 
@@ -139,6 +140,67 @@ def test_kernel_flags_match_kernel_basis(seed, g, d, kind, tol, scale):
     kernel, cokernel = kernel_flags(A, tol)
     assert ("joint-kernel" in reasons) is kernel
     assert ("joint-cokernel" in reasons) is cokernel
+
+
+# two invertible matrices (no joint kernel) and a strictly upper-triangular
+# pair, with few bits, so that an exact scaling reaches the subnormals
+INVERTIBLE_PAIR = 3 * np.array([[[1, 1], [1, -1]], [[1, 0], [1, 1]]], dtype=complex)
+STRICT_PAIR = np.array([[[0, 3], [0, 0]], [[0, 6], [0, 0]]], dtype=complex)
+
+
+def power_of_two_scaling(A, k):
+    """The entries of A times 2**k, or None unless that scaling is exact: no
+    entry overflows or loses a bit."""
+    real = A.data.view(float)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(real, k)
+    return scaled.view(complex) if np.array_equal(np.ldexp(scaled, -k), real) else None
+
+
+def genericity_verdicts(A, seed):
+    """What necessary_conditions, is_nilpotent and sv_probe say of A: the
+    reasons, the flag, and the status and reason; None for a call that raises
+    DomainBreach. A certificate's points must be finite."""
+    def probe():
+        result = sv_probe(A, trials=50, seed=seed)
+        if result.certificate is not None:
+            points = [kp.point for kp in (*result.certificate.alphas, *result.certificate.betas)]
+            assert np.isfinite(points).all()
+        return result.status, result.reason
+
+    verdicts = []
+    for call in (lambda: necessary_conditions(A).reasons, lambda: is_nilpotent(A), probe):
+        try:
+            verdicts.append(call())
+        except DomainBreach:
+            verdicts.append(None)
+    return verdicts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["gaussian", "strict", "multiples"]),
+    st.integers(-1100, 1100),
+)
+@example(0, 2, 2, "invertible-pair", 0)
+@example(0, 2, 2, "strict-pair", 0)
+def test_a_power_of_two_scaling_keeps_the_verdicts_or_is_refused(seed, g, d, kind, k):
+    # besides k, the ends of the exact range: there the stacked singular
+    # values, the generator norms or their reciprocals, or the probe's points
+    # leave the float range
+    pairs = {"invertible-pair": INVERTIBLE_PAIR, "strict-pair": STRICT_PAIR}
+    data = pairs.get(kind)
+    A = MatrixTuple(flag_draw(np.random.default_rng(seed), kind, g, d) if data is None else data)
+    expected = genericity_verdicts(A, seed)
+    assert None not in expected
+    exact = [j for j in range(-1200, 1100) if power_of_two_scaling(A, j) is not None]
+    for j in sorted({k, exact[0], exact[-1] - 1, exact[-1]} & set(exact)):
+        verdicts = genericity_verdicts(MatrixTuple(power_of_two_scaling(A, j)), seed)
+        for verdict, want in zip(verdicts, expected):
+            assert verdict in (None, want), (j, verdicts, expected)
 
 
 # every callable of the package's API that takes a tol, on inputs valid at

@@ -21,6 +21,9 @@ def test_bench_builds_its_cases_and_runs_every_map_call():
     assert {"map_call.ut3.g6.n128", "map_call.nil8.g24.n32"} <= calls.keys()
     for call in calls.values():
         assert isinstance(call(), convexotonic.MatrixTuple)
+    # the stacked call whose item 37 is a pole: NaN there, and only there
+    stack = cases["map_stack.type_iv.singular_item.n3.s75"]()
+    assert np.isnan(stack[37]).all() and not np.isnan(np.delete(stack, 37, axis=0)).any()
     # the cases this file's probe and necessary-condition timings come from
     assert cases["necessary_conditions.generic.d3"]().passed
     assert cases["necessary_conditions.strict.g3.d8"]().reasons == (

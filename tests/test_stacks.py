@@ -134,20 +134,27 @@ def test_stacked_resolvent_certifies_each_item(seed, kind, n, factor, limit):
 
 @pytest.mark.parametrize("n", [2, BLOCK_LEVEL])
 def test_an_exactly_singular_item_leaves_the_rest_of_its_stack(e_tuple, n):
-    # I + pencil_E(-I, Y) = [[0, Y], [0, 0]] is exactly singular; LAPACK
-    # refuses the whole stack for it, dense or block by block
+    # at X_1 = -I the monic pencil is exactly singular: type IV's is
+    # [[0, Y], [0, 0]], and that of the closure of I and a strictly
+    # upper-triangular pair has three diagonal blocks I + X_1 = 0. LAPACK
+    # refuses the whole stack for such an item, dense or block by block
     rng = np.random.default_rng(n)
-    good = 0.1 * complex_gaussians(rng, 2, 2, n, n)
-    singular = np.array([-np.eye(n), complex_gaussians(rng, 1, n, n)[0]])
-    x = np.array([good[0], singular, good[1]])
-    for path in (nullcontext(), dense_path()):
-        with path:
-            inv = resolvent(e_tuple, x, 1.0, "pencil")
-            singles = one_point(lambda X: resolvent(e_tuple, X, 1.0, "pencil"), x)
-            with pytest.raises(DomainBreach, match=r"\(cond inf\)"):
-                resolvent(e_tuple, MatrixTuple(singular), 1.0, "pencil")
-        assert singles[1] is None
-        assert_items_are_one_point_calls(inv, singles)
+    strict = np.triu(complex_gaussians(rng, 2, 3, 3), 1)
+    closure = algebra_closure(MatrixTuple(np.concatenate([np.eye(3)[None], strict]))).extended
+    for coeffs in (e_tuple, closure):
+        good = complex_gaussians(rng, 2, coeffs.g, n, n)
+        good /= 2 * operator_norm(pencil_eval(coeffs, good))[:, None, None, None]
+        singular = complex_gaussians(rng, 3, coeffs.g, n, n)
+        singular[:, 0] = -np.eye(n)
+        x = np.array([singular[0], good[0], singular[1], good[1], singular[2]])
+        for path in (nullcontext(), dense_path()):
+            with path:
+                inv = resolvent(coeffs, x, 1.0, "pencil")
+                singles = one_point(lambda X: resolvent(coeffs, X, 1.0, "pencil"), x)
+                with pytest.raises(DomainBreach, match=r"\(cond inf\)"):
+                    resolvent(coeffs, MatrixTuple(singular[1]), 1.0, "pencil")
+            assert [single is None for single in singles] == [True, False, True, False, True]
+            assert_items_are_one_point_calls(inv, singles)
 
 
 @pytest.mark.parametrize("n", [2, BLOCK_LEVEL])
