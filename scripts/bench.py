@@ -93,20 +93,6 @@ def map_call(cx, np, J, n):
     return lambda: cmap(X)
 
 
-def planted_theorem(cx, np, kind, d, seed):
-    """Theorem data (E, B, Z, M) with B = M* Z E M, built as tests/conftest.py's
-    planted_theorem builds it (tier-1 pins the two to equal bytes): B the
-    closure of a seeded ut, full or strict pair, Z and M seeded Haar unitaries."""
-    from convexotonic.sampling import complex_gaussian, random_unitary
-
-    rng = np.random.default_rng(seed)
-    pair = complex_gaussian(rng, 2, d, d)
-    pair = {"ut": np.triu(pair), "full": pair, "strict": np.triu(pair, 1)}[kind]
-    B = cx.algebra_closure(cx.MatrixTuple(pair)).extended
-    Z, M = random_unitary(rng, d), random_unitary(rng, d)
-    return cx.TheoremData(cx.MatrixTuple(Z.conj().T @ M @ B.data @ M.conj().T), B, Z, M)
-
-
 def theorem(cx, data):
     """verify_theorem at 20 samples on fresh copies of the tuples of data."""
     e, b = cx.MatrixTuple(data.ball_tuple.data), cx.MatrixTuple(data.target_tuple.data)
@@ -150,6 +136,7 @@ def cli_cases(cx, np):
 
 def cases(cx, np):
     """Map case name -> zero-argument callable; inputs are drawn here, once."""
+    from conftest import planted_theorem  # tier-1's builder; it runs on the package cx
     from convexotonic import jsonio
     from convexotonic.sampling import complex_gaussian, random_unitary
 
@@ -327,7 +314,7 @@ def cases(cx, np):
     shift = cx.MatrixTuple.from_matrices([cx.type_i_tuple()[0]])
     out["verify.corollary.shift3.s25"] = lambda: cx.verify_corollary(shift, samples=25)
     for kind, d in (("ut", 6), ("full", 6), ("full", 8)):
-        data = planted_theorem(cx, np, kind, d, seed=d)
+        data = planted_theorem(kind, d, seed=d)
         out[f"theorem.planted.{kind}.d{d}"] = lambda data=data: theorem(cx, data)
     out.update(cli_cases(cx, np))
     return out
@@ -375,6 +362,8 @@ def main():
     # the package first: it maps the thread cap onto BLAS before numpy loads
     import convexotonic as cx
     import numpy as np
+
+    sys.path.append(str(ROOT / "tests"))  # conftest imports the package already loaded
 
     results = {}
     for name, call in cases(cx, np).items():

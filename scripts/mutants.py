@@ -66,7 +66,10 @@ MUTANTS = [
         "file": "src/convexotonic/linalg.py",
         "old": "if screened < floor / 2 or",
         "new": "if screened < floor * 2 or",
-        "tests": [ADD_ROWS_TEST],
+        "tests": [
+            ADD_ROWS_TEST,
+            "tests/test_linalg.py::test_add_rows_keeps_a_row_between_half_and_twice_the_floor",
+        ],
     },
     {
         "name": "add-rows-stops-a-row-early",
@@ -216,6 +219,36 @@ MUTANTS = [
         "old": "for a, b in reversed(list(zip(cuts[:-1], cuts[1:]))):",
         "new": "for a, b in zip(cuts[:-1], cuts[1:]):",
         "tests": [BLOCK_RESOLVENT_TEST],
+    },
+    # the one refusal of an inverse (resolvent) and the callers that read it off a stack
+    {
+        "name": "resolvent-refusal-dropped",
+        "file": "src/convexotonic/linalg.py",
+        "old": "elif refused:",
+        "new": "elif False:",
+        "tests": [
+            "tests/test_linalg.py::test_resolvent_refusals",
+            "tests/test_linalg.py::test_block_path_refuses_an_exactly_singular_pencil",
+        ],
+    },
+    {
+        "name": "jacobian-accepts-refused-points",
+        "file": "src/convexotonic/maps.py",
+        "old": "        if np.isnan(images).any():\n"
+        '            raise DomainBreach(f"the map refuses a difference point at step {h:g}")\n',
+        "new": "",
+        "tests": ["tests/test_maps.py::test_derivative_at_zero_refuses_a_pole_at_a_step"],
+    },
+    {
+        "name": "oracle-check-accepts-refused-points",
+        "file": "src/convexotonic/verify.py",
+        "old": "        if not _defined(image).all():\n"
+        '            raise DomainBreach(f"{name}: the map refuses a sampled point")\n',
+        "new": "",
+        "tests": [
+            "tests/test_verify.py::test_an_oracle_check_refuses_a_point_the_map_refuses",
+            "tests/test_cli.py::test_examples_refusing_a_sampled_point_is_one_json_error",
+        ],
     },
     # stacked evaluation: one certificate and one breach per point
     {

@@ -102,10 +102,7 @@ def _cmd_inverse_check(args) -> int:
     p = q.inverse()
 
     def roundtrip(first, second):
-        image = second(first(point))
-        return max(
-            float(abs(image.data[j] - point.data[j]).max()) for j in range(point.g)
-        )
+        return float(abs(second(first(point)).data - point.data).max())
 
     qp = roundtrip(q, p)
     pq = roundtrip(p, q)

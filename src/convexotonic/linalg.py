@@ -208,24 +208,6 @@ def _add_adjoint(lam, n: int, monic: bool) -> np.ndarray:
     return lam
 
 
-def certified_inverse(m):
-    """Inverse of m, refused with DomainBreach unless the 1-norm condition
-    number ||m||_1 ||m^-1||_1 (infinite for an exactly singular m) is below
-    COND_LIMIT; of each matrix of a stack (..., k, k), refused when one is.
-    """
-    inv, cond = _block_inverse(m, [0, m.shape[-1]])
-    _refuse(cond, "matrix")
-    return inv
-
-
-def _refuse(cond, what) -> None:
-    """Raise DomainBreach for the first condition number not below COND_LIMIT."""
-    certified = cond < COND_LIMIT  # false for nan too
-    if not certified.all():
-        worst = float(np.ravel(cond)[np.argmin(certified)])
-        raise DomainBreach(f"{what} is numerically singular (cond {worst:.3e})")
-
-
 def _inverse(m) -> np.ndarray:
     """np.linalg.inv of each matrix of m, NaN for an exactly singular one.
     LAPACK refuses a whole stack for one singular matrix, so then each matrix
@@ -288,8 +270,9 @@ def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarra
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
     block; the certificate is the same condition number of the assembled
     inverse. Raises NotSquare for a rectangular point and DomainBreach when
-    lam overflows (see pencil_eval) or when the 1-norm condition number of
-    the pencil (see certified_inverse) reaches COND_LIMIT.
+    lam overflows (see pencil_eval) or when the 1-norm condition number
+    ||m||_1 ||m^-1||_1 of the pencil m (infinite for an exactly singular m)
+    reaches COND_LIMIT.
 
     At a stack of points (see point_data) the inverses come as a stack, each
     item with the bits of a one-point call, and each item is certified on
@@ -307,10 +290,11 @@ def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarra
     n = x.shape[-1]
     cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, m.shape[-1]]
     inv, cond = _block_inverse(m, cuts)
+    refused = ~(cond < COND_LIMIT)
     if stacked:  # an item whose pencil overflows has an infinite cond
-        inv[~(cond < COND_LIMIT)] = np.nan
-    else:
-        _refuse(cond, what)
+        inv[refused] = np.nan
+    elif refused:
+        raise DomainBreach(f"{what} is numerically singular (cond {float(cond):.3e})")
     return inv
 
 

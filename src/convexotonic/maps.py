@@ -104,22 +104,21 @@ def transfer_residual(
     """
     image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)._through_xi(X)
     inv = resolvent(J, X, sign.factor, "transfer pencil")
-    return operator_norm(pencil_eval(J, image) - inv @ pencil_eval(J, X))
+    return operator_norm(pencil_eval(J, image) - inv @ _pencil(J, X))  # resolvent checked it
 
 
 def jacobian_at_zero(cmap: ConvexotonicMap) -> np.ndarray:
-    """Level-1 Jacobian at the origin by Richardson-extrapolated central differences."""
+    """Level-1 Jacobian at the origin by Richardson-extrapolated central
+    differences, from one stacked map call at the points +-h e_j per step h.
+    Raises DomainBreach when the map refuses one of them."""
     g = cmap.xi.g
 
     def central(h: float) -> np.ndarray:
-        jac = np.zeros((g, g), dtype=complex)
-        for j in range(g):
-            e = np.zeros(g)
-            e[j] = h
-            plus = cmap(MatrixTuple.scalar(e)).data[:, 0, 0]
-            minus = cmap(MatrixTuple.scalar(-e)).data[:, 0, 0]
-            jac[j, :] = (plus - minus) / (2 * h)
-        return jac
+        steps = h * np.eye(g)
+        images = cmap(np.concatenate([steps, -steps])[:, :, None, None])[:, :, 0, 0]
+        if np.isnan(images).any():
+            raise DomainBreach(f"the map refuses a difference point at step {h:g}")
+        return (images[:g] - images[g:]) / (2 * h)
 
     h1, h2 = 1e-4, 1e-5
     d1, d2 = central(h1), central(h2)

@@ -9,7 +9,7 @@ import pytest
 
 from convexotonic import MatrixTuple, type_i_tuple, type_iv_tuple
 from convexotonic.cli import run
-from convexotonic import jsonio
+from convexotonic import jsonio, linalg
 from convexotonic.jsonio import (
     JsonFormatError, matrix_to_obj, obj_to_matrix, obj_to_tuple, tuple_to_obj
 )
@@ -328,6 +328,17 @@ def test_examples_catalog(files, capsys):
     assert doc["passed"] is True
     assert doc["warnings"]
     assert "warning:" in err
+
+
+def test_examples_refusing_a_sampled_point_is_one_json_error(capsys, monkeypatch):
+    # a COND_LIMIT of 1 makes the first oracle check's map refuse every point
+    monkeypatch.setattr(linalg, "COND_LIMIT", 1.0)
+    code, doc, err = run_json(capsys, ["examples", "--seed", "42", "--samples", "3"])
+    assert code == 2 and err == ""
+    assert doc == {"error": {
+        "type": "DomainBreach",
+        "message": "type-i/map-equals-quadratic-shift: the map refuses a sampled point",
+    }}
 
 
 # --- I/O discipline -----------------------------------------------------------------

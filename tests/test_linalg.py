@@ -50,6 +50,8 @@ def test_tuple_rejects_ragged_and_empty():
         MatrixTuple.from_matrices([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeMismatch):
         MatrixTuple.from_matrices([])
+    with pytest.raises(ShapeMismatch, match="expected a 2-d matrix, got ndim=1"):
+        MatrixTuple.from_matrices([np.eye(2), np.zeros(2)])
 
 
 @pytest.mark.parametrize("shape", [(2, 0, 0), (2, 3, 0), (2, 0, 3)])
@@ -150,6 +152,12 @@ def test_pencil_scalar_point_nilpotent(f_tuple):
 def test_pencil_length_mismatch(e_tuple):
     with pytest.raises(TupleLengthMismatch):
         pencil_eval(e_tuple, MatrixTuple.scalar([1, 2, 3]))
+
+
+def test_pencil_refuses_a_bare_3d_array(e_tuple):
+    # a point is a MatrixTuple or an (s, g, n, m) stack, never bare (g, n, m) data
+    with pytest.raises(ShapeMismatch, match="got ndim=3"):
+        pencil_eval(e_tuple, np.zeros((2, 3, 3)))
 
 
 def test_pencil_matches_kron_sum(e_tuple):
@@ -873,6 +881,19 @@ def test_add_rows_is_one_add_per_row_bit_for_bit(batch, floor):
         if unit is not None:
             assert np.array_equal(unit, expected)
     assert np.array_equal(batched.q, sequential.q)
+
+
+def test_add_rows_keeps_a_row_between_half_and_twice_the_floor():
+    # the row's remainder against the span of e_0, e_1, e_2 is 1.5e-3: above
+    # the floor 1e-3, so add keeps it, and above floor / 2, so the screen does too
+    floor = 1e-3
+    row = np.array([0.6, 0.8j, -0.5, 1.5e-3, 0.0])
+    spans = [OrthonormalSpan(5), OrthonormalSpan(5)]
+    for span in spans:
+        for v in np.eye(3, 5):
+            span.add(v, floor)
+    unit = spans[0].add(row, floor)
+    assert unit is not None and np.array_equal(spans[1].add_rows([row], floor)[0], unit)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

@@ -490,6 +490,13 @@ def test_derivative_at_zero_is_identity():
             assert np.max(np.abs(jac - np.eye(J.g))) < 1e-8
 
 
+def test_derivative_at_zero_refuses_a_pole_at_a_step():
+    # the minus-sign map of 1e4 (I, E12) has a pole at (1e-4, 0), the step h = 1e-4
+    cmap = ConvexotonicMap(MatrixTuple(1e4 * type_iv_tuple().data), MapSign.MINUS)
+    with pytest.raises(DomainBreach, match="refuses a difference point at step 0.0001"):
+        jacobian_at_zero(cmap)
+
+
 # --- block-triangular pencils -------------------------------------------------
 
 @settings(max_examples=20, deadline=None)

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 
 import convexotonic
-from conftest import planted_theorem
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "scripts" / "bench.py"
@@ -41,21 +40,6 @@ def test_bench_builds_its_cases_and_runs_every_map_call():
     assert {f"cli.{name}" for name in cli} <= cases.keys()
     planted = {"ut.d6", "full.d6", "full.d8"}
     assert {f"theorem.planted.{name}" for name in planted} <= cases.keys()
-
-
-def test_bench_plants_the_theorem_data_of_conftest():
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    for kind in ("ut", "full", "strict"):
-        ours = bench.planted_theorem(convexotonic, np, kind, 4, seed=6)
-        theirs = planted_theorem(kind, 4, seed=6)
-        assert theorem_bytes(ours) == theorem_bytes(theirs), kind
-
-
-def theorem_bytes(data):
-    arrays = (data.ball_tuple.data, data.target_tuple.data, data.twist, data.change_of_basis)
-    return [a.tobytes() for a in arrays]
 
 
 def test_every_mutant_names_one_place_in_src_and_existing_tests():

@@ -1,5 +1,6 @@
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from convexotonic import (
 from convexotonic.errors import DomainBreach, ShapeMismatch, TupleLengthMismatch
 from convexotonic.jsonio import dumps
 from convexotonic.sampling import random_unitary, seeded_rng
+from convexotonic.verify import _check_oracle, mobius_conjugate
 from conftest import planted_theorem
 
 
@@ -426,6 +428,17 @@ def test_catalog_deterministic():
     a = example_catalog(seed=7).to_dict()
     b = example_catalog(seed=7).to_dict()
     assert a == b
+
+
+def test_an_oracle_check_refuses_a_point_the_map_refuses(monkeypatch):
+    # a NaN image would otherwise reach the oracle distance's SVD
+    monkeypatch.setattr(convexotonic.linalg, "COND_LIMIT", 1.0)
+    q_e = ConvexotonicMap(structure_constants(type_iv_tuple()).xi, MapSign.PLUS)
+    oracle = partial(mobius_conjugate, -1.0)
+    report = VerificationReport("oracle")
+    with pytest.raises(DomainBreach, match="^type-iv/closed-form: the map refuses a sampled point$"):
+        _check_oracle(report, "type-iv/closed-form", q_e, oracle, seeded_rng(1), (2,), 5, 0.3, 1e-10)
+    assert report.checks == []
 
 
 def test_catalog_without_samples_fails_oracle_checks():
