@@ -58,6 +58,12 @@ SCALING_TEST = (
 FLOAT_RANGE_CLI_TEST = (
     "tests/test_cli.py::test_sv_probe_on_a_tuple_out_of_float_range_is_one_json_error"
 )
+OVERFLOWING_MARGIN_TEST = (
+    "tests/test_domains.py::test_an_overflowing_norm_or_eigenvalue_is_refused_by_name"
+)
+OVERFLOWING_MEMBER_CLI_TEST = (
+    "tests/test_cli.py::test_member_on_an_overflowing_pencil_is_one_json_error"
+)
 
 MUTANTS = [
     # the sv-probe's chunk screen (OrthonormalSpan.add_rows)
@@ -120,17 +126,9 @@ MUTANTS = [
     {
         "name": "adjoint-stack-untransposed",
         "file": "src/convexotonic/genericity.py",
-        "old": "A.data.conj().transpose(0, 2, 1)",
-        "new": "A.data.conj()",
+        "old": "A.data.transpose(0, 2, 1)",
+        "new": "A.data",
         "tests": [KERNEL_FLAGS_TEST],
-    },
-    {
-        "name": "adjoint-stack-unconjugated",
-        "file": "src/convexotonic/genericity.py",
-        "old": "A.data.conj().transpose(0, 2, 1)",
-        "new": "A.data.transpose(0, 2, 1)",
-        "tests": [KERNEL_FLAGS_TEST],
-        "note": "equivalent: conjugation leaves the singular values unchanged",
     },
     # refusals at the ends of the float range
     {
@@ -165,7 +163,32 @@ MUTANTS = [
         "    if not np.isfinite(lam).all():\n"
         '        raise DomainBreach("the pencil overflows at this point")\n',
         "new": "    lam = _pencil(coeffs, point)\n",
-        "tests": ["tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name"],
+        "tests": [
+            "tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name",
+            "tests/test_maps.py::test_an_overflowing_point_is_refused_by_name",
+            OVERFLOWING_MEMBER_CLI_TEST,
+        ],
+    },
+    {
+        "name": "margin-accepts-overflow",
+        "file": "src/convexotonic/domains.py",
+        "old": "    if not np.isfinite(margin):",
+        "new": "    if False:",
+        "tests": [OVERFLOWING_MARGIN_TEST, OVERFLOWING_MEMBER_CLI_TEST],
+    },
+    {
+        "name": "scale-accepts-overflow",
+        "file": "src/convexotonic/domains.py",
+        "old": "    if not (scale > 0.0).all():",
+        "new": "    if False:",
+        "tests": [OVERFLOWING_MARGIN_TEST],
+    },
+    {
+        "name": "transfer-residual-accepts-a-stack",
+        "file": "src/convexotonic/maps.py",
+        "old": "    if not isinstance(X, MatrixTuple):",
+        "new": "    if False:",
+        "tests": ["tests/test_maps.py::test_transfer_residual_refuses_a_stack"],
     },
     # the block inverse written into the pencil's own buffer
     {

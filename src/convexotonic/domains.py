@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotSquare, ZeroDirection
+from .errors import DomainBreach, NotSquare, ZeroDirection
 from .linalg import (
     DEFAULT_TOL,
     MatrixTuple,
@@ -42,6 +42,8 @@ class MembershipVerdict:
 
 def _classify(margin: float, tol: float) -> MembershipVerdict:
     check_tol(tol)
+    if not np.isfinite(margin):  # the norm or eigenvalue of a finite pencil overflowed
+        raise DomainBreach("the pencil overflows at this point")
     if margin > tol:
         loc = Location.INTERIOR
     elif margin < -tol:
@@ -98,8 +100,8 @@ def boundary_scale(domain, X):
     Closed forms: for balls 1 / ||pencil(X)||; for spectrahedra the pencil
     along the ray is I + t*H with H = pencil(X) + pencil(X)*, so the scale is
     -1 / min_eig(H) when that eigenvalue is negative and infinity otherwise.
-    Raises DomainBreach when the pencil or H has an entry that is not finite,
-    and ZeroDirection for a zero direction, at any point of a stack.
+    Raises DomainBreach when the pencil, H, the norm or the eigenvalue is not
+    finite, and ZeroDirection for a zero direction, at any point of a stack.
     """
     x = point_data(X)
     if not x.any(axis=(-3, -2, -1)).all():
@@ -115,4 +117,6 @@ def boundary_scale(domain, X):
         scale = np.divide(-1.0, lmin, out=np.full_like(lmin, np.inf), where=~(lmin >= 0.0))
     else:
         raise TypeError(f"not a domain: {type(domain).__name__}")
+    if not (scale > 0.0).all():  # 0 or NaN: the norm or eigenvalue overflowed
+        raise DomainBreach("the pencil overflows at this point")
     return float(scale) if isinstance(X, MatrixTuple) else scale

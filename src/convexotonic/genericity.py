@@ -55,19 +55,19 @@ class NecessaryConditions:
 def necessary_conditions(A: MatrixTuple, tol: float = DEFAULT_TOL) -> NecessaryConditions:
     """Fast rejections: a tuple with a joint kernel, a joint cokernel, or a
     nilpotent generated algebra cannot be sv-generic. One values-only SVD of
-    the stacked gd x d matrices of A and of its adjoint finds the first two:
-    a stack has a kernel when its smallest singular value is at most tol times
-    its largest, kernel_basis's rule. The nilpotency flag runs only with a
-    joint kernel: a nilpotent algebra kills a common vector (Levitzki), and
-    the flag's first step finds a unit v with the sum over j of
-    ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes the joint-kernel test,
-    except that each generator is_nilpotent drops (norm at most tol times the
-    largest) loosens that bound, to sqrt(1 + m) * tol with m dropped. Raises
-    DomainBreach when a singular value overflows."""
+    the stacked gd x d matrices of A and of A^T (with the singular values of
+    A*) finds the first two: a stack has a kernel when its smallest singular
+    value is at most tol times its largest, kernel_basis's rule. The
+    nilpotency flag runs only with a joint kernel: a nilpotent algebra kills a
+    common vector (Levitzki), and the flag's first step finds a unit v with
+    the sum over j of ||B_j v||^2 / ||B_j||^2 at most tol^2, which passes the
+    joint-kernel test, except that each generator is_nilpotent drops (norm at
+    most tol times the largest) loosens that bound, to sqrt(1 + m) * tol with
+    m dropped. Raises DomainBreach when a singular value overflows."""
     if not A.is_square:
         raise NotSquare("sv-genericity is defined for square tuples")
     check_tol(tol)
-    stacks = np.stack((A.data, A.data.conj().transpose(0, 2, 1))).reshape(2, -1, A.rows)
+    stacks = np.stack((A.data, A.data.transpose(0, 2, 1))).reshape(2, -1, A.rows)
     s = np.linalg.svd(stacks, compute_uv=False)
     if not np.isfinite(s).all():
         raise DomainBreach("the singular values of the tuple overflow")

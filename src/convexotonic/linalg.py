@@ -102,10 +102,6 @@ class MatrixTuple:
     def __iter__(self):
         return iter(self.data)
 
-    def adjoint(self) -> "MatrixTuple":
-        """Componentwise conjugate transpose."""
-        return MatrixTuple(self.data.conj().transpose(0, 2, 1))
-
     def flatten(self) -> np.ndarray:
         """Each matrix as one row: shape (g, rows*cols)."""
         return self.data.reshape(self.g, -1)

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .algebras import _RECORDS, convexotonic_residual, is_convexotonic, structure_constants
-from .errors import DomainBreach
+from .errors import DomainBreach, ShapeMismatch
 from .linalg import DEFAULT_TOL, MatrixTuple, _pencil, operator_norm, pencil_eval, point_data, resolvent
 
 
@@ -24,9 +24,6 @@ class MapSign(str, Enum):
     @property
     def factor(self) -> float:
         return -1.0 if self is MapSign.MINUS else 1.0
-
-    def flipped(self) -> "MapSign":
-        return MapSign.PLUS if self is MapSign.MINUS else MapSign.MINUS
 
 
 @dataclass(frozen=True)
@@ -43,15 +40,7 @@ class ConvexotonicMap:
             raise ValueError(f"tuple is not convexotonic (residual {convexotonic_residual(self.xi):.3e})")
 
     def inverse(self) -> "ConvexotonicMap":
-        return replace(self, sign=self.sign.flipped())
-
-    def domain_check(self, X: MatrixTuple) -> bool:
-        """True iff the map is defined at X, i.e. calling it raises no DomainBreach."""
-        try:
-            self(X)
-        except DomainBreach:
-            return False
-        return True
+        return replace(self, sign=MapSign.PLUS if self.sign is MapSign.MINUS else MapSign.MINUS)
 
     def __call__(self, X):
         """Evaluate levelwise at a MatrixTuple X, or at each point of a stack
@@ -101,7 +90,9 @@ def transfer_residual(
     (xi, sign), returns || pencil_J(y) - (I -/+ pencil_J(X))^{-1} pencil_J(X) ||,
     the pencil sign matching the map sign. y is evaluated through xi, since the
     identity holds by construction for an image read off the pencil of J.
-    """
+    Raises ShapeMismatch unless X is one point, a MatrixTuple."""
+    if not isinstance(X, MatrixTuple):
+        raise ShapeMismatch("the transfer residual is taken at one point, a MatrixTuple")
     image = ConvexotonicMap(structure_constants(J, tol).xi, sign, tol)._through_xi(X)
     inv = resolvent(J, X, sign.factor, "transfer pencil")
     return operator_norm(pencil_eval(J, image) - inv @ _pencil(J, X))  # resolvent checked it

@@ -185,17 +185,17 @@ class TheoremData:
 
 
 def _rays(rng, domain, levels, count):
-    """Random rays of a domain, `count` per level: for each level, (level, the
-    stack of the directions with a finite boundary point at most SCALE_CAP
-    out, their scales as a (k, 1, 1, 1) array), and the number of the other
-    rays, which are skipped."""
+    """Random rays of a domain, `count` per level: for each level, (the stack
+    of the directions with a finite boundary point at most SCALE_CAP out,
+    their scales as a (k, 1, 1, 1) array), and the number of the other rays,
+    which are skipped."""
     rays = []
     for n in levels:
         x = random_directions(rng, domain.coeffs.g, n, count)
         scale = boundary_scale(domain, x)
         kept = np.isfinite(scale) & (scale <= SCALE_CAP)
-        rays.append((n, x[kept], scale[kept, None, None, None]))
-    return rays, len(levels) * count - sum(len(x) for _, x, _ in rays)
+        rays.append((x[kept], scale[kept, None, None, None]))
+    return rays, len(levels) * count - sum(len(x) for x, _ in rays)
 
 
 def _constants(report, name, solve, *args):
@@ -249,11 +249,11 @@ def verify_theorem(
     if convexotonic:
         p_map = ConvexotonicMap(sc.xi, MapSign.MINUS, tol)
         rays, _ = _rays(rng, Spectraball(e), (1, 2, 3), samples)
-        images = [p_map(0.9 * scale * x) for _, x, scale in rays]
+        images = [p_map(0.9 * scale * x) for x, scale in rays]
         pencils = [hermitian_pencil(b, image[_defined(image)]) for image in images]
         margins = np.concatenate([np.linalg.eigvalsh(h)[:, 0] for h in pencils])
         worst = margins.min(initial=math.inf)
-        used = sum(len(x) for _, x, _ in rays)
+        used = sum(len(x) for x, _ in rays)
         breaches = used - len(margins)
         report.add(
             "ball-to-spectrahedron-transport",
@@ -306,7 +306,7 @@ def _transport(report, spec, q_map, j, samples, seed, back=None):
     tol = q_map.construction_tol
     boundary_defect, boundary_within, interior_worst = 0.0, True, 0.0
     breaches, images, gaps, limits = 0, [], [], []
-    for _, x, scale in rays:
+    for x, scale in rays:
         on = _padded(scale * x, j.g)
         image = q_map(on)
         kept = _defined(image)
@@ -327,7 +327,7 @@ def _transport(report, spec, q_map, j, samples, seed, back=None):
             limits.append(tol * _frobenius(inside))
         breaches += len(x) - len(inside)
         images.append(image)
-    used = sum(len(x) for _, x, _ in rays)
+    used = sum(len(x) for x, _ in rays)
     report.add(
         "boundary-to-boundary",
         breaches == 0 and boundary_within,
@@ -450,7 +450,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
     # two candidate quadratic-shift maps; exactly one transports the boundary
     defects = {1.0: 0.0, -1.0: 0.0}
     rays, _ = _rays(rng, spec_f, (1, 2, 3), samples)
-    for _, x, scale in rays:
+    for x, scale in rays:
         for sgn in (1.0, -1.0):
             norm = operator_norm(pencil_eval(e_tuple, quadratic_shift(scale * x, sgn)))
             defects[sgn] = max(defects[sgn], np.abs(1.0 - norm).max(initial=0.0))
@@ -460,7 +460,7 @@ def example_catalog(seed: int = 42, samples: int = 25) -> VerificationReport:
         "type-i/candidate-map-transport",
         minus_ok and plus_fails,
         defects[-1.0],
-        samples=sum(len(x) for _, x, _ in rays),
+        samples=sum(len(x) for x, _ in rays),
         detail=(
             f"boundary defect: (x1, x2 - x1^2) -> {defects[-1.0]:.3e}, "
             f"(x1, x2 + x1^2) -> {defects[1.0]:.3e}"

@@ -164,16 +164,22 @@ def test_eval_domain_breach(files, capsys, tmp_path):
 
 def overflowing_member(kind):
     """Coefficients and a point whose pencil overflows: entries near 1e200,
-    or (spec-sum) a level-1 pencil lam = 1.5e308 whose Hermitian sum
-    lam + lam* does."""
+    (spec-sum) a level-1 pencil lam = 1.5e308 whose Hermitian sum
+    lam + lam* does, or finite type IV pencils whose norm (ball-norm) or
+    smallest eigenvalue (spec-eigenvalue) does."""
     if kind == "spec-sum":
         return "spec", MatrixTuple(np.diag([1e154, 0.0])[None]), MatrixTuple.scalar([1.5e154])
+    if kind == "ball-norm":
+        return "ball", type_iv_tuple(), MatrixTuple(np.full((2, 2, 2), 1e308))
+    if kind == "spec-eigenvalue":
+        at = np.array([-0.8e308 * np.ones((2, 2)), np.zeros((2, 2))])
+        return "spec", type_iv_tuple(), MatrixTuple(at)
     rng = np.random.default_rng(0)
     coeffs = MatrixTuple(1e200 * rng.standard_normal((2, 3, 3)))
     return kind, coeffs, MatrixTuple(1e200 * rng.standard_normal((2, 2, 2)))
 
 
-@pytest.mark.parametrize("case", ["ball", "spec", "spec-sum"])
+@pytest.mark.parametrize("case", ["ball", "spec", "spec-sum", "ball-norm", "spec-eigenvalue"])
 def test_member_on_an_overflowing_pencil_is_one_json_error(tmp_path, case):
     # a subprocess: LAPACK writes its complaints to the process's stdout, past capsys
     kind, data, at = overflowing_member(case)

@@ -16,6 +16,8 @@ from convexotonic import (
     ball_membership,
     ball_to_spectrahedron,
     boundary_scale,
+    hermitian_pencil,
+    pencil_eval,
     spec_membership,
     structure_constants,
     type_i_tuple,
@@ -122,12 +124,11 @@ def _map_of(e):
     "entry",
     [
         lambda e, X: _map_of(e)(X),
-        lambda e, X: _map_of(e).domain_check(X),
         lambda e, X: boundary_scale(Spectrahedron(e), X),
         lambda e, X: spec_membership(Spectrahedron(e), X),
         lambda e, X: ball_membership(Spectraball(e), X),
     ],
-    ids=["map", "domain_check", "boundary_scale", "spec", "ball"],
+    ids=["map", "boundary_scale", "spec", "ball"],
 )
 def test_level_zero_points_are_refused_as_shape_mismatch(entry):
     # the empty point of each entry point is refused where it is built
@@ -232,6 +233,35 @@ def test_an_overflowing_hermitian_pencil_is_refused_by_name(call):
         DomainBreach, match="the pencil overflows at this point"
     ):
         call(MatrixTuple.scalar([1.5e154]))
+
+
+# points where type IV's pencils are finite but the pencil's norm (about
+# 3.2e308) or the Hermitian pencil's smallest eigenvalue (about -3.2e308) is not
+NORM_OVERFLOW = MatrixTuple(np.full((2, 2, 2), 1e308))
+EIGENVALUE_OVERFLOW = MatrixTuple(np.array([-0.8e308 * np.ones((2, 2)), np.zeros((2, 2))]))
+ONE_DIRECTION = 0.5 * np.ones((1, 2, 2, 2))
+MARGIN_OVERFLOW_CALLS = {
+    "ball_membership": lambda e: ball_membership(Spectraball(e), NORM_OVERFLOW),
+    "spec_membership": lambda e: spec_membership(Spectrahedron(e), EIGENVALUE_OVERFLOW),
+    "boundary_scale-ball": lambda e: boundary_scale(Spectraball(e), NORM_OVERFLOW),
+    "boundary_scale-spec": lambda e: boundary_scale(Spectrahedron(e), EIGENVALUE_OVERFLOW),
+    "boundary_scale-ball-stack": lambda e: boundary_scale(
+        Spectraball(e), np.concatenate([ONE_DIRECTION, NORM_OVERFLOW.data[None]])
+    ),
+    "boundary_scale-spec-stack": lambda e: boundary_scale(
+        Spectrahedron(e), np.concatenate([ONE_DIRECTION, EIGENVALUE_OVERFLOW.data[None]])
+    ),
+}
+
+
+@pytest.mark.parametrize("call", MARGIN_OVERFLOW_CALLS.values(), ids=MARGIN_OVERFLOW_CALLS.keys())
+def test_an_overflowing_norm_or_eigenvalue_is_refused_by_name(e_tuple, call):
+    assert np.isfinite(pencil_eval(e_tuple, NORM_OVERFLOW)).all()
+    assert np.isfinite(hermitian_pencil(e_tuple, EIGENVALUE_OVERFLOW)).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        DomainBreach, match="the pencil overflows at this point"
+    ):
+        call(e_tuple)
 
 
 def test_boundary_scale_consistency(e_tuple, f_tuple):

@@ -98,7 +98,7 @@ def kernel_flags(A, tol):
     g, d = A.g, A.rows
     return (
         bool(kernel_basis(A.data.reshape(g * d, d), tol)),
-        bool(kernel_basis(A.adjoint().data.reshape(g * d, d), tol)),
+        bool(kernel_basis(A.data.conj().transpose(0, 2, 1).reshape(g * d, d), tol)),
     )
 
 

@@ -106,6 +106,11 @@ def test_direct_sum_refuses_different_lengths(e_tuple):
         e_tuple.direct_sum(MatrixTuple.scalar([1.0]))
 
 
+def test_max_abs_is_the_largest_modulus():
+    assert MatrixTuple(np.array([[[1.0, -3.0]], [[2j, 0.0]]])).max_abs() == 3.0
+    assert MatrixTuple(np.array([[[-4.0, 3 + 4.5j]], [[0.0, 1.0]]])).max_abs() == abs(3 + 4.5j)
+
+
 # --- np.kron ---------------------------------------------------------------
 
 def test_kron_identity():

@@ -336,7 +336,7 @@ def test_corollary_injectivity_fails_when_no_pair_shares_a_level(e_tuple):
 
 def test_corollary_injectivity_counts_the_pairs_compared(e_tuple):
     rays, _ = convexotonic.verify._rays(seeded_rng(3), Spectrahedron(e_tuple), (1, 2, 3), 4)
-    per_level = [len(x) for _, x, _ in rays]
+    per_level = [len(x) for x, _ in rays]
     injectivity = check_map(verify_corollary(e_tuple, samples=4, seed=3))["injectivity-gap"]
     assert injectivity.passed
     assert injectivity.samples == sum(k * (k - 1) // 2 for k in per_level)
