@@ -10,7 +10,7 @@ included, on input files written once to a temporary directory), on inputs
 drawn there once at fixed seeds. The sizes are those a perfbench workload or a CLI default uses,
 so a case shows where an end-to-end op spends its time, plus larger ones
 where a layer's cost grows fastest (nilpotency at d=32, the constants of
-g=64 and g=100 closures). The inputs are chosen to reach each layer's
+g=64, g=100 and g=144 closures). The inputs are chosen to reach each layer's
 distinct paths: block-triangular and lower-triangular pencils, closures
 whose maps go through the d n x d n pencil, the exact convexotonic residual
 where no associativity bound exists, and sv-probes that certify, run out of
@@ -25,9 +25,10 @@ coordinates fixed when its constants were solved.
 Each case reports the median and the minimum of REPEAT calls made after one
 untimed warm-up call, or of fewer (at least MIN_REPEAT) once a case has run
 for BUDGET_S seconds. The map-call, boundary-scale and operator-norm cases
-at levels 128 and 256 (the names TRACED matches) also report the peak of
-the memory one more call allocates through Python and numpy, traced by
-tracemalloc after the timed calls (LAPACK's work arrays are not traced);
+at levels 128 and 256 and the structure-constant cases (the names TRACED
+matches) also report the peak of the memory one more call allocates
+through Python and numpy, traced by tracemalloc after the timed calls
+(LAPACK's work arrays are not traced);
 cases whose names match --skip are left out (the
 exponential nilpotency test of older commits cannot finish d=16, and their
 word-span chain takes seconds a call at d=32). The package
@@ -63,7 +64,9 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 15
 MIN_REPEAT = 3
 BUDGET_S = 30.0
-TRACED = re.compile(r"^(map_call|boundary_scale|operator_norm)\..*\.n(128|256)$")
+TRACED = re.compile(
+    r"^((map_call|boundary_scale|operator_norm)\..*\.n(128|256)|structure_constants\..*)$"
+)
 
 
 def gaussian(rng, *shape):
@@ -234,7 +237,7 @@ def cases(cx, np):
             cx.algebra_closure(A).extended
         )
 
-    for d in (8, 10):
+    for d in (8, 10, 12):
         B = cx.algebra_closure(pair(cx, np, "full", d)).extended
         out[f"structure_constants.full.d{d}.g{B.g}"] = lambda B=B: cx.structure_constants(
             cx.MatrixTuple(B.data)

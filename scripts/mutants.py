@@ -64,6 +64,9 @@ OVERFLOWING_MARGIN_TEST = (
 OVERFLOWING_MEMBER_CLI_TEST = (
     "tests/test_cli.py::test_member_on_an_overflowing_pencil_is_one_json_error"
 )
+BLOCKS_TEST = (
+    "tests/test_algebras.py::test_constants_solved_in_blocks_match_least_squares_and_one_block"
+)
 
 MUTANTS = [
     # the sv-probe's chunk screen (OrthonormalSpan.add_rows)
@@ -167,6 +170,16 @@ MUTANTS = [
             "tests/test_domains.py::test_an_overflowing_pencil_is_refused_by_name",
             "tests/test_maps.py::test_an_overflowing_point_is_refused_by_name",
             OVERFLOWING_MEMBER_CLI_TEST,
+        ],
+    },
+    {
+        "name": "map-call-reads-an-overflowing-norm-as-singular",
+        "file": "src/convexotonic/linalg.py",
+        "old": "    if not (stacked or math.isfinite(m_norm)):",
+        "new": "    if False:",
+        "tests": [
+            "tests/test_maps.py::test_a_finite_pencil_whose_norm_overflows_is_refused_by_name",
+            "tests/test_cli.py::test_eval_where_the_pencil_norm_overflows_is_one_json_error",
         ],
     },
     {
@@ -332,6 +345,23 @@ MUTANTS = [
         "old": "span = span if tol <= span_tol else",
         "new": "span = span if span is not None else",
         "tests": ["tests/test_algebras.py::test_a_closure_span_is_reused_only_at_its_tol_or_below"],
+    },
+    # the span solve, one block of left factors at a time
+    {
+        "name": "last-partial-block-dropped",
+        "file": "src/convexotonic/algebras.py",
+        "old": "for k in range(0, g, step):",
+        "new": "for k in range(0, g - g % step, step):",
+        "tests": [BLOCKS_TEST],
+    },
+    {
+        "name": "refusal-decided-before-every-residual",
+        "file": "src/convexotonic/algebras.py",
+        "old": "        if refused:  # raised below, once every residual is in\n            continue\n",
+        "new": "        if refused:\n            break\n",
+        "tests": [
+            "tests/test_algebras.py::test_an_overflow_in_a_later_block_is_named_before_an_earlier_violation"
+        ],
     },
     {
         "name": "constants-accept-a-nan-residual",

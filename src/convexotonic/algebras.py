@@ -36,6 +36,11 @@ from .errors import DependentInput, DomainBreach, NotSquare, ShapeMismatch, Span
 from .linalg import DEFAULT_TOL, MatrixTuple, OrthonormalSpan, check_tol, operator_norm
 
 _RECORDS: WeakKeyDictionary = WeakKeyDictionary()  # MatrixTuple (by identity) -> _Record
+# bytes of products that _solve_constants forms at once (one block of left
+# factors, at least one factor); each block holds about three times this
+# beside xi. Up to it, all g^2 products form one block and one pass, as for
+# every closure up to upper-triangular d = 6 (g = 21, 248 KiB)
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(slots=True)
@@ -148,18 +153,13 @@ def is_convexotonic(xi: MatrixTuple, tol: float = DEFAULT_TOL) -> bool:
     return bound <= limit or convexotonic_residual(xi) <= limit
 
 
-def _associativity_bound(J: MatrixTuple, xi: MatrixTuple, products, r) -> float:
+def _associativity_bound(J: MatrixTuple, xi: MatrixTuple, rho, r) -> float:
     """The bound of the module docstring on the convexotonic residual of xi,
-    the constants of J; turns products (J_k J_j in row k * g + j) into R_kj in
-    place by one batched product, whose result is the one temporary that large."""
+    the constants of J, from rho[k, j] = ||R_kj||_F."""
     g = J.g
-    flat = J.flatten()
-    products -= (xi.data.transpose(1, 0, 2) @ flat).reshape(g * g, -1)  # xi.data[j, k, s] = xi_j[k, s]
-    rest = products.view(float)
-    rho = np.sqrt(np.einsum("ij,ij->i", rest, rest)).reshape(g, g)  # rho[k, j] = ||R_kj||_F
     real = xi.data.view(float)
     rows_sq = np.einsum("jkt,jkt->jk", real, real)  # ||xi_j[k, :]||^2
-    a = np.linalg.norm(flat, axis=1)
+    a = np.linalg.norm(J.flatten(), axis=1)
     cols = np.linalg.norm(rho, axis=0)
     xi_sq = rows_sq.sum(axis=1)
     blocks = np.outer(cols, a) + np.linalg.norm(a) * rho  # the four terms, at [j, i]
@@ -182,19 +182,50 @@ def _solve_constants(
     middle, xi's record gets its bound and, when d < g, the route (J, C) with
     C = inv(r.T) @ conj(q), which maps the d^2 flattened n x n blocks of
     pencil_J(Y) to Y. Raises DomainBreach when the products overflow.
+
+    The products of a block of left factors k, about BLOCK_BYTES of them, are
+    formed, projected and solved into rows k of the one g^3 buffer that xi
+    keeps; without a middle, xi's combination is then subtracted from them in
+    place, leaving R_kj for the bound. Every residual is in before a refusal.
     """
     check_tol(tol)  # before a closure's span is reused at any tol below its own
     g = basis.g
     span_tol, span = getattr(_RECORDS.get(basis), "span", (-math.inf, None))
     span = span if tol <= span_tol else _independent_span(basis, tol, what)
-    left = basis.data
+    left, flat = basis.data, basis.flatten()
     right = left if middle is None else middle @ left
-    products = (left[:, None] @ right[None, :]).reshape(g * g, -1)  # row k * g + j
-    coords, residuals = span.project(products)
+    factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
+    limits = tol * factors.reshape(-1)
+    r, _ = span.project(flat)
+    r_inv_t = np.linalg.inv(r.T)  # for xi and C; forward error u cond(r), as a solve's
+    xi = None  # xi[j, k, s] = xi_j[k, s], allocated below
+    residuals, rho = np.empty(g * g), np.empty((g, g))  # rho[k, j] = ||R_kj||_F
+    step = max(1, BLOCK_BYTES // right[0].nbytes // g)  # left factors per block
+    refused = False
+    for k in range(0, g, step):
+        rows = slice(k * g, (k + step) * g)  # row k * g + j holds product (k, j)
+        products = (left[k : k + step, None] @ right[None, :]).reshape(-1, flat.shape[1])
+        coords, residuals[rows] = span.project(products)
+        block = residuals[rows]
+        refused = refused or not (np.isfinite(block).all() and np.all(block <= limits[rows]))
+        if refused:  # raised below, once every residual is in
+            continue
+        solved = r_inv_t @ coords.T  # [s, k' * g + j] is xi[j][k + k', s]
+        del coords
+        if xi is None:  # in the coordinates' memory, as one pass allocated it: taken
+            # before the first block, xi left the block's arrays fresh pages on every
+            # call (up to 66 more page faults a solve at g = 21, in one measured process)
+            xi = np.empty((g, g, g), dtype=complex)
+        xi[:, k : k + step] = solved.reshape(g, -1, g).transpose(2, 1, 0)
+        del solved  # before the remainder product: a block's memory peak
+        if middle is None:
+            products -= (xi[:, k : k + step].transpose(1, 0, 2) @ flat).reshape(products.shape)
+            rho[k : k + step] = np.sqrt(
+                np.einsum("ij,ij->i", products.view(float), products.view(float))
+            ).reshape(-1, g)
     if not math.isfinite(largest := float(np.max(residuals))):  # nan passes the test below
         raise DomainBreach(f"{what}: the products overflow")
-    factors = np.outer(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
-    bad = residuals > tol * factors.reshape(-1)
+    bad = residuals > limits
     if np.any(bad):
         worst = float(np.max(residuals[bad]))
         k, j = divmod(int(np.argmax(bad)), g)
@@ -203,14 +234,9 @@ def _solve_constants(
             f"(residual {worst:.3e})",
             residual=worst,
         )
-    r, _ = span.project(basis.flatten())
-    r_inv_t = np.linalg.inv(r.T)  # for xi and C; forward error u cond(r), as a solve's
-    solved = r_inv_t @ coords.T  # [s, k * g + j] is xi[j][k, s]
-    del coords  # before xi copies solved: the span solve's memory peak
-    xi = MatrixTuple(solved.reshape(g, g, g).transpose(2, 1, 0))
-    del solved
+    xi = MatrixTuple._adopt(xi)
     if middle is None:
-        _RECORDS[xi] = record = _Record(_associativity_bound(basis, xi, products, r))
+        _RECORDS[xi] = record = _Record(_associativity_bound(basis, xi, rho, r))
         if basis.rows < g:  # a copy of J: J's record holds xi, so J would never be freed
             record.route = (MatrixTuple(left), r_inv_t @ span.q.conj())
     return xi, largest

@@ -141,4 +141,9 @@ def load_document(path):
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), allow_nan=False)
+    """The payload as one JSON line. Payloads are built fresh from arrays and
+    never hold themselves, so the circularity check is skipped (a circular
+    one raises RecursionError)."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ": "), allow_nan=False, check_circular=False
+    )

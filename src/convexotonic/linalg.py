@@ -39,14 +39,26 @@ def check_tol(tol: float) -> None:
 class MatrixTuple:
     """A g-tuple of same-shape complex matrices, stored as a (g, rows, cols) array.
 
-    Immutable after construction: data views a private copy through a
-    read-only buffer, so numpy refuses to make it writable.
+    Immutable after construction: data views a private copy (or an array
+    handed over to _adopt) through a read-only buffer, so numpy refuses to
+    make it writable.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=complex, order="C", copy=True)
+        self._freeze(np.array(self.data, dtype=complex, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "MatrixTuple":
+        """A tuple whose data views arr itself, a C-ordered complex array that
+        the caller built for it and no longer writes or hands out; the same
+        checks as construction, without the copy."""
+        out = object.__new__(cls)
+        out._freeze(arr)
+        return out
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ShapeMismatch(f"expected (g, rows, cols) data, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
@@ -214,7 +226,7 @@ def _inverse(m) -> np.ndarray:
         return np.array([_inverse(item) for item in m]) if m.ndim > 2 else np.full_like(m, np.nan)
 
 
-def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
+def _block_inverse(m, m_norm, cuts) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of each matrix of a stack m (..., k, k) that is block upper
     triangular on the diagonal blocks m[a:b, a:b] of consecutive cuts a < b,
     and its 1-norm condition number. Block back-substitution from the last
@@ -224,10 +236,10 @@ def _block_inverse(m, cuts) -> tuple[np.ndarray, np.ndarray]:
     singular diagonal block is singular: its block inverse is NaN (see
     _inverse), so is its condition number, and that reads as infinite.
     With more than one block the inverse overwrites m, which is zero below
-    its diagonal blocks: row block a of m is last read as the inverse's is written.
+    its diagonal blocks: row block a of m is last read as the inverse's is written,
+    so m_norm, the 1-norm of each matrix of m, is taken by the caller.
     """
     k = m.shape[-1]
-    m_norm = np.abs(m).sum(axis=-2).max(axis=-1)  # before m is overwritten
     if len(cuts) == 2:
         inv = _inverse(m)
     else:
@@ -266,7 +278,8 @@ def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarra
     n-fold _diagonal_cuts of the coefficients, and it is inverted block by
     block; the certificate is the same condition number of the assembled
     inverse. Raises NotSquare for a rectangular point and DomainBreach when
-    lam overflows (see pencil_eval) or when the 1-norm condition number
+    lam overflows (see pencil_eval), when the 1-norm of the finite monic
+    pencil does (with the same message), or when the 1-norm condition number
     ||m||_1 ||m^-1||_1 of the pencil m (infinite for an exactly singular m)
     reaches COND_LIMIT.
 
@@ -285,7 +298,11 @@ def resolvent(coeffs: MatrixTuple, point, factor: float, what: str) -> np.ndarra
     np.einsum("...ii->...i", m)[...] += 1.0
     n = x.shape[-1]
     cuts = [n * k for k in _diagonal_cuts(coeffs)] if n >= BLOCK_LEVEL else [0, m.shape[-1]]
-    inv, cond = _block_inverse(m, cuts)
+    with np.errstate(over="ignore"):  # a finite pencil's 1-norm can overflow
+        m_norm = np.abs(m).sum(axis=-2).max(axis=-1)  # before _block_inverse overwrites m
+    if not (stacked or math.isfinite(m_norm)):  # at a stack: an infinite cond, a NaN item
+        raise DomainBreach("the pencil overflows at this point")
+    inv, cond = _block_inverse(m, m_norm, cuts)
     refused = ~(cond < COND_LIMIT)
     if stacked:  # an item whose pencil overflows has an infinite cond
         inv[refused] = np.nan

@@ -30,6 +30,20 @@ def scalar_point(*values):
     return MatrixTuple.scalar(list(values))
 
 
+@pytest.fixture(autouse=True)
+def emitted_bytes_are_those_of_the_checked_encoder(monkeypatch):
+    # dumps skips json's circularity check; every payload these tests emit in
+    # process has the bytes the check-on call gives
+    dumps = jsonio.dumps
+
+    def compared(payload):
+        text = dumps(payload)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ": "), allow_nan=False)
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", compared)
+
+
 @pytest.fixture
 def files(tmp_path):
     return {
@@ -160,6 +174,23 @@ def test_eval_domain_breach(files, capsys, tmp_path):
     )
     assert code == 2
     assert doc["error"]["type"] == "DomainBreach"
+
+
+@pytest.mark.parametrize("v", [1e308, -1e308])
+def test_eval_where_the_pencil_norm_overflows_is_one_json_error(tmp_path, v):
+    # a subprocess, to see its whole stderr: numpy's overflow warning reached
+    # it, and the error read "defining pencil is numerically singular (cond inf)"
+    xi = write_tuple(tmp_path / "xi.json", type_iv_tuple())
+    point = write_tuple(tmp_path / "p.json", MatrixTuple(np.full((2, 2, 2), v)))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["eval", "--xi", xi, "--sign", "plus", "--point", point]
+    done = subprocess.run(
+        [sys.executable, "-m", "convexotonic", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2 and done.stderr == ""
+    assert done.stdout.count("\n") == 1
+    error = json.loads(done.stdout)["error"]
+    assert error == {"type": "DomainBreach", "message": "the pencil overflows at this point"}
 
 
 def overflowing_member(kind):

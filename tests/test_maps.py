@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import fields
 
@@ -160,6 +161,22 @@ def test_an_overflowing_point_is_refused_by_name(e_tuple):
         DomainBreach, match="the pencil overflows at this point"
     ):
         q(huge)
+
+
+@pytest.mark.parametrize("v", [1e308, -1e308])
+@pytest.mark.parametrize("sign", list(MapSign))
+def test_a_finite_pencil_whose_norm_overflows_is_refused_by_name(v, sign):
+    # type IV's pencil at this point is [[X, X], [0, X]] with entries +-1e308,
+    # finite; the 1-norm of I +- pencil, about 2e308, is not. The call was
+    # refused as numerically singular (cond inf), with numpy's overflow warning
+    q = ConvexotonicMap(structure_constants(type_iv_tuple()).xi, sign)
+    at = np.full((2, 2, 2), v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainBreach) as caught:
+            q(MatrixTuple(at))
+        assert str(caught.value) == "the pencil overflows at this point"
+        assert np.isnan(q(at[None])).all()  # an item of a stack is NaN, as before
 
 
 # --- inversion ---------------------------------------------------------------

@@ -31,10 +31,15 @@ def test_bench_builds_its_cases_and_runs_every_map_call():
     assert cases["sv_probe.generic.d3"]().status == "certified"
     statuses = [result.status for result in cases["sv_probe.mix"]()]
     assert statuses == ["certified"] * 4 + ["inconclusive"] * 27 + ["rejected"] * 4
-    # the level-n kernel cases whose memory is traced
+    # the level-n kernel and span-solve cases whose memory is traced
     traced = {name for name in cases if bench.TRACED.match(name)}
     assert {"map_call.type_iv.n256", "boundary_scale.spectrahedron.type_iv.n256",
             "boundary_scale.spectraball.type_iv.n128", "operator_norm.type_iv.n256"} <= traced
+    assert {name for name in cases if name.startswith("structure_constants.")} == {
+        "structure_constants.nil.g3.d8", "structure_constants.ut.d6.g21",
+        "structure_constants.full.d7.g49", "structure_constants.full.d8.g64",
+        "structure_constants.full.d10.g100", "structure_constants.full.d12.g144",
+    } <= traced
     # the end-to-end cases are built with their inputs but not spawned here
     cli = {"eval.n128", "member.spec.n128", "xi.closure.ut5", "sv_probe.type_iv", "examples.seed42"}
     assert {f"cli.{name}" for name in cli} <= cases.keys()
